@@ -4,13 +4,7 @@ and differentiation, Lagrange-basis tools, Lebesgue-constant estimation,
 and a convergence-rate benchmark harness.
 """
 
-from .multi_index import (
-    MultiIndexSet,
-    back_neighbor,
-    is_downward_closed,
-    make_lp_set,
-    max_exponent,
-)
+from .multi_index import MultiIndexSet, is_downward_closed, make_lp_set
 from .grid import (
     Nodes1D,
     UnisolventGrid,
@@ -56,10 +50,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MultiIndexSet",
-    "back_neighbor",
     "is_downward_closed",
     "make_lp_set",
-    "max_exponent",
     "Nodes1D",
     "UnisolventGrid",
     "axes_for",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -17,9 +17,6 @@ __all__ = [
     "MultiIndexSet",
     "make_lp_set",
     "is_downward_closed",
-    "back_neighbor",
-    "max_exponent",
-    "lex_sorted",
 ]
 
 # Inclusion slack for non-integer p, where membership is decided in floats.
@@ -29,7 +26,7 @@ GENERAL_P_TOLERANCE = 1e-10
 _KEY_LIMIT = 2**62
 
 
-def lex_sorted(exponents: np.ndarray) -> np.ndarray:
+def _lex_sorted(exponents: np.ndarray) -> np.ndarray:
     """Return rows sorted in canonical order (last entry most significant)."""
     arr = np.asarray(exponents)
     # np.lexsort treats its last key as primary, so feeding the columns in
@@ -67,7 +64,7 @@ class MultiIndexSet:
             raise ValueError("multi-index set must be non-empty")
         if (arr < 0).any():
             raise ValueError("exponents must be non-negative")
-        arr = lex_sorted(arr)
+        arr = _lex_sorted(arr)
         if count > 1 and np.all(arr[1:] == arr[:-1], axis=1).any():
             raise ValueError("duplicate multi-indices are not allowed")
         arr.setflags(write=False)
@@ -124,12 +121,9 @@ class MultiIndexSet:
             table = {tuple(map(int, row)): i for i, row in enumerate(self.exponents)}
             object.__setattr__(self, "_lookup", table)
 
-    def positions(self, queries: np.ndarray, strict: bool = True) -> np.ndarray:
-        """Row positions of ``queries`` in the canonical array.
-
-        With ``strict`` a missing index raises ``KeyError``; otherwise its
-        position is reported as ``-1``.
-        """
+    def positions(self, queries: np.ndarray) -> np.ndarray:
+        """Row positions of ``queries`` in the canonical array; a missing
+        index raises ``KeyError``."""
         q = np.asarray(queries, dtype=np.int64)
         if q.ndim == 1:
             q = q[None, :]
@@ -149,10 +143,10 @@ class MultiIndexSet:
                 count=len(q),
             )
             found = pos >= 0
-        if strict and not found.all():
+        if not found.all():
             missing = q[~found][0]
             raise KeyError(f"multi-index {tuple(int(v) for v in missing)} not in set")
-        return np.where(found, pos, -1)
+        return pos
 
     def position(self, alpha) -> int:
         return int(self.positions(np.asarray(alpha, dtype=np.int64)[None, :])[0])
@@ -264,37 +258,40 @@ def make_lp_set(m: int, n: int, p) -> MultiIndexSet:
     return MultiIndexSet(exponents, provenance=tag)
 
 
+def axis_lines(index_set: MultiIndexSet, axis: int):
+    """Split ``index_set`` into its grid lines along ``axis``.
+
+    A grid line is a maximal group of indices that differ only in
+    coordinate ``axis``.  Returns ``(line, lengths)``: ``line[k]`` numbers
+    the line holding the index at canonical position ``k``, and
+    ``lengths[i]`` counts the indices on line ``i``.  Returns ``None`` when
+    some line does not hold exactly the levels ``0..lengths[i] - 1``, i.e.
+    when the set is not downward closed along ``axis``.
+    """
+    exps = index_set.exponents
+    levels = exps[:, axis]
+    others = np.delete(exps, axis, axis=1)
+    # np.lexsort's first key is the least significant: every line becomes
+    # one run, levels ascending.  Line starts come from changes in the other
+    # coordinates, never from level 0, so a line lacking level 0 cannot
+    # merge into its predecessor.
+    order = np.lexsort((levels, *others.T))
+    rest = others[order]
+    new_line = np.ones(len(order), dtype=bool)
+    new_line[1:] = (rest[1:] != rest[:-1]).any(axis=1)
+    starts = np.flatnonzero(new_line)
+    run = np.cumsum(new_line) - 1
+    if not np.array_equal(levels[order], np.arange(len(order)) - starts[run]):
+        return None
+    line = np.empty_like(run)
+    line[order] = run
+    return line, np.diff(starts, append=len(order))
+
+
 def is_downward_closed(index_set: MultiIndexSet) -> bool:
     """True iff every componentwise-smaller neighbour of a member is a member.
 
-    It suffices to check the immediate back-neighbours ``alpha - e_i``.
+    It suffices that along every axis each grid line holds the levels
+    ``0, 1, ..., len - 1`` (see :func:`axis_lines`).
     """
-    exps = index_set.exponents
-    for axis in range(index_set.dim):
-        mask = exps[:, axis] > 0
-        if not mask.any():
-            continue
-        parents = exps[mask].copy()
-        parents[:, axis] -= 1
-        if (index_set.positions(parents, strict=False) < 0).any():
-            return False
-    return True
-
-
-def back_neighbor(alpha: Sequence[int], axis: int, value: int) -> tuple[int, ...]:
-    """The index that agrees with ``alpha`` except ``alpha[axis] -> value``.
-
-    Requires ``0 <= value < alpha[axis]``; the result belongs to every
-    downward-closed set containing ``alpha``.
-    """
-    alpha = tuple(int(v) for v in alpha)
-    if not 0 <= axis < len(alpha):
-        raise ValueError(f"axis {axis} out of range")
-    if not 0 <= value < alpha[axis]:
-        raise ValueError(f"need 0 <= value < alpha[axis]={alpha[axis]}, got {value}")
-    return alpha[:axis] + (int(value),) + alpha[axis + 1 :]
-
-
-def max_exponent(index_set: MultiIndexSet, axis: int) -> int:
-    """Largest exponent along ``axis``; sizes the per-dimension node sets."""
-    return index_set.max_exponent(axis)
+    return all(axis_lines(index_set, axis) is not None for axis in range(index_set.dim))

@@ -1,14 +1,19 @@
 """Multivariate Newton interpolation: divided differences, evaluation,
 differentiation, and Lagrange <-> Newton transforms.
 
-The divided-difference transform runs *in place* on a single length-``|A|``
-buffer: the sample vector becomes the coefficient vector.  Dimensions are
-eliminated from the last coordinate down to the first; within one dimension
-every grid line (indices differing only in that coordinate) receives a
-standard triangular 1D divided-difference sweep.  All lines of one sweep are
-batched into one gather/scatter per pass, so the result is independent of
-any line scheduling by construction.  Total work is bounded by
-``C * |A|**2`` arithmetic operations with O(|A|) auxiliary storage.
+The divided-difference transform turns the sample vector into the
+coefficient vector.  Dimensions are eliminated from the last coordinate down
+to the first; within one dimension every grid line (indices differing only
+in that coordinate) receives a standard triangular 1D divided-difference
+sweep.  The lines of one dimension are gathered once into a level-major
+table, every pass updates all of them with one slice operation, and the
+table is scattered back at the end, so the result is independent of any
+line scheduling by construction.  The inverse transform runs the same
+passes in reverse, each one a cumulative sum along the lines.  Total work
+is bounded by ``C * |A|**2`` arithmetic operations.  Auxiliary storage is
+up to two zero-padded tables of (longest line) x (number of lines) entries
+per column: under ``m * |A|`` for the ``l_p`` sets with ``p >= 1``, and
+larger for ``p < 1``, whose long thin arms leave most of a table as padding.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import UnisolventGrid
-from .multi_index import MultiIndexSet
+from .multi_index import MultiIndexSet, axis_lines
 
 __all__ = [
     "NewtonPolynomial",
@@ -106,101 +111,62 @@ def _axis_sweep(index_set: MultiIndexSet, axis: int, points: np.ndarray, values,
 
         v[alpha] <- (v[alpha] - v[alpha - e_i]) / (p[l] - p[l - j]),
 
-    gathering the right-hand side before any write, which performs the
-    classical in-place triangle of every grid line at once.  The inverse
-    sweep unwinds the passes in reverse.
+    reading the right-hand side before any write: the classical in-place
+    triangle of every grid line at once.  The inverse sweep undoes the
+    passes in reverse; undoing pass ``j`` on a line is the cumulative sum of
+    ``v[j - 1], g[j] v[j], g[j + 1] v[j + 1], ...`` with
+    ``g[l] = p[l] - p[l - j]``.
+
+    The lines are gathered once into a zero-padded level-major table: row
+    ``l`` holds level ``l`` of every line, longest line first, so each pass
+    is one slice update over the lines that reach level ``j``.  Padding
+    cells may collect garbage but never feed a real cell.
     """
-    levels = index_set.exponents[:, axis]
-    top = int(levels.max())
+    lines = axis_lines(index_set, axis)
+    if lines is None:
+        raise ValueError("divided differences require a downward-closed index set")
+    line, lengths = lines
+    top = int(lengths.max()) - 1
     if top == 0:
         return
-    order = np.argsort(levels, kind="stable")
-    sorted_levels = levels[order]
-    # starts[j-1] = first slot (in level-sorted order) whose level is >= j
-    starts = np.searchsorted(sorted_levels, np.arange(1, top + 2))
-    sub = order[starts[0] :]
-    sub_levels = sorted_levels[starts[0] :]
-    parent_exps = index_set.exponents[sub].copy()
-    parent_exps[:, axis] -= 1
-    try:
-        parents = index_set.positions(parent_exps)
-    except KeyError as exc:
-        raise ValueError(
-            "divided differences require a downward-closed index set"
-        ) from exc
-
-    pts = points[: top + 1]
-    column = values.ndim == 2
     if not inverse:
         # The divisors used across all passes are exactly the pairwise
         # differences of the first top+1 axis points, so one sorted-gap
         # scan covers the degenerate-node guard for the whole sweep.
-        if np.diff(np.sort(pts)).min() < MIN_NODE_SEPARATION:
+        if np.diff(np.sort(points[: top + 1])).min() < MIN_NODE_SEPARATION:
             raise DegenerateNodesError(
                 f"axis {axis + 1} has node separation below {MIN_NODE_SEPARATION}"
             )
-    # When every line is one contiguous run in storage order (always true in
-    # 1D) the sweep can stream over slices instead of gather indices.
-    contiguous = (
-        np.array_equal(sub, np.arange(sub[0], sub[0] + sub.size))
-        and np.array_equal(parents, sub - 1)
-        and np.array_equal(
-            sub_levels, np.arange(sub_levels[0], sub_levels[0] + sub_levels.size)
-        )
-    )
-    if not inverse:
-        if contiguous and not column:
-            # Streaming path over slices, in cache-sized blocks so the
-            # per-element cost stays uniform across problem sizes.  Blocks
-            # run right to left: the left neighbour a block reads still
-            # holds its pre-pass value, exactly as in the scalar triangle.
-            block = 8192
-            base = int(sub[0])
-            lev0 = int(sub_levels[0])
-            total = sub.size
-            gap_buf = np.empty(min(block, top))
-            num_buf = np.empty(min(block, total))
-            subtract, divide = np.subtract, np.divide
-            for j in range(1, top + 1):
-                lo = base + j - lev0
-                width = base + total - lo
-                for stop in range(width, 0, -block):
-                    start = max(stop - block, 0)
-                    size = stop - start
-                    gaps = subtract(
-                        pts[j + start : j + stop],
-                        pts[start:stop],
-                        out=gap_buf[:size],
-                    )
-                    num = subtract(
-                        values[lo + start : lo + stop],
-                        values[lo + start - 1 : lo + stop - 1],
-                        out=num_buf[:size],
-                    )
-                    divide(num, gaps, out=values[lo + start : lo + stop])
-            return
-        for j in range(1, top + 1):
-            gaps = pts[j:] - pts[: top + 1 - j]
-            off = starts[j - 1] - starts[0]
-            tgt = sub[off:]
-            src = parents[off:]
-            div = gaps[sub_levels[off:] - j]
-            if column:
-                values[tgt] = (values[tgt] - values[src]) / div[:, None]
-            else:
-                values[tgt] = (values[tgt] - values[src]) / div
-    else:
-        rel = starts - starts[0]
+    by_length = np.argsort(-lengths, kind="stable")
+    column = np.empty_like(by_length)
+    column[by_length] = np.arange(by_length.size)
+    cell = index_set.exponents[:, axis] * lengths.size + column[line]
+    flat = values.reshape(values.shape[0], -1)
+    table = np.zeros(((top + 1) * lengths.size, flat.shape[1]))
+    table[cell] = flat
+    rows = table.reshape(top + 1, -1)
+    # reach[j]: the leading row entries, those of the lines reaching level j
+    reach = np.searchsorted(-lengths[by_length], -np.arange(top + 1), side="left")
+    reach = (reach * flat.shape[1]).tolist()
+    # Passes write only into preallocated buffers, so the per-element cost
+    # does not depend on how the allocator serves pass-sized temporaries.
+    pts = points[: top + 1, None]
+    gaps = np.empty((top, 1))
+    if inverse:
         for j in range(top, 0, -1):
-            gaps = pts[j:] - pts[: top + 1 - j]
-            # Levels must be rebuilt bottom-up: level l reads level l - 1
-            # as it stood *before* the forward pass, i.e. after this loop
-            # already restored it.
-            for level in range(j, top + 1):
-                blk = slice(rel[level - 1], rel[level])
-                tgt = sub[blk]
-                src = parents[blk]
-                values[tgt] = values[tgt] * gaps[level - j] + values[src]
+            r, w = top + 1 - j, reach[j]
+            rows[j:, :w] *= np.subtract(pts[j:], pts[:r], out=gaps[:r])
+            np.cumsum(rows[j - 1 :, :w], axis=0, out=rows[j - 1 :, :w])
+    else:
+        work = np.empty_like(rows[1:])
+        for j in range(1, top + 1):
+            r, w = top + 1 - j, reach[j]
+            g = np.subtract(pts[j:], pts[:r], out=gaps[:r])
+            diff = np.subtract(rows[j:, :w], rows[j - 1 : -1, :w], out=work[:r, :w])
+            np.divide(diff, g, out=rows[j:, :w])
+    # ``cell`` is in range by construction; a mode other than "raise" lets
+    # take write straight into ``flat`` instead of through a buffer.
+    np.take(table, cell, axis=0, out=flat, mode="clip")
 
 
 def _transform(grid: UnisolventGrid, values: np.ndarray, inverse: bool = False):
@@ -484,6 +450,11 @@ def load_bundle(directory) -> NewtonPolynomial:
     if family not in ("chebyshev_lobatto", "leja_ordered_chebyshev_lobatto", "leja"):
         family = "custom"
     grid = UnisolventGrid.from_csv(directory / "grid.csv", family=family)
+    if header.get("m") != grid.dim or header.get("num_coeffs") != len(grid):
+        raise ValueError(
+            f"header says m={header.get('m')}, num_coeffs={header.get('num_coeffs')}; "
+            f"grid file has m={grid.dim}, {len(grid)} nodes"
+        )
     with open(directory / "coefficients.csv", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)

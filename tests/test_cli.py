@@ -128,6 +128,24 @@ def test_eval_malformed_points(tmp_path):
                 "--out", tmp_path / "v.csv"]) == 2
 
 
+def test_eval_rejects_header_contradicting_grid(tmp_path, capsys):
+    a = make_lp_set(2, 3, 2)
+    grid = build_grid(a, [Nodes1D(np.array([1.0, -1.0, 0.0, 0.5]))] * 2)
+    save_bundle(interpolate(lambda p: p[:, 0] * p[:, 1], grid), tmp_path / "b")
+    header_file = tmp_path / "b" / "header.json"
+    header = json.loads(header_file.read_text())
+    assert (header["m"], header["num_coeffs"]) == (2, 11)
+    header.update(m=5, num_coeffs=999)
+    header_file.write_text(json.dumps(header))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,-0.25\n")
+    out = tmp_path / "v.csv"
+    assert run(["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "m=5" in err and "num_coeffs=999" in err
+
+
 def test_interpolate_constant_values_file(tmp_path):
     vals = tmp_path / "vals.txt"
     count = len(make_lp_set(2, 2, 1))

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mvnewton.multi_index import (
-    MultiIndexSet,
-    back_neighbor,
-    is_downward_closed,
-    make_lp_set,
-    max_exponent,
-)
+from mvnewton.multi_index import MultiIndexSet, is_downward_closed, make_lp_set
 
 INF = math.inf
 
@@ -86,22 +80,6 @@ def test_is_downward_closed():
     assert is_downward_closed(MultiIndexSet([(0, 0), (1, 0), (0, 1)]))
 
 
-def test_back_neighbor():
-    assert back_neighbor((2, 3), 1, 0) == (2, 0)
-    assert back_neighbor((1, 1, 1), 0, 0) == (0, 1, 1)
-    assert back_neighbor((4, 0), 0, 2) == (2, 0)
-    with pytest.raises(ValueError):
-        back_neighbor((2, 3), 1, 3)
-    with pytest.raises(ValueError):
-        back_neighbor((2, 0), 1, 0)
-
-
-def test_max_exponent():
-    assert max_exponent(make_lp_set(2, 3, 1), 0) == 3
-    assert max_exponent(make_lp_set(2, 3, 2), 1) == 3
-    assert max_exponent(MultiIndexSet([(0, 0)]), 0) == 0
-
-
 def test_positions_and_contains():
     s = make_lp_set(3, 3, 2)
     for i, alpha in enumerate(s):
@@ -145,18 +123,6 @@ def test_lp_ball_nesting(m, n):
 )
 def test_generated_sets_downward_closed(m, n, p):
     assert is_downward_closed(make_lp_set(m, n, p))
-
-
-@given(st.data())
-def test_back_neighbor_stays_in_downward_closed_set(data):
-    m = data.draw(st.integers(min_value=1, max_value=3))
-    n = data.draw(st.integers(min_value=1, max_value=5))
-    s = make_lp_set(m, n, 2)
-    nonzero = [a for a in s if sum(a) > 0]
-    alpha = data.draw(st.sampled_from(nonzero))
-    axis = data.draw(st.sampled_from([i for i in range(m) if alpha[i] > 0]))
-    j = data.draw(st.integers(min_value=0, max_value=alpha[axis] - 1))
-    assert back_neighbor(alpha, axis, j) in s
 
 
 def test_csv_round_trip(tmp_path):

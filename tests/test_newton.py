@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import newton_collocation_matrix, random_axes, random_downward_closed
-from mvnewton.grid import Nodes1D, build_grid, chebyshev_lobatto, leja_order
-from mvnewton.multi_index import make_lp_set
+from mvnewton.grid import (
+    Nodes1D,
+    UnisolventGrid,
+    build_grid,
+    chebyshev_lobatto,
+    leja_order,
+)
+from mvnewton.multi_index import MultiIndexSet, is_downward_closed, make_lp_set
 from mvnewton.newton import (
     DegenerateNodesError,
     LagrangeCoefficients,
@@ -314,6 +320,23 @@ def test_degenerate_axis_raises():
         divided_differences(LagrangeCoefficients(grid, np.array([1.0, 2.0])))
 
 
+def test_sweep_rejects_line_missing_level_zero():
+    # (0, 1, 1) and (0, 2, 1) form a line along the second coordinate that
+    # lacks level 0 (no (0, 0, 1)); it must not merge into the line before it
+    exps = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0),
+            (1, 1, 0), (0, 2, 0), (0, 3, 0), (0, 1, 1), (0, 2, 1)]
+    index_set = MultiIndexSet(exps)
+    axes = (Nodes1D(np.array([1.0, -1.0, 0.0, 0.5])),) * 2 + (
+        Nodes1D(np.array([1.0, -1.0])),
+    )
+    grid = UnisolventGrid(index_set=index_set, axes=axes)
+    assert not is_downward_closed(index_set)
+    with pytest.raises(ValueError):
+        divided_differences(LagrangeCoefficients(grid, np.ones(len(grid))))
+    with pytest.raises(ValueError):
+        newton_to_lagrange(NewtonPolynomial(grid, np.ones(len(grid))))
+
+
 def test_sample_length_validation():
     grid = lcl_grid(2, 2, 1)
     with pytest.raises(ValueError):
@@ -354,6 +377,15 @@ def test_dds_and_transform_property(seed):
     poly = divided_differences(LagrangeCoefficients(grid, values))
     back = newton_to_lagrange(poly).values
     assert np.abs(back - values).max() <= 1e-11 * (1.0 + np.abs(values).max())
+    # the inverse and the matrix sweep against the collocation oracle
+    collocation = newton_collocation_matrix(grid)
+    direct = collocation @ poly.coeffs
+    scale = 1.0 + np.abs(collocation).dot(np.abs(poly.coeffs)).max()
+    assert np.abs(back - direct).max() <= 1e-12 * scale
+    solved = np.linalg.solve(collocation, np.eye(len(grid)))
+    assert np.abs(lagrange_newton_matrix(grid) - solved).max() <= 1e-9 * (
+        1.0 + np.abs(solved).max()
+    )
 
 
 def test_bundle_round_trip(tmp_path, rng):
