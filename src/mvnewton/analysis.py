@@ -8,8 +8,7 @@ closed form or constant is available.
 """
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,6 +19,8 @@ from .grid import (
     DEFAULT_LEJA_RESOLUTION,
     Nodes1D,
     UnisolventGrid,
+    _read_table,
+    _table_text,
     axes_for,
     build_grid,
     leja_points,
@@ -357,14 +358,9 @@ class ConvergenceRecord:
             raise ValueError("errors must be finite and non-negative")
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        for key in sorted(self.meta):
-            buf.write(f"# {key}: {self.meta[key]}\n")
-        writer = csv.writer(buf)
-        writer.writerow(["n", "num_coeffs", "error"])
-        for n, size, err in zip(self.degrees, self.num_coeffs, self.errors):
-            writer.writerow([n, size, format(err, ".17g")])
-        return buf.getvalue()
+        meta = "".join(f"# {key}: {self.meta[key]}\n" for key in sorted(self.meta))
+        columns = [self.degrees, self.num_coeffs, self.errors]
+        return meta + _table_text(["n", "num_coeffs", "error"], columns)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -372,28 +368,18 @@ class ConvergenceRecord:
 
     @classmethod
     def from_csv(cls, path) -> "ConvergenceRecord":
-        meta: dict = {}
-        rows = []
-        with open(path, newline="") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line[1:].partition(":")
-                    meta[key.strip()] = value.strip()
-                    continue
-                rows.append(line)
-        reader = csv.reader(rows)
-        header = next(reader)
-        if header != ["n", "num_coeffs", "error"]:
-            raise ValueError(f"unexpected header in {path}: {header}")
-        degrees, sizes, errors = [], [], []
-        for row in reader:
-            degrees.append(int(row[0]))
-            sizes.append(int(row[1]))
-            errors.append(float(row[2]))
-        return cls(tuple(degrees), tuple(sizes), tuple(errors), meta)
+        def row_dtype(header):
+            if header != ["n", "num_coeffs", "error"]:
+                raise ValueError(f"unexpected header in {path}: {header}")
+            return [("n", np.int64), ("num_coeffs", np.int64), ("error", np.float64)]
+
+        rows = _read_table(path, row_dtype)
+        with open(path) as fh:
+            lead = itertools.takewhile(lambda line: line.startswith("#"), fh)
+            items = (line[1:].partition(":") for line in lead)
+            meta = {key.strip(): value.strip() for key, _, value in items}
+        columns = (tuple(rows[name].tolist()) for name in ("n", "num_coeffs", "error"))
+        return cls(*columns, meta)
 
 
 def _p_label(p) -> str:

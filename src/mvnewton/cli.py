@@ -10,15 +10,13 @@ round-trip losslessly.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from argparse import ArgumentTypeError
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +30,7 @@ from .analysis import (
     make_benchmark,
     optimal_rho,
 )
-from .grid import axes_for, build_grid
+from .grid import _loadtxt, _table_text, axes_for, build_grid
 from .multi_index import make_lp_set
 from .newton import (
     DegenerateNodesError,
@@ -47,27 +45,6 @@ from .newton import (
 DEFAULT_SAMPLES = 10_000
 
 _FUNCTION_PARAM_FLAGS = ("r", "s", "a", "k1", "k2")
-
-
-@dataclass
-class RunConfig:
-    """Validated inputs of one CLI invocation."""
-
-    subcommand: str
-    m: int | None = None
-    p: float | None = None
-    family: str = "lcl"
-    degrees: list[int] = field(default_factory=list)
-    function: str | None = None
-    params: dict[str, float] = field(default_factory=dict)
-    samples: int = DEFAULT_SAMPLES
-    seed: int = 0
-    deriv: tuple[int, ...] | None = None
-    out: Path | None = None
-    fmt: str = "csv"
-    leja_resolution: int = grid_mod.DEFAULT_LEJA_RESOLUTION
-    lebesgue_order: int = 0
-    lebesgue_cap: int = analysis.LEBESGUE_SIZE_CAP
 
 
 class UsageError(ValueError):
@@ -85,10 +62,17 @@ def parse_p(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
-            raise UsageError(f"cannot parse degree selector p={text!r}") from None
-    if value <= 0:
-        raise UsageError(f"degree selector p must be positive, got {text}")
+            raise ArgumentTypeError(f"cannot parse degree selector p={text!r}") from None
+    if not value > 0:  # also rejects nan
+        raise ArgumentTypeError(f"degree selector p must be positive, got {text}")
     return value
+
+
+def _parse_p_list(text: str) -> list[float]:
+    p_values = [parse_p(v) for v in text.split(",") if v.strip()]
+    if not p_values:
+        raise ArgumentTypeError("empty p list")
+    return p_values
 
 
 def _p_text(p: float) -> str:
@@ -114,19 +98,30 @@ def parse_degrees(text: str) -> list[int]:
             if step < 1 or hi < lo:
                 raise ValueError
             return list(range(lo, hi + 1, step))
-        return [int(v) for v in text.split(",") if v.strip()]
+        degrees = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise UsageError(f"cannot parse degree range {text!r}") from None
+        raise ArgumentTypeError(f"cannot parse degree range {text!r}") from None
+    if not degrees:
+        raise ArgumentTypeError("empty degree list")
+    return degrees
 
 
-def parse_deriv(text: str, m: int) -> tuple[int, ...]:
+def parse_deriv(text: str) -> tuple[int, ...]:
+    """A derivative multi-index such as ``1,0``."""
     try:
         order = tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse derivative order {text!r}") from None
-    if len(order) != m or any(v < 0 for v in order):
-        raise UsageError(f"derivative order must be {m} non-negative integers")
+        raise ArgumentTypeError(f"cannot parse derivative order {text!r}") from None
+    if any(v < 0 for v in order):
+        raise ArgumentTypeError("derivative order must be non-negative")
     return order
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -143,63 +138,58 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _rows_text(header: list[str], rows: list[list], fmt: str) -> str:
-    """Tabular output; CSV floats carry 17 significant digits, JSON uses
-    native numbers (shortest round-trip repr, also lossless)."""
+def _rows_text(header: list[str], columns, fmt: str) -> str:
+    """Tabular output from equal-length columns; CSV floats carry 17
+    significant digits, JSON uses native numbers (shortest round-trip repr,
+    also lossless)."""
     if fmt == "json":
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
         payload = [dict(zip(header, row)) for row in rows]
         return json.dumps(payload, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [_fmt(v) if isinstance(v, float) else v for v in row]
-        )
-    return buf.getvalue()
+    return _table_text(header, columns)
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _build_function(cfg: RunConfig) -> BenchmarkFunction:
-    if cfg.function is None:
+def _build_function(args) -> BenchmarkFunction:
+    if args.function is None:
         raise UsageError("a builtin function id is required (--function)")
-    try:
-        return make_benchmark(cfg.function, cfg.m, **cfg.params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    params = {
+        name: getattr(args, name)
+        for name in _FUNCTION_PARAM_FLAGS
+        if getattr(args, name) is not None
+    }
+    return make_benchmark(args.function, args.dim, **params)
 
 
-def _grid_for(cfg: RunConfig, n: int):
-    index_set = make_lp_set(cfg.m, n, cfg.p)
-    axes = axes_for(index_set, cfg.family, leja_resolution=cfg.leja_resolution)
+def _grid_for(args, index_set):
+    axes = axes_for(index_set, args.family, leja_resolution=args.leja_resolution)
     return build_grid(index_set, axes)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_nodes(cfg: RunConfig) -> int:
-    the_grid = _grid_for(cfg, cfg.degrees[0])
+def cmd_nodes(args) -> int:
+    the_grid = _grid_for(args, make_lp_set(args.dim, args.degree, args.p))
     dim = the_grid.dim
     header = [f"a{i + 1}" for i in range(dim)] + [f"x{i + 1}" for i in range(dim)]
-    rows = [
-        [int(v) for v in exp] + [float(x) for x in coord]
-        for exp, coord in zip(the_grid.index_set.exponents, the_grid.node_coordinates)
-    ]
-    _atomic_write_text(cfg.out, _rows_text(header, rows, cfg.fmt))
+    columns = [*the_grid.index_set.exponents.T, *the_grid.node_coordinates.T]
+    _atomic_write_text(args.out, _rows_text(header, columns, args.format))
     print(f"num_indices={len(the_grid)}")
     for i, axis in enumerate(the_grid.axes):
         print(f"axis{i + 1}: " + " ".join(_fmt(v) for v in axis.points))
     return 0
 
 
-def cmd_interpolate(cfg: RunConfig, values_file: Path | None) -> int:
-    the_grid = _grid_for(cfg, cfg.degrees[0])
-    if values_file is not None:
-        values = _read_values(values_file)
+def cmd_interpolate(args) -> int:
+    if (args.values is None) == (args.function is None):
+        raise UsageError("provide exactly one of --function or --values")
+    the_grid = _grid_for(args, make_lp_set(args.dim, args.degree, args.p))
+    if args.values is not None:
+        values = _read_values(args.values)
         if len(values) != len(the_grid):
             raise UsageError(
                 f"sample file has {len(values)} rows but the grid expects "
@@ -207,8 +197,8 @@ def cmd_interpolate(cfg: RunConfig, values_file: Path | None) -> int:
             )
         poly = divided_differences(LagrangeCoefficients(the_grid, values))
     else:
-        poly = interpolate(_build_function(cfg), the_grid)
-    out = Path(cfg.out)
+        poly = interpolate(_build_function(args), the_grid)
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(dir=out.parent, prefix=out.name + "."))
     try:
@@ -223,148 +213,144 @@ def cmd_interpolate(cfg: RunConfig, values_file: Path | None) -> int:
     return 0
 
 
-def _read_values(path: Path) -> np.ndarray:
+def _read_values(path) -> np.ndarray:
+    """One sample per line; ``#`` starts a comment."""
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read sample file: {exc}") from None
-    vals = []
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            vals.append(float(line))
-        except ValueError:
-            raise UsageError(f"malformed sample line {line!r}") from None
-    return np.asarray(vals)
+        values = _loadtxt(path, ndmin=2)
+    except ValueError as exc:
+        raise UsageError(f"malformed sample file {path}: {exc}") from None
+    if values.shape[1] != 1:
+        raise UsageError(f"sample file {path} must hold one value per line")
+    return values[:, 0]
 
 
-def _read_points(path: Path, dim: int) -> np.ndarray:
+def _read_points(path, dim: int) -> np.ndarray:
+    """One point per line, coordinates separated by commas or whitespace;
+    ``#`` starts a comment, and a first line that is not numeric is a header."""
+    lines = Path(path).read_text().replace(",", " ").splitlines()
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read points file: {exc}") from None
-    rows = []
-    for idx, line in enumerate(lines):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [v for v in line.replace(",", " ").split() if v]
-        if idx == 0:
-            try:
-                [float(v) for v in parts]
-            except ValueError:
-                continue  # header row
-        try:
-            row = [float(v) for v in parts]
-        except ValueError:
-            raise UsageError(f"malformed point line {line!r}") from None
-        if len(row) != dim:
-            raise UsageError(
-                f"point line {line!r} has {len(row)} coordinates, expected {dim}"
-            )
-        rows.append(row)
-    return np.asarray(rows).reshape(-1, dim)
+        np.array(lines[0].split("#")[0].split() if lines else [], dtype=np.float64)
+        header = 0
+    except ValueError:
+        header = 1
+    try:
+        points = _loadtxt(lines[header:], ndmin=2)
+    except ValueError as exc:
+        raise UsageError(f"malformed points file {path}: {exc}") from None
+    if points.size and points.shape[1] != dim:
+        raise UsageError(
+            f"points file {path} has {points.shape[1]} coordinates per line, "
+            f"expected {dim}"
+        )
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        data = [i for i, line in enumerate(lines) if line.split("#")[0].strip()]
+        number = data[header + bad[0]] + 1
+        raise UsageError(f"point on line {number} of {path} is not finite")
+    return points.reshape(-1, dim)
 
 
-def cmd_eval(cfg: RunConfig, bundle: Path, points_file: Path) -> int:
-    poly = load_bundle(bundle)
+def cmd_eval(args) -> int:
+    poly = load_bundle(args.bundle)
     dim = poly.grid.dim
-    points = _read_points(points_file, dim)
-    order = cfg.deriv if cfg.deriv is not None else (0,) * dim
+    points = _read_points(args.points, dim)
+    order = args.deriv if args.deriv is not None else (0,) * dim
     if len(order) != dim:
         raise UsageError(f"derivative order must have {dim} entries")
+    if (np.abs(points) > 1.0).any():
+        print(
+            "warning: some points lie outside [-1,1]^m; the polynomial "
+            "extends globally but no approximation claim holds there",
+            file=sys.stderr,
+        )
+    values = eval_derivative(poly, order, points) if len(points) else np.empty(0)
     header = [f"x{i + 1}" for i in range(dim)] + ["value"]
-    rows: list[list] = []
-    if points.size:
-        if np.abs(points).max() > 1.0:
-            print(
-                "warning: some points lie outside [-1,1]^m; the polynomial "
-                "extends globally but no approximation claim holds there",
-                file=sys.stderr,
-            )
-        values = eval_derivative(poly, order, points)
-        rows = [
-            [float(x) for x in pt] + [float(v)] for pt, v in zip(points, values)
-        ]
-    _atomic_write_text(cfg.out, _rows_text(header, rows, cfg.fmt))
-    print(f"num_points={len(rows)}")
+    _atomic_write_text(args.out, _rows_text(header, [*points.T, values], args.format))
+    print(f"num_points={len(points)}")
     return 0
 
 
-def cmd_convergence(cfg: RunConfig) -> int:
-    if len(cfg.degrees) < 4:
+def cmd_convergence(args) -> int:
+    if len(args.degrees) < 4:
         raise UsageError("convergence needs at least 4 degrees to fit a rate")
-    func = _build_function(cfg)
-    deriv = cfg.deriv if cfg.deriv is not None else (0,) * cfg.m
+    func = _build_function(args)
+    deriv = args.deriv if args.deriv is not None else (0,) * args.dim
+    if len(deriv) != args.dim:
+        raise UsageError(f"derivative order must be {args.dim} non-negative integers")
     if not func.supports_order(deriv):
         raise UsageError(f"{func.kind} does not support derivative order {deriv}")
     record = convergence_run(
         func,
-        cfg.p,
-        cfg.family,
-        cfg.degrees,
-        num_samples=cfg.samples,
-        seed=cfg.seed,
+        args.p,
+        args.family,
+        args.degrees,
+        num_samples=args.samples,
+        seed=args.seed,
         deriv_order=deriv,
-        leja_resolution=cfg.leja_resolution,
+        leja_resolution=args.leja_resolution,
     )
     fit = fit_rate(record)
-    out = Path(cfg.out)
+    out = Path(args.out)
     _atomic_write_text(out, record.to_csv_text())
     fit_path = out.with_suffix(".fit.json")
     _atomic_write_text(fit_path, json.dumps(fit.to_json_dict(), indent=2) + "\n")
-    reference = optimal_rho(func, cfg.p)
+    reference = optimal_rho(func, args.p)
     print(f"c={_fmt(fit.c)} rho={_fmt(fit.rho)} r_squared={_fmt(fit.r_squared)}")
     print(f"reference_rho={'unknown' if reference is None else _fmt(reference)}")
     print(f"record={out} fit={fit_path}")
     return 0
 
 
-def cmd_lebesgue(cfg: RunConfig, p_values: list[float]) -> int:
+def cmd_lebesgue(args) -> int:
     header = ["m", "p", "n", "num_coeffs", "lambda"]
-    rows: list[list] = []
-    for p in p_values:
-        for n in cfg.degrees:
-            index_set = make_lp_set(cfg.m, n, p)
-            if len(index_set) > cfg.lebesgue_cap:
+    rows: list[tuple] = []
+    for p in args.p:
+        for n in args.degrees:
+            index_set = make_lp_set(args.dim, n, p)
+            if len(index_set) > args.cap:
                 print(
-                    f"warning: skipping m={cfg.m} p={_p_text(p)} n={n}: "
-                    f"|A|={len(index_set)} exceeds cap {cfg.lebesgue_cap}",
+                    f"warning: skipping m={args.dim} p={_p_text(p)} n={n}: "
+                    f"|A|={len(index_set)} exceeds cap {args.cap}",
                     file=sys.stderr,
                 )
                 continue
-            axes = axes_for(index_set, cfg.family, leja_resolution=cfg.leja_resolution)
-            the_grid = build_grid(index_set, axes)
             lam = lebesgue_estimate(
-                the_grid,
-                num_samples=cfg.samples,
-                seed=cfg.seed,
-                k=cfg.lebesgue_order,
-                size_cap=cfg.lebesgue_cap,
+                _grid_for(args, index_set),
+                num_samples=args.samples,
+                seed=args.seed,
+                k=args.order,
+                size_cap=args.cap,
             )
-            rows.append([cfg.m, _p_text(p), n, len(index_set), float(lam)])
-            print(f"m={cfg.m} p={_p_text(p)} n={n} lambda={_fmt(lam)}")
-    _atomic_write_text(cfg.out, _rows_text(header, rows, cfg.fmt))
+            rows.append((args.dim, _p_text(p), n, len(index_set), float(lam)))
+            print(f"m={args.dim} p={_p_text(p)} n={n} lambda={_fmt(lam)}")
+    _atomic_write_text(args.out, _rows_text(header, list(zip(*rows)), args.format))
     return 0
 
 
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *, samples_default=DEFAULT_SAMPLES):
+def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
-        "--samples", type=int, default=samples_default, help="number of sample points"
+        "--samples",
+        type=_positive_int,
+        default=DEFAULT_SAMPLES,
+        help="number of sample points",
     )
     parser.add_argument("--out", required=True, help="output path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_space_args(parser: argparse.ArgumentParser):
-    parser.add_argument("-m", "--dim", type=int, required=True, help="dimension m >= 1")
-    parser.add_argument("-p", default="2", help="degree selector: 1, 2, inf, or a decimal")
+def _add_space_args(
+    parser: argparse.ArgumentParser,
+    p_type=parse_p,
+    p_help="degree selector: 1, 2, inf, or a decimal",
+):
+    parser.add_argument(
+        "-m", "--dim", type=_positive_int, required=True, help="dimension m >= 1"
+    )
+    parser.add_argument("-p", type=p_type, default="2", help=p_help)
     parser.add_argument(
         "--family", choices=analysis.GRID_FAMILIES, default="lcl", help="node family"
     )
@@ -399,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_args(p_nodes)
     p_nodes.add_argument("-n", "--degree", type=int, required=True)
     _add_common(p_nodes)
+    p_nodes.set_defaults(func=cmd_nodes)
 
     p_int = sub.add_parser("interpolate", help="interpolate samples or a builtin")
     _add_space_args(p_int)
@@ -406,108 +393,52 @@ def build_parser() -> argparse.ArgumentParser:
     _add_function_args(p_int)
     p_int.add_argument("--values", help="file with one sample per line, grid order")
     _add_common(p_int)
+    p_int.set_defaults(func=cmd_interpolate)
 
     p_eval = sub.add_parser("eval", help="evaluate a polynomial bundle at points")
     p_eval.add_argument("--bundle", required=True, help="bundle directory")
     p_eval.add_argument("--points", required=True, help="CSV of query points")
-    p_eval.add_argument("--deriv", help="derivative multi-index, e.g. 1,0")
+    p_eval.add_argument("--deriv", type=parse_deriv, help="derivative multi-index, e.g. 1,0")
     _add_common(p_eval)
+    p_eval.set_defaults(func=cmd_eval)
 
     p_conv = sub.add_parser("convergence", help="run a degree sweep and fit the rate")
     _add_space_args(p_conv)
-    p_conv.add_argument("--degrees", required=True, help="lo:hi[:step] or comma list")
+    p_conv.add_argument(
+        "--degrees", type=parse_degrees, required=True, help="lo:hi[:step] or comma list"
+    )
     _add_function_args(p_conv)
-    p_conv.add_argument("--deriv", help="derivative multi-index, e.g. 1,0")
+    p_conv.add_argument("--deriv", type=parse_deriv, help="derivative multi-index, e.g. 1,0")
     _add_common(p_conv)
+    p_conv.set_defaults(func=cmd_convergence)
 
     p_leb = sub.add_parser("lebesgue", help="sweep Lebesgue-constant estimates")
-    p_leb.add_argument("-m", "--dim", type=int, required=True)
-    p_leb.add_argument("-p", default="2", help="comma list of selectors, e.g. 1,2,inf")
-    p_leb.add_argument("--family", choices=analysis.GRID_FAMILIES, default="lcl")
+    _add_space_args(p_leb, _parse_p_list, "comma list of selectors, e.g. 1,2,inf")
     p_leb.add_argument(
-        "--leja-resolution", type=int, default=grid_mod.DEFAULT_LEJA_RESOLUTION
+        "--degrees", type=parse_degrees, required=True, help="lo:hi[:step] or comma list"
     )
-    p_leb.add_argument("--degrees", required=True, help="lo:hi[:step] or comma list")
-    p_leb.add_argument("-k", "--order", type=int, default=0, help="Lebesgue order k")
+    p_leb.add_argument(
+        "-k",
+        "--order",
+        type=int,
+        choices=range(analysis.LEBESGUE_MAX_ORDER + 1),
+        default=0,
+        help="Lebesgue order k",
+    )
     p_leb.add_argument("--cap", type=int, default=analysis.LEBESGUE_SIZE_CAP)
     _add_common(p_leb)
+    p_leb.set_defaults(func=cmd_lebesgue)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    cfg.out = Path(args.out)
-    cfg.fmt = args.format
-    cfg.seed = args.seed
-    cfg.samples = args.samples
-    if cfg.samples < 1:
-        raise UsageError("--samples must be positive")
-    if hasattr(args, "dim"):
-        cfg.m = args.dim
-        if cfg.m < 1:
-            raise UsageError(f"dimension must be at least 1, got {cfg.m}")
-    if hasattr(args, "family"):
-        cfg.family = args.family
-    if hasattr(args, "leja_resolution"):
-        cfg.leja_resolution = args.leja_resolution
-    if args.subcommand == "lebesgue":
-        cfg.degrees = parse_degrees(args.degrees)
-        cfg.lebesgue_order = args.order
-        cfg.lebesgue_cap = args.cap
-        if not 0 <= cfg.lebesgue_order <= analysis.LEBESGUE_MAX_ORDER:
-            raise UsageError(
-                f"Lebesgue order must be 0..{analysis.LEBESGUE_MAX_ORDER}"
-            )
-    elif args.subcommand in ("nodes", "interpolate"):
-        if args.degree < 0:
-            raise UsageError("degree must be non-negative")
-        cfg.degrees = [args.degree]
-    elif args.subcommand == "convergence":
-        cfg.degrees = parse_degrees(args.degrees)
-        if not cfg.degrees:
-            raise UsageError("empty degree list")
-    if hasattr(args, "p") and args.subcommand != "lebesgue":
-        cfg.p = parse_p(args.p)
-    if getattr(args, "function", None) is not None:
-        cfg.function = args.function
-        cfg.params = {
-            name: getattr(args, name)
-            for name in _FUNCTION_PARAM_FLAGS
-            if getattr(args, name, None) is not None
-        }
-    if getattr(args, "deriv", None) is not None:
-        if args.subcommand == "eval":
-            cfg.deriv = tuple(int(v) for v in args.deriv.split(","))
-        else:
-            cfg.deriv = parse_deriv(args.deriv, cfg.m)
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.subcommand == "nodes":
-            return cmd_nodes(cfg)
-        if args.subcommand == "interpolate":
-            if (args.values is None) == (cfg.function is None):
-                raise UsageError("provide exactly one of --function or --values")
-            return cmd_interpolate(cfg, Path(args.values) if args.values else None)
-        if args.subcommand == "eval":
-            return cmd_eval(cfg, Path(args.bundle), Path(args.points))
-        if args.subcommand == "convergence":
-            return cmd_convergence(cfg)
-        if args.subcommand == "lebesgue":
-            p_values = [parse_p(v) for v in str(args.p).split(",") if v.strip()]
-            if not p_values:
-                raise UsageError("empty p list")
-            return cmd_lebesgue(cfg, p_values)
-        raise UsageError(f"unknown subcommand {args.subcommand}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed a usage error (2) or the help (0)
+        return exc.code
+    try:
+        return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,8 @@ dimension.
 """
 from __future__ import annotations
 
-import csv
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -245,28 +245,16 @@ class UnisolventGrid:
         coords.setflags(write=False)
         return coords
 
-    def node(self, alpha) -> tuple[float, ...]:
-        alpha = tuple(int(v) for v in alpha)
-        if len(alpha) != self.dim:
-            raise ValueError(f"expected {self.dim} entries, got {len(alpha)}")
-        return tuple(float(self.axes[i].points[a]) for i, a in enumerate(alpha))
-
     def __len__(self) -> int:
         return len(self.index_set)
 
     def to_csv(self, path) -> None:
         """Columns ``a1..am, x1..xm`` (index then coordinates), canonical order."""
         dim = self.dim
+        header = [f"a{i + 1}" for i in range(dim)] + [f"x{i + 1}" for i in range(dim)]
+        columns = [*self.index_set.exponents.T, *self.node_coordinates.T]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"a{i + 1}" for i in range(dim)] + [f"x{i + 1}" for i in range(dim)]
-            )
-            coords = self.node_coordinates
-            for row, xyz in zip(self.index_set.exponents, coords):
-                writer.writerow(
-                    [str(int(v)) for v in row] + [format(v, ".17g") for v in xyz]
-                )
+            fh.write(_table_text(header, columns))
 
     @classmethod
     def from_csv(cls, path, family: str = "custom") -> "UnisolventGrid":
@@ -274,32 +262,67 @@ class UnisolventGrid:
 
         Axis points beyond the largest exponent used per dimension are not
         recoverable from the file; the reconstructed axes are exactly as
-        long as the index set requires.
+        long as the index set requires.  Rows that give one axis level two
+        different coordinates are rejected.
         """
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
+
+        def row_dtype(header):
             if len(header) % 2 != 0:
                 raise ValueError(f"malformed grid file {path}")
             dim = len(header) // 2
-            exps, coords = [], []
-            for row in reader:
-                if not row:
-                    continue
-                exps.append([int(v) for v in row[:dim]])
-                coords.append([float(v) for v in row[dim:]])
-        index_set = MultiIndexSet(np.asarray(exps, dtype=np.int64))
-        exp_arr = index_set.exponents
-        coord_arr = np.asarray(coords)[np.lexsort(np.asarray(exps, dtype=np.int64).T)]
+            return [("a", np.int64, (dim,)), ("x", np.float64, (dim,))]
+
+        rows = _read_table(path, row_dtype)
+        exps, coords = rows["a"], rows["x"]
+        index_set = MultiIndexSet(exps)
         axes = []
-        for i in range(dim):
+        for i in range(index_set.dim):
             size = index_set.max_exponent(i) + 1
-            pts = np.full(size, np.nan)
-            pts[exp_arr[:, i]] = coord_arr[:, i]
-            if np.isnan(pts).any():
+            if np.unique(exps[:, i]).size != size:
                 raise ValueError(f"grid file {path} misses axis levels in dim {i + 1}")
+            pts = np.empty(size)
+            pts[exps[:, i]] = coords[:, i]
+            clash = np.flatnonzero(pts[exps[:, i]] != coords[:, i])
+            if clash.size:
+                raise ValueError(
+                    f"grid file {path} rows disagree about the point of axis "
+                    f"{i + 1} at level {exps[clash[0], i]}"
+                )
             axes.append(Nodes1D(pts, family=family))
         return build_grid(index_set, axes)
+
+
+def _table_text(header, columns) -> str:
+    """A CSV table: the ``header`` row, then one row per entry of the
+    equal-length ``columns``, integer columns as ``%d``, float columns as
+    ``%.17g`` (17 significant digits round-trip every double) and others as
+    ``%s``, each line ending in ``\\r\\n`` as ``csv.writer`` ends it."""
+    cols = [np.asarray(c) for c in columns]
+    formats = {"i": "%d", "u": "%d", "f": "%.17g"}  # by dtype kind
+    row = ",".join(formats.get(c.dtype.kind, "%s") for c in cols)
+    cells = np.empty((len(cols[0]) if cols else 0, len(cols)), dtype=object)
+    for j, col in enumerate(cols):
+        cells[:, j] = col.tolist()
+    body = ((row + "\r\n") * len(cells)) % tuple(cells.ravel().tolist())
+    return ",".join(header) + "\r\n" + body
+
+
+def _read_table(path, row_dtype) -> np.ndarray:
+    """The rows of a table file as a structured array parsed by
+    ``np.loadtxt``.  ``#`` lines are comments, the first other line names
+    the columns, and ``row_dtype(names)`` gives the dtype of one row (it may
+    raise ``ValueError`` for names it does not accept)."""
+    with open(path) as fh:
+        lines = (line for line in fh if line.strip() and not line.startswith("#"))
+        names = next(lines, "").strip().split(",")
+        return _loadtxt(fh, delimiter=",", dtype=row_dtype(names))
+
+
+def _loadtxt(source, ndmin: int = 1, **options) -> np.ndarray:
+    """``np.loadtxt`` that reads no rows as an empty table, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, ndmin=ndmin, **options)
 
 
 def build_grid(index_set: MultiIndexSet, axes) -> UnisolventGrid:

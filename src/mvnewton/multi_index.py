@@ -7,7 +7,6 @@ so there is exactly one storage layout to get wrong.
 """
 from __future__ import annotations
 
-import csv
 import math
 from typing import Iterator
 
@@ -156,29 +155,6 @@ class MultiIndexSet:
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
         return int(self.exponents[:, axis].max())
-
-    # -- serialization -----------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        """Write one row per index, columns ``a1..am``, canonical order."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"a{i + 1}" for i in range(self.dim)])
-            writer.writerows(self.exponents.tolist())
-
-    @classmethod
-    def from_csv(cls, path) -> "MultiIndexSet":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            dim = len(header)
-            rows = [[int(v) for v in row] for row in reader if row]
-        if not rows:
-            raise ValueError(f"no multi-indices in {path}")
-        arr = np.asarray(rows, dtype=np.int64)
-        if arr.shape[1] != dim:
-            raise ValueError(f"inconsistent column count in {path}")
-        return cls(arr)
 
 
 def _max_feasible(residual: np.ndarray, p) -> np.ndarray:

@@ -17,14 +17,13 @@ larger for ``p < 1``, whose long thin arms leave most of a table as padding.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .grid import UnisolventGrid
+from .grid import UnisolventGrid, _read_table, _table_text
 from .multi_index import MultiIndexSet, axis_lines
 
 __all__ = [
@@ -435,17 +434,17 @@ def save_bundle(poly: NewtonPolynomial, directory) -> None:
         json.dump(header, fh, indent=2)
         fh.write("\n")
     grid.to_csv(directory / "grid.csv")
+    names = [f"a{i + 1}" for i in range(grid.dim)] + ["c"]
     with open(directory / "coefficients.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"a{i + 1}" for i in range(grid.dim)] + ["c"])
-        for row, c in zip(grid.index_set.exponents, poly.coeffs):
-            writer.writerow([str(int(v)) for v in row] + [format(c, ".17g")])
+        fh.write(_table_text(names, [*grid.index_set.exponents.T, poly.coeffs]))
 
 
 def load_bundle(directory) -> NewtonPolynomial:
     directory = Path(directory)
     with open(directory / "header.json") as fh:
         header = json.load(fh)
+    if not isinstance(header, dict):
+        raise ValueError(f"{directory / 'header.json'} does not hold a JSON object")
     family = header.get("node_family", "custom")
     if family not in ("chebyshev_lobatto", "leja_ordered_chebyshev_lobatto", "leja"):
         family = "custom"
@@ -455,22 +454,17 @@ def load_bundle(directory) -> NewtonPolynomial:
             f"header says m={header.get('m')}, num_coeffs={header.get('num_coeffs')}; "
             f"grid file has m={grid.dim}, {len(grid)} nodes"
         )
-    with open(directory / "coefficients.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = [row for row in reader if row]
+    row_dtype = [("a", np.int64, (grid.dim,)), ("c", np.float64)]
+    rows = _read_table(directory / "coefficients.csv", lambda names: row_dtype)
     if len(rows) != len(grid):
         raise ValueError(
             f"coefficient file has {len(rows)} rows, grid has {len(grid)} nodes"
         )
-    dim = grid.dim
-    exps = np.asarray([[int(v) for v in row[:dim]] for row in rows], dtype=np.int64)
-    coeffs = np.asarray([float(row[dim]) for row in rows])
-    pos = grid.index_set.positions(exps)
+    pos = grid.index_set.positions(rows["a"])
     if np.unique(pos).size != len(grid):
         raise ValueError("coefficient file does not cover every index exactly once")
     ordered = np.empty(len(grid))
-    ordered[pos] = coeffs
+    ordered[pos] = rows["c"]
     return NewtonPolynomial(grid, ordered)
 
 

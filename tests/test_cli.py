@@ -21,6 +21,8 @@ def test_parse_p():
     assert parse_p("2.5") == 2.5
     with pytest.raises(Exception):
         parse_p("zero")
+    with pytest.raises(Exception):
+        parse_p("nan")
 
 
 def test_parse_degrees():
@@ -260,3 +262,47 @@ def test_json_format_output(tmp_path):
     data = json.loads(out.read_text())
     assert len(data) == 3
     assert set(data[0]) == {"a1", "x1"}
+
+
+def _xy_bundle(path):
+    a = make_lp_set(2, 2, 1)
+    grid = build_grid(a, [Nodes1D(np.array([1.0, -1.0, 0.5]))] * 2)
+    save_bundle(interpolate(lambda p: p[:, 0] * p[:, 1], grid), path)
+
+
+def test_eval_rejects_header_that_is_not_an_object(tmp_path, capsys):
+    _xy_bundle(tmp_path / "b")
+    (tmp_path / "b" / "header.json").write_text("[]\n")
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,-0.25\n")
+    out = tmp_path / "v.csv"
+    assert run(["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]) == 2
+    assert not out.exists()
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_eval_rejects_grid_rows_disagreeing_about_an_axis_point(tmp_path, capsys):
+    _xy_bundle(tmp_path / "b")
+    grid_file = tmp_path / "b" / "grid.csv"
+    lines = grid_file.read_text().splitlines()
+    assert lines[5] == "1,1,-1,-1"
+    lines[5] = "1,1,-1,-0.75"
+    grid_file.write_text("\n".join(lines) + "\n")
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,-0.25\n")
+    out = tmp_path / "v.csv"
+    assert run(["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]) == 2
+    assert not out.exists()
+    assert "axis 2 at level 1" in capsys.readouterr().err
+
+
+def test_eval_rejects_non_finite_points(tmp_path, capsys):
+    _xy_bundle(tmp_path / "b")
+    pts = tmp_path / "pts.csv"
+    out = tmp_path / "v.csv"
+    for text, line in (("x1,x2\n0.1,0.2\n# note\nnan,0.2\n", 4), ("0.5 0\ninf 0\n", 2)):
+        pts.write_text(text)
+        argv = ["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]
+        assert run(argv) == 2
+        assert not out.exists()
+        assert f"line {line} " in capsys.readouterr().err

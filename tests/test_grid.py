@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_axes, random_downward_closed
 from mvnewton.grid import (
     Nodes1D,
+    UnisolventGrid,
     build_grid,
     chebyshev_lobatto,
     leja_order,
@@ -200,8 +201,22 @@ def test_grid_csv_round_trip(tmp_path):
     grid = build_grid(a, [leja_order(chebyshev_lobatto(3))] * 2)
     path = tmp_path / "grid.csv"
     grid.to_csv(path)
-    from mvnewton.grid import UnisolventGrid
-
     back = UnisolventGrid.from_csv(path)
     assert back.index_set == grid.index_set
     assert np.array_equal(back.node_coordinates, grid.node_coordinates)
+
+
+def test_grid_csv_rejects_inconsistent_rows(tmp_path):
+    grid = build_grid(make_lp_set(2, 2, 1), [Nodes1D([1.0, -1.0, 0.5])] * 2)
+    path = tmp_path / "grid.csv"
+    grid.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[5] == "1,1,-1,-1"  # the second row that puts x2 at level 1
+    lines[5] = "1,1,-1,-0.75"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="axis 2 at level 1"):
+        UnisolventGrid.from_csv(path)
+    # a level far beyond the row count is a missing level, not an allocation
+    path.write_text("a1,x1\n0,1\n1000000000000000,-1\n")
+    with pytest.raises(ValueError, match="misses axis levels"):
+        UnisolventGrid.from_csv(path)

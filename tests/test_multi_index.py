@@ -125,15 +125,6 @@ def test_generated_sets_downward_closed(m, n, p):
     assert is_downward_closed(make_lp_set(m, n, p))
 
 
-def test_csv_round_trip(tmp_path):
-    s = make_lp_set(3, 4, 2)
-    path = tmp_path / "indices.csv"
-    s.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "a1,a2,a3"
-    assert MultiIndexSet.from_csv(path) == s
-
-
 def test_general_p_includes_boundary():
     s = make_lp_set(2, 2, 3.0)
     assert (2, 0) in s and (0, 2) in s  # exactly on the boundary, kept

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,12 +390,48 @@ def test_dds_and_transform_property(seed):
     )
 
 
-def test_bundle_round_trip(tmp_path, rng):
-    grid = lcl_grid(2, 3, 2)
-    poly = interpolate(lambda p: 1.0 / (1.0 + (p**2).sum(axis=1)), grid)
-    save_bundle(poly, tmp_path / "bundle")
-    back = load_bundle(tmp_path / "bundle")
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30)
+def test_bundle_round_trip(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    index_set = random_downward_closed(rng, dim, int(rng.integers(1, 120)), max_degree=7)
+    grid = build_grid(
+        index_set, random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+    )
+    coeffs = rng.standard_normal(len(grid)) * 10.0 ** rng.integers(-300, 300, len(grid))
+    coeffs[: min(3, len(grid))] = [-0.0, 5e-324, 1.7976931348623157e308][: len(grid)]
+    poly = NewtonPolynomial(grid, coeffs)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_bundle(poly, Path(tmp) / "bundle")
+        back = load_bundle(Path(tmp) / "bundle")
     assert back.grid.index_set == poly.grid.index_set
-    assert np.array_equal(back.coeffs, poly.coeffs)
-    pts = rng.uniform(-1, 1, (10, 2))
-    assert np.array_equal(eval_iterative(back, pts), eval_iterative(poly, pts))
+    assert np.array_equal(back.coeffs.view(np.int64), poly.coeffs.view(np.int64))
+    assert np.array_equal(
+        back.grid.node_coordinates.view(np.int64), grid.node_coordinates.view(np.int64)
+    )
+
+
+def test_bundle_files_pin_the_on_disk_format(tmp_path):
+    axes = [Nodes1D([1.0, -1.0, 0.1]), Nodes1D([-1.0 / 3.0, 1.0, 0.0])]
+    grid = build_grid(make_lp_set(2, 2, 1), axes)
+    poly = NewtonPolynomial(grid, [1.0, 0.1, -2.5, 1.0 / 3.0, -0.0, 5e-324])
+    save_bundle(poly, tmp_path)
+    assert (tmp_path / "grid.csv").read_bytes() == (
+        b"a1,a2,x1,x2\r\n"
+        b"0,0,1,-0.33333333333333331\r\n"
+        b"1,0,-1,-0.33333333333333331\r\n"
+        b"2,0,0.10000000000000001,-0.33333333333333331\r\n"
+        b"0,1,1,1\r\n"
+        b"1,1,-1,1\r\n"
+        b"0,2,1,0\r\n"
+    )
+    assert (tmp_path / "coefficients.csv").read_bytes() == (
+        b"a1,a2,c\r\n"
+        b"0,0,1\r\n"
+        b"1,0,0.10000000000000001\r\n"
+        b"2,0,-2.5\r\n"
+        b"0,1,0.33333333333333331\r\n"
+        b"1,1,-0\r\n"
+        b"0,2,4.9406564584124654e-324\r\n"
+    )
