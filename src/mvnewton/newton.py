@@ -18,6 +18,7 @@ larger for ``p < 1``, whose long thin arms leave most of a table as padding.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,11 +45,17 @@ __all__ = [
     "load_bundle",
 ]
 
+_log = logging.getLogger(__name__)
+
 # Divided differences divide by axis-point differences; anything below this
 # is treated as a degenerate (effectively duplicated) node pair.
 MIN_NODE_SEPARATION = 1e-14
 
-# Soft bound on the number of floats held by one evaluation intermediate.
+# Soft bound on the floats held by the largest evaluation intermediate: the
+# fold evaluates points in chunks so that (runs x chunk), and each axis table
+# of (n_i + 1) x chunk, stay below it.  Without it the perfbench ``cli``
+# workload peaked at 255 MB instead of 120 MB, and ``sweep`` at 130 MB
+# instead of 80 MB (2-core x86 machine, OpenBLAS with 2 threads).
 _CHUNK_BUDGET = 4_000_000
 
 
@@ -207,21 +214,28 @@ def interpolate(f, grid: UnisolventGrid) -> NewtonPolynomial:
     """Sample ``f`` at the ``|A|`` grid nodes and run divided differences.
 
     ``f`` is tried first as a vectorized callable on the full ``(|A|, m)``
-    node array; if that fails (or returns the wrong shape) it is called once
-    per node with a length-``m`` coordinate array.
+    node array.  If that raises ``TypeError``, ``ValueError`` or
+    ``IndexError`` (what a scalar-only callable raises on an array), or
+    returns the wrong shape, ``f`` is called once per node with a
+    length-``m`` coordinate array, and the fallback is logged at debug
+    level.  Any other exception propagates.
     """
     nodes = grid.node_coordinates
     values = None
     # A (|A|, m) result could also be a row-wise broadcast when |A| == m,
     # so the vectorized path is skipped in that ambiguous square case.
+    reason = "the node array is square"
     if len(grid) != grid.dim:
         try:
             candidate = np.asarray(f(nodes), dtype=np.float64)
+        except (TypeError, ValueError, IndexError) as exc:
+            reason = f"f raised {type(exc).__name__} on the node array"
+        else:
+            reason = f"f returned shape {candidate.shape} on the node array"
             if candidate.shape == (len(grid),):
                 values = candidate
-        except Exception:
-            values = None
     if values is None:
+        _log.debug("sampling f node by node (%d calls): %s", len(grid), reason)
         values = np.fromiter(
             (float(f(nodes[i])) for i in range(len(grid))),
             dtype=np.float64,
@@ -275,31 +289,34 @@ def _as_points(x, dim):
     return arr, single
 
 
-def _prefix_products(points: np.ndarray, top: int, x_col: np.ndarray) -> np.ndarray:
-    """``out[:, k] = prod_{j<k} (x - p_j)`` for ``k = 0..top``."""
-    out = np.empty((x_col.size, top + 1))
-    out[:, 0] = 1.0
-    for k in range(1, top + 1):
-        out[:, k] = out[:, k - 1] * (x_col - points[k - 1])
-    return out
+def _check_order(order, dim: int) -> tuple[int, ...]:
+    order = tuple(int(v) for v in np.atleast_1d(order))
+    if len(order) != dim or any(v < 0 for v in order):
+        raise ValueError("derivative order must be a multi-index of the grid dimension")
+    return order
 
 
-def _prefix_derivatives(
-    points: np.ndarray, top: int, x_col: np.ndarray, order: int
-) -> np.ndarray:
-    """Derivatives 0..order of the prefix products, ``(npts, top+1, order+1)``.
+def _axis_table(points: np.ndarray, top: int, x: np.ndarray, order: int) -> np.ndarray:
+    """Row ``l`` holds the ``order``-th derivative of ``prod_{j<l} (x - p_j)``.
 
-    Maintained left to right by the product rule: appending the factor
-    ``(x - p_k)`` maps ``d_l <- d_l * (x - p_k) + l * d_{l-1}``.
+    Shape ``(top + 1, x.size)``: levels down, points along the contiguous
+    axis.  Derivatives are built up one order at a time by the product
+    rule: appending the factor ``(x - p_l)`` maps
+    ``d_o <- d_o * (x - p_l) + o * d_{o-1}``.  An order above ``top``
+    differentiates every prefix product to exactly zero.
     """
-    out = np.zeros((x_col.size, top + 1, order + 1))
-    out[:, 0, 0] = 1.0
-    for k in range(1, top + 1):
-        t = x_col - points[k - 1]
-        for l in range(order, 0, -1):
-            out[:, k, l] = out[:, k - 1, l] * t + l * out[:, k - 1, l - 1]
-        out[:, k, 0] = out[:, k - 1, 0] * t
-    return out
+    if order > top:
+        return np.zeros((top + 1, x.size))
+    table = np.empty((top + 1, x.size))
+    table[0] = 1.0
+    for level in range(1, top + 1):
+        np.multiply(table[level - 1], x - points[level - 1], out=table[level])
+    for o in range(1, order + 1):
+        lower, table = table, np.empty_like(table)
+        table[0] = 0.0
+        for level in range(1, top + 1):
+            table[level] = table[level - 1] * (x - points[level - 1]) + o * lower[level - 1]
+    return table
 
 
 def newton_basis_values(grid: UnisolventGrid, x, order=None) -> np.ndarray:
@@ -309,23 +326,12 @@ def newton_basis_values(grid: UnisolventGrid, x, order=None) -> np.ndarray:
     """
     pts, single = _as_points(x, grid.dim)
     exps = grid.index_set.exponents
-    if order is None:
-        order = (0,) * grid.dim
-    order = tuple(int(v) for v in order)
-    if len(order) != grid.dim or any(v < 0 for v in order):
-        raise ValueError("derivative order must be a multi-index of the grid dimension")
-
+    order = _check_order((0,) * grid.dim if order is None else order, grid.dim)
     tables = []
     for i in range(grid.dim):
         top = grid.index_set.max_exponent(i)
-        if order[i] == 0:
-            tables.append(_prefix_products(grid.axes[i].points, top, pts[:, i]))
-        else:
-            tables.append(
-                _prefix_derivatives(grid.axes[i].points, top, pts[:, i], order[i])[
-                    :, :, order[i]
-                ]
-            )
+        table = _axis_table(grid.axes[i].points, top, pts[:, i], order[i])
+        tables.append(np.ascontiguousarray(table.T))
     # Fusing adjacent dimensions into one outer-product table halves the
     # number of (k, |A|) gathers, the dominant cost for large index sets.
     out = None
@@ -346,43 +352,105 @@ def newton_basis_values(grid: UnisolventGrid, x, order=None) -> np.ndarray:
     return out[0] if single else out
 
 
-def _eval_chunked(poly: NewtonPolynomial, pts: np.ndarray, order) -> np.ndarray:
-    count = pts.shape[0]
-    out = np.empty(count)
-    step = max(1, _CHUNK_BUDGET // max(len(poly.grid), 1))
-    for start in range(0, count, step):
-        sl = slice(start, min(start + step, count))
-        basis = newton_basis_values(poly.grid, pts[sl], order)
-        out[sl] = basis @ poly.coeffs
-    return out
+def _fold_layout(exponents: np.ndarray):
+    """Run structure of the canonical layout, as :func:`_fold` consumes it.
+
+    A group of axis ``i`` is a maximal block of canonical rows sharing the
+    coordinates after ``i``; the groups of axis 0 are the axis-1 runs.  In
+    a downward-closed set the groups of axis ``i - 1`` inside one group of
+    axis ``i`` sit at levels ``0, 1, ..., len - 1`` of coordinate ``i``;
+    anything else raises ``ValueError``.
+
+    Returns ``(run, steps)``: ``run[r]`` numbers the run holding row ``r``.
+    For each later axis ``i``, the groups of axis ``i`` are listed longest
+    first, and ``steps[i - 1][l]`` holds the rows, in the previous step's
+    listing (canonical order for the runs), of the level-``l`` members of
+    the groups that reach level ``l``; those groups form a prefix.
+    """
+    count, dim = exponents.shape
+    # heads[r, i]: row r opens a group of axis i (row 0 opens all of them)
+    heads = np.ones((count, dim), dtype=bool)
+    changed = exponents[1:] != exponents[:-1]
+    heads[1:, :-1] = np.logical_or.accumulate(changed[:, :0:-1], axis=1)[:, ::-1]
+    heads[1:, -1] = False
+    rows = np.arange(count)  # first canonical row of each group of axis i - 1
+    steps = []
+    for i in range(dim):
+        opens = heads[rows, i]
+        group = np.cumsum(opens) - 1
+        starts = np.flatnonzero(opens)
+        if not np.array_equal(exponents[rows, i], np.arange(rows.size) - starts[group]):
+            raise ValueError("evaluation requires a downward-closed index set")
+        if i == 0:
+            run = group
+            where = np.arange(starts.size)  # listing of the runs: canonical
+        else:
+            lengths = np.diff(starts, append=rows.size)
+            by_length = np.argsort(-lengths, kind="stable")
+            first = starts[by_length]
+            reach = np.searchsorted(-lengths[by_length], -np.arange(lengths.max()))
+            steps.append([where[first[:w] + level] for level, w in enumerate(reach)])
+            where = np.empty_like(by_length)
+            where[by_length] = np.arange(by_length.size)
+        rows = rows[starts]
+    return run, steps
+
+
+def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
+    """Batched recursive splitting ``Q = Q1 + (x_i - p) Q2`` over all points.
+
+    The coefficients are scattered into a zero-padded ``(runs, n_1 + 1)``
+    matrix, one row per axis-1 run and one column per level, and one GEMM
+    with the axis-1 table collapses every run at every point.  Each later
+    axis ``i`` then collapses the groups sharing the coordinates after
+    ``i``: level by level, the members at level ``l`` are scaled by row
+    ``l`` of the axis-``i`` table and added to their group's sum.  Points
+    stay on the last, contiguous axis.
+    """
+    pts, single = _as_points(x, poly.grid.dim)
+    exps = poly.grid.index_set.exponents
+    axes = poly.grid.axes
+    tops = exps.max(axis=0)
+    run, steps = _fold_layout(exps)
+    scattered = np.zeros((int(run[-1]) + 1, int(tops[0]) + 1))
+    scattered[run, exps[:, 0]] = poly.coeffs
+    columns = np.ascontiguousarray(pts.T)
+    out = np.empty(pts.shape[0])
+    step = max(1, _CHUNK_BUDGET // max(scattered.shape[0], int(tops.max()) + 1))
+    for start in range(0, pts.shape[0], step):
+        chunk = columns[:, start : start + step]
+        acc = scattered @ _axis_table(axes[0].points, int(tops[0]), chunk[0], order[0])
+        for i, members in enumerate(steps, 1):
+            table = _axis_table(axes[i].points, int(tops[i]), chunk[i], order[i])
+            total = acc[members[0]] * table[0]
+            for level in range(1, len(members)):
+                rows = members[level]
+                total[: rows.size] += acc[rows] * table[level]
+            acc = total
+        out[start : start + step] = acc[0]
+    return float(out[0]) if single else out
 
 
 def eval_iterative(poly: NewtonPolynomial, x):
-    """Evaluate via cumulative per-axis products ``q[i, k]``.
+    """Evaluate at a single point ``(m,)`` or a batch ``(k, m)``.
 
-    Accepts a single point ``(m,)`` or a batch ``(k, m)``; O(m |A|) work per
-    point, embarrassingly parallel over points.
+    The batched form of the recursive splitting of :func:`eval_recursive`
+    (see :func:`_fold`): one ``(runs x (n_1 + 1)) . ((n_1 + 1) x k)`` GEMM
+    plus ``O(k * runs)`` segmented work for the later axes, where ``runs``
+    counts the blocks of indices sharing ``a_2..a_m``.
     """
-    pts, single = _as_points(x, poly.grid.dim)
-    out = _eval_chunked(poly, pts, None)
-    return float(out[0]) if single else out
+    return _fold(poly, x, (0,) * poly.grid.dim)
 
 
 def eval_derivative(poly: NewtonPolynomial, order, x):
     """Evaluate the partial derivative of multi-index ``order`` at ``x``.
 
-    Each univariate factor product is differentiated by the product-rule
-    recurrence of :func:`_prefix_derivatives`; order ``(0, ..., 0)`` reduces
-    exactly to :func:`eval_iterative`.
+    The same fold as :func:`eval_iterative`, at the same cost, with the
+    table of each differentiated axis holding derivatives of the prefix
+    products (see :func:`_axis_table`).  An order above the top degree of
+    its axis gives exactly zero.
     """
-    order = tuple(int(v) for v in np.atleast_1d(order))
-    if len(order) != poly.grid.dim or any(v < 0 for v in order):
-        raise ValueError("derivative order must be a multi-index of the grid dimension")
-    if all(v == 0 for v in order):
-        return eval_iterative(poly, x)
-    pts, single = _as_points(x, poly.grid.dim)
-    out = _eval_chunked(poly, pts, order)
-    return float(out[0]) if single else out
+    return _fold(poly, x, _check_order(order, poly.grid.dim))
 
 
 def eval_recursive(poly: NewtonPolynomial, x) -> float:

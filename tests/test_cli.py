@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mvnewton import cli
 from mvnewton.cli import main, parse_degrees, parse_p
 from mvnewton.grid import Nodes1D, build_grid
 from mvnewton.multi_index import make_lp_set
@@ -170,6 +171,24 @@ def test_interpolate_misaligned_values_file(tmp_path, capsys):
         ["interpolate", "-m", 2, "-n", 2, "-p", 1, "--values", vals, "--out", bundle]
     ) == 2
     assert str(count) in capsys.readouterr().err
+    assert not bundle.exists()
+
+
+def test_numerical_failure_exits_1_and_bad_samples_exit_2(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, yet it is a numerical failure (exit 1)
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "make_lp_set", singular)
+        assert run(["nodes", "-m", 2, "-n", 2, "--out", tmp_path / "g.csv"]) == 1
+    assert "numerical failure: singular matrix" in capsys.readouterr().err
+    # a non-finite sample (NonFiniteSampleError, also a ValueError) stays exit 2
+    vals = tmp_path / "vals.txt"
+    vals.write_text("1.0\nnan\n1.0\n")
+    bundle = tmp_path / "b"
+    assert run(["interpolate", "-m", 1, "-n", 2, "--values", vals, "--out", bundle]) == 2
+    assert capsys.readouterr().err.startswith("error: sample values must be finite")
     assert not bundle.exists()
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 import tempfile
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import newton_collocation_matrix, random_axes, random_downward_closed
+from mvnewton import newton
 from mvnewton.grid import (
     Nodes1D,
     UnisolventGrid,
@@ -122,6 +124,78 @@ def test_recursive_iterative_agree(rng):
         assert abs(a - b) <= 1e-13 * (1.0 + abs(a))
 
 
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40)
+def test_fold_matches_basis_matrix_oracle(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    index_set = random_downward_closed(rng, dim, int(rng.integers(1, 120)), 7)
+    tops = [index_set.max_exponent(i) for i in range(dim)]
+    grid = build_grid(index_set, random_axes(rng, [top + 1 for top in tops]))
+    coeffs = rng.standard_normal(len(grid))
+    poly = NewtonPolynomial(grid, coeffs)
+    pts = rng.uniform(-1, 1, (int(rng.integers(1, 30)), dim))
+    # up to two above an axis's top degree, where the derivative vanishes
+    order = tuple(int(rng.integers(0, top + 3)) for top in tops)
+    derivative = eval_derivative(poly, order, pts)
+    for got, basis in (
+        (derivative, newton_basis_values(grid, pts, order)),
+        (eval_iterative(poly, pts), newton_basis_values(grid, pts)),
+    ):
+        scale = 1.0 + np.abs(basis).dot(np.abs(coeffs)).max()
+        assert np.abs(got - basis @ coeffs).max() <= 1e-13 * scale
+    if any(o > top for o, top in zip(order, tops)):
+        assert not derivative.any()
+    for x in pts[:3]:
+        a = eval_recursive(poly, x)
+        assert abs(eval_iterative(poly, x) - a) <= 1e-13 * (1.0 + abs(a))
+
+
+def test_fold_chunks_agree_with_one_chunk(monkeypatch):
+    grid = lcl_grid(3, 8, 2)
+    rng = np.random.default_rng(3)
+    poly = NewtonPolynomial(grid, rng.standard_normal(len(grid)))
+    pts = rng.uniform(-1, 1, (103, 3))
+    whole = [eval_iterative(poly, pts), eval_derivative(poly, (1, 0, 2), pts)]
+    runs = np.unique(grid.index_set.exponents[:, 1:], axis=0).shape[0]
+    monkeypatch.setattr(newton, "_CHUNK_BUDGET", runs * 10)
+    widths = []
+    table = newton._axis_table
+
+    def spy(points, top, x, order):
+        widths.append(x.size)
+        return table(points, top, x, order)
+
+    monkeypatch.setattr(newton, "_axis_table", spy)
+    chunked = [eval_iterative(poly, pts), eval_derivative(poly, (1, 0, 2), pts)]
+    assert widths == 2 * ([10] * 3 * 10 + [3] * 3)  # ten full chunks, one ragged
+    # not bitwise: BLAS may split a narrower GEMM differently
+    for a, b in zip(whole, chunked):
+        assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
+
+
+def test_fold_edge_cases():
+    grid = lcl_grid(3, 4, 2)
+    poly = NewtonPolynomial(grid, np.random.default_rng(5).standard_normal(len(grid)))
+    for out in (
+        eval_iterative(poly, np.empty((0, 3))),
+        eval_derivative(poly, (0, 1, 0), np.empty((0, 3))),
+    ):
+        assert out.shape == (0,)
+    assert type(eval_iterative(poly, [0.1, 0.2, 0.3])) is float
+    assert type(eval_derivative(poly, (1, 0, 0), [0.1, 0.2, 0.3])) is float
+    constant = NewtonPolynomial(lcl_grid(2, 0, 1), [2.5])
+    pts = np.random.default_rng(6).uniform(-1, 1, (7, 2))
+    assert np.array_equal(eval_iterative(constant, pts), np.full(7, 2.5))
+    assert not eval_derivative(constant, (0, 1), pts).any()
+    run, steps = newton._fold_layout(make_lp_set(1, 6, 1).exponents)
+    assert np.array_equal(run, np.zeros(7)) and steps == []
+    # runs of l_1 (2, 2): a_2 = 0 holds a_1 = 0..2, a_2 = 1 holds 0..1, a_2 = 2 holds 0
+    run, steps = newton._fold_layout(make_lp_set(2, 2, 1).exponents)
+    assert run.tolist() == [0, 0, 0, 1, 1, 2]
+    assert [rows.tolist() for rows in steps[0]] == [[0], [1], [2]]
+
+
 def test_divided_differences_matches_collocation_solve(rng):
     for _ in range(10):
         dim = int(rng.integers(1, 4))
@@ -187,10 +261,27 @@ def test_interpolate_rejects_non_finite():
     assert "node" in str(err.value)
 
 
-def test_interpolate_accepts_scalar_callable():
+def test_interpolate_accepts_scalar_callable(caplog):
     grid = lcl_grid(2, 2, 1)
-    poly = interpolate(lambda x: float(x[0] + 2.0 * x[1]), grid)
+    with caplog.at_level(logging.DEBUG, logger="mvnewton.newton"):
+        poly = interpolate(lambda x: float(x[0] + 2.0 * x[1]), grid)
     assert eval_iterative(poly, [0.3, 0.4]) == pytest.approx(1.1, rel=1e-13)
+    assert f"node by node ({len(grid)} calls): f raised TypeError" in caplog.text
+
+
+def test_interpolate_propagates_other_errors_of_a_vectorized_f():
+    grid = lcl_grid(2, 2, 1)
+    calls = []
+
+    def f(pts):
+        calls.append(pts.shape)
+        if pts.ndim == 2:
+            raise ZeroDivisionError("bug in the vectorized branch")
+        return float(pts.sum())
+
+    with pytest.raises(ZeroDivisionError):
+        interpolate(f, grid)
+    assert calls == [(len(grid), 2)]
 
 
 def test_divided_differences_linearity(rng):
@@ -337,6 +428,8 @@ def test_sweep_rejects_line_missing_level_zero():
         divided_differences(LagrangeCoefficients(grid, np.ones(len(grid))))
     with pytest.raises(ValueError):
         newton_to_lagrange(NewtonPolynomial(grid, np.ones(len(grid))))
+    with pytest.raises(ValueError):
+        eval_iterative(NewtonPolynomial(grid, np.ones(len(grid))), [0.1, 0.2, 0.3])
 
 
 def test_sample_length_validation():
