@@ -360,18 +360,21 @@ def axes_for(
     """Per-dimension axes of the requested family, sized for ``index_set``.
 
     ``family`` is ``"lcl"`` (Leja-ordered Chebyshev-Lobatto) or ``"leja"``
-    (Leja points of the interval).
+    (Leja points of the interval).  Axes of equal length are built once and
+    shared.
     """
-    axes = []
-    for i in range(index_set.dim):
-        n_i = index_set.max_exponent(i)
+    if family not in ("lcl", "leja"):
+        raise ValueError(f"unknown grid family {family!r} (expected 'lcl' or 'leja')")
+    tops = [index_set.max_exponent(i) for i in range(index_set.dim)]
+    made = {}
+    for n_i in tops:
+        if n_i in made:
+            continue
         if family == "lcl":
-            axes.append(leja_order(chebyshev_lobatto(n_i)))
-        elif family == "leja":
-            axes.append(leja_points(n_i, resolution=max(leja_resolution, 10 * (n_i + 1))))
+            made[n_i] = leja_order(chebyshev_lobatto(n_i))
         else:
-            raise ValueError(f"unknown grid family {family!r} (expected 'lcl' or 'leja')")
-    return tuple(axes)
+            made[n_i] = leja_points(n_i, resolution=max(leja_resolution, 10 * (n_i + 1)))
+    return tuple(made[n_i] for n_i in tops)
 
 
 def monomial_vandermonde(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ so there is exactly one storage layout to get wrong.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,12 +25,16 @@ GENERAL_P_TOLERANCE = 1e-10
 _KEY_LIMIT = 2**62
 
 
-def _lex_sorted(exponents: np.ndarray) -> np.ndarray:
-    """Return rows sorted in canonical order (last entry most significant)."""
-    arr = np.asarray(exponents)
-    # np.lexsort treats its last key as primary, so feeding the columns in
-    # natural order makes the final column the dominant one.
-    return arr[np.lexsort(arr.T)]
+def _strictly_ascending(rows: np.ndarray) -> bool:
+    """True iff every row comes strictly after the one before it in canonical
+    order (last entry most significant): sorted and free of duplicates."""
+    ascending = np.zeros(len(rows) - 1, dtype=bool)  # pairs already decided
+    for col in range(rows.shape[1] - 1, -1, -1):
+        step = rows[1:, col] - rows[:-1, col]
+        if ((step < 0) & ~ascending).any():
+            return False
+        ascending |= step > 0
+    return bool(ascending.all())
 
 
 class MultiIndexSet:
@@ -45,12 +49,15 @@ class MultiIndexSet:
         ``(m, n, p)`` tag attached by :func:`make_lp_set`.
 
     The instance is immutable after construction and safe for concurrent
-    reads.  Downward closure is *not* enforced here (use
-    :func:`is_downward_closed`); operations that require it, such as grid
-    construction, check it themselves.
+    reads: the lookup keys and the :meth:`layout` are computed on first use
+    and published with one assignment each.  Downward closure is *not*
+    enforced here (use :func:`is_downward_closed`); operations that require
+    it, such as grid construction, check it themselves.
     """
 
-    __slots__ = ("dim", "exponents", "provenance", "_keys", "_key_weights", "_lookup")
+    __slots__ = (
+        "dim", "exponents", "provenance", "_keys", "_key_weights", "_lookup", "_layout"
+    )
 
     def __init__(self, exponents, provenance: tuple | None = None):
         arr = np.array(exponents, dtype=np.int64, copy=True)
@@ -63,9 +70,12 @@ class MultiIndexSet:
             raise ValueError("multi-index set must be non-empty")
         if (arr < 0).any():
             raise ValueError("exponents must be non-negative")
-        arr = _lex_sorted(arr)
-        if count > 1 and np.all(arr[1:] == arr[:-1], axis=1).any():
-            raise ValueError("duplicate multi-indices are not allowed")
+        if not _strictly_ascending(arr):
+            # np.lexsort treats its last key as primary, so feeding the
+            # columns in natural order makes the final column the dominant one
+            arr = arr[np.lexsort(arr.T)]
+            if not _strictly_ascending(arr):
+                raise ValueError("duplicate multi-indices are not allowed")
         arr.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "exponents", arr)
@@ -73,6 +83,7 @@ class MultiIndexSet:
         object.__setattr__(self, "_keys", None)
         object.__setattr__(self, "_key_weights", None)
         object.__setattr__(self, "_lookup", None)
+        object.__setattr__(self, "_layout", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiIndexSet is immutable")
@@ -149,6 +160,18 @@ class MultiIndexSet:
 
     def position(self, alpha) -> int:
         return int(self.positions(np.asarray(alpha, dtype=np.int64)[None, :])[0])
+
+    def layout(self) -> Layout:
+        """The grid-line tables of every axis and the evaluation fold plan.
+
+        Built on first use and cached.  Raises ``ValueError`` when the set is
+        not downward closed (nothing is cached then).
+        """
+        if self._layout is None:
+            # build completely, then publish: a concurrent reader sees either
+            # no layout or the whole of one
+            object.__setattr__(self, "_layout", _build_layout(self.exponents))
+        return self._layout
 
     def max_exponent(self, axis: int) -> int:
         """Largest exponent appearing along ``axis`` (0-based)."""
@@ -234,40 +257,137 @@ def make_lp_set(m: int, n: int, p) -> MultiIndexSet:
     return MultiIndexSet(exponents, provenance=tag)
 
 
-def axis_lines(index_set: MultiIndexSet, axis: int):
-    """Split ``index_set`` into its grid lines along ``axis``.
+class AxisLines(NamedTuple):
+    """The grid lines along one axis, as a zero-padded level-major table.
 
-    A grid line is a maximal group of indices that differ only in
-    coordinate ``axis``.  Returns ``(line, lengths)``: ``line[k]`` numbers
-    the line holding the index at canonical position ``k``, and
-    ``lengths[i]`` counts the indices on line ``i``.  Returns ``None`` when
-    some line does not hold exactly the levels ``0..lengths[i] - 1``, i.e.
-    when the set is not downward closed along ``axis``.
+    A grid line is a maximal group of indices that differ only in the
+    coordinate of the axis.  Row ``l`` of the table holds level ``l`` of
+    every line, longest line first, so the lines reaching level ``l`` fill
+    the first ``reach[l]`` cells of row ``l``; ``reach[0]`` counts the lines
+    and ``len(reach) - 1`` is the top level.  ``cell[k]`` is the table cell
+    (``level * reach[0] + column``) of the index at canonical position ``k``.
     """
-    exps = index_set.exponents
-    levels = exps[:, axis]
-    others = np.delete(exps, axis, axis=1)
-    # np.lexsort's first key is the least significant: every line becomes
-    # one run, levels ascending.  Line starts come from changes in the other
-    # coordinates, never from level 0, so a line lacking level 0 cannot
-    # merge into its predecessor.
-    order = np.lexsort((levels, *others.T))
-    rest = others[order]
-    new_line = np.ones(len(order), dtype=bool)
-    new_line[1:] = (rest[1:] != rest[:-1]).any(axis=1)
+
+    cell: np.ndarray
+    reach: tuple[int, ...]
+
+
+class FoldPlan(NamedTuple):
+    """How the evaluation fold walks the canonical layout.
+
+    A group of axis ``i`` is a maximal block of canonical rows sharing the
+    coordinates after ``i``; the groups of axis 0 are the axis-1 runs, the
+    lines of axis 0.  The fold lists the runs level-major in ``a_2``: its
+    run ``r`` is column ``runs[r]`` of the axis-0 line table.  For each
+    later axis ``i`` the groups of axis ``i`` are listed longest first, and
+    ``steps[i - 1][l]`` selects, in the previous step's listing, the
+    level-``l`` members of the groups that reach level ``l``; those groups
+    form a prefix.  Every selection of the first step is therefore a slice;
+    later selections are index arrays.
+    """
+
+    runs: np.ndarray
+    steps: tuple[list, ...]
+
+
+class Layout(NamedTuple):
+    """What the transforms and the evaluator read of a downward-closed set."""
+
+    lines: tuple[AxisLines, ...]
+    fold: FoldPlan
+
+
+def _axis_lines(exponents: np.ndarray, axis: int) -> AxisLines:
+    """The line table along ``axis``; ``ValueError`` unless every line holds
+    exactly the levels ``0..len - 1``, i.e. unless the set is downward closed
+    along ``axis``."""
+    count, dim = exponents.shape
+    levels = exponents[:, axis]
+    others = [exponents[:, j] for j in range(dim) if j != axis]
+    # A stable sort on the other coordinates makes every line one run; rows
+    # of a line are already in ascending level order, and canonical order
+    # already lists the lines of axis 0 this way.  Line starts come from
+    # changes in the other coordinates, never from level 0, so a line
+    # lacking level 0 cannot merge into its predecessor.
+    order = np.lexsort(others) if axis else slice(None)
+    new_line = np.zeros(count, dtype=bool)
+    new_line[0] = True
+    for coordinate in others:
+        listed = coordinate[order]
+        new_line[1:] |= listed[1:] != listed[:-1]
     starts = np.flatnonzero(new_line)
     run = np.cumsum(new_line) - 1
-    if not np.array_equal(levels[order], np.arange(len(order)) - starts[run]):
-        return None
-    line = np.empty_like(run)
-    line[order] = run
-    return line, np.diff(starts, append=len(order))
+    if not np.array_equal(levels[order], np.arange(count) - starts[run]):
+        raise ValueError("the index set is not downward closed")
+    lengths = np.diff(starts, append=count)
+    by_length = np.argsort(-lengths, kind="stable")
+    column = np.empty_like(by_length)
+    column[by_length] = np.arange(by_length.size)
+    # ``cell`` is the bulk of a cached layout, so it is int32 unless the
+    # padded table is too tall for that
+    size = int(lengths.max()) * lengths.size
+    cell = np.empty(count, dtype=np.int32 if size <= 2**31 else np.intp)
+    cell[order] = column[run]
+    cell += levels * lengths.size
+    reach = np.searchsorted(-lengths[by_length], -np.arange(lengths.max()), side="left")
+    return AxisLines(cell, tuple(reach.tolist()))
+
+
+def _fold_plan(exponents: np.ndarray, lines0: AxisLines) -> FoldPlan:
+    """The :class:`FoldPlan` of a downward-closed canonical array whose
+    axis-0 line table is ``lines0``."""
+    count, dim = exponents.shape
+    # heads[r, i]: row r opens a group of axis i (row 0 opens all of them)
+    heads = np.ones((count, dim), dtype=bool)
+    changed = exponents[1:] != exponents[:-1]
+    heads[1:, :-1] = np.logical_or.accumulate(changed[:, :0:-1], axis=1)[:, ::-1]
+    heads[1:, -1] = False
+    firsts = np.flatnonzero(heads[:, 0])  # first canonical row of each run
+    rows = firsts  # first canonical row of each group of axis i - 1
+    slot = np.arange(rows.size)  # listing of the runs
+    steps = []
+    for i in range(1, dim):
+        opens = heads[rows, i]
+        group = np.cumsum(opens) - 1
+        starts = np.flatnonzero(opens)
+        lengths = np.diff(starts, append=rows.size)
+        by_length = np.argsort(-lengths, kind="stable")
+        rank = np.empty_like(by_length)
+        rank[by_length] = np.arange(by_length.size)
+        reach = np.searchsorted(-lengths[by_length], -np.arange(lengths.max()))
+        if i == 1:
+            # level-major listing: run at level l of group g goes to
+            # offset[l] + rank[g], so each level is one contiguous slice
+            offset = np.cumsum(reach) - reach
+            slot = offset[np.arange(rows.size) - starts[group]] + rank[group]
+            steps.append([slice(lo, lo + w) for lo, w in zip(offset.tolist(), reach.tolist())])
+        else:
+            first = starts[by_length]
+            steps.append([where[first[:w] + level] for level, w in enumerate(reach)])
+        where = rank
+        rows = rows[starts]
+    # a run's level-0 cell is its column in the axis-0 line table
+    listed = np.empty_like(slot)
+    listed[slot] = lines0.cell[firsts]
+    return FoldPlan(listed, tuple(steps))
+
+
+def _build_layout(exponents: np.ndarray) -> Layout:
+    """The :class:`Layout` of a canonical exponent array; ``ValueError`` if
+    the set is not downward closed."""
+    lines = tuple(_axis_lines(exponents, axis) for axis in range(exponents.shape[1]))
+    return Layout(lines, _fold_plan(exponents, lines[0]))
 
 
 def is_downward_closed(index_set: MultiIndexSet) -> bool:
     """True iff every componentwise-smaller neighbour of a member is a member.
 
     It suffices that along every axis each grid line holds the levels
-    ``0, 1, ..., len - 1`` (see :func:`axis_lines`).
+    ``0, 1, ..., len - 1``, which is what building the set's
+    :meth:`~MultiIndexSet.layout` checks.
     """
-    return all(axis_lines(index_set, axis) is not None for axis in range(index_set.dim))
+    try:
+        index_set.layout()
+    except ValueError:
+        return False
+    return True

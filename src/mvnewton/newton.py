@@ -14,6 +14,12 @@ is bounded by ``C * |A|**2`` arithmetic operations.  Auxiliary storage is
 up to two zero-padded tables of (longest line) x (number of lines) entries
 per column: under ``m * |A|`` for the ``l_p`` sets with ``p >= 1``, and
 larger for ``p < 1``, whose long thin arms leave most of a table as padding.
+
+Where each index lands in those tables, and the walk of the evaluation
+fold, are the index set's layout (:meth:`MultiIndexSet.layout
+<mvnewton.multi_index.MultiIndexSet.layout>`): it is built once per index
+set, by the downward-closure check of grid construction or by the first
+transform or evaluation, and every later call reads it.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import UnisolventGrid, _read_table, _table_text
-from .multi_index import MultiIndexSet, axis_lines
+from .multi_index import AxisLines
 
 __all__ = [
     "NewtonPolynomial",
@@ -108,7 +114,7 @@ class LagrangeCoefficients:
         object.__setattr__(self, "values", arr)
 
 
-def _axis_sweep(index_set: MultiIndexSet, axis: int, points: np.ndarray, values, inverse):
+def _axis_sweep(lines: AxisLines, axis: int, points: np.ndarray, values, inverse):
     """Triangular divided-difference sweep along one coordinate, in place.
 
     ``values`` may be ``(|A|,)`` or ``(|A|, k)``; the same passes apply to
@@ -123,16 +129,12 @@ def _axis_sweep(index_set: MultiIndexSet, axis: int, points: np.ndarray, values,
     ``v[j - 1], g[j] v[j], g[j + 1] v[j + 1], ...`` with
     ``g[l] = p[l] - p[l - j]``.
 
-    The lines are gathered once into a zero-padded level-major table: row
-    ``l`` holds level ``l`` of every line, longest line first, so each pass
+    The lines are gathered once into the zero-padded level-major table of
+    ``lines`` (see :class:`~mvnewton.multi_index.AxisLines`), so each pass
     is one slice update over the lines that reach level ``j``.  Padding
     cells may collect garbage but never feed a real cell.
     """
-    lines = axis_lines(index_set, axis)
-    if lines is None:
-        raise ValueError("divided differences require a downward-closed index set")
-    line, lengths = lines
-    top = int(lengths.max()) - 1
+    top = len(lines.reach) - 1
     if top == 0:
         return
     if not inverse:
@@ -143,28 +145,23 @@ def _axis_sweep(index_set: MultiIndexSet, axis: int, points: np.ndarray, values,
             raise DegenerateNodesError(
                 f"axis {axis + 1} has node separation below {MIN_NODE_SEPARATION}"
             )
-    by_length = np.argsort(-lengths, kind="stable")
-    column = np.empty_like(by_length)
-    column[by_length] = np.arange(by_length.size)
-    cell = index_set.exponents[:, axis] * lengths.size + column[line]
     flat = values.reshape(values.shape[0], -1)
-    table = np.zeros(((top + 1) * lengths.size, flat.shape[1]))
-    table[cell] = flat
+    table = np.zeros(((top + 1) * lines.reach[0], flat.shape[1]))
+    table[lines.cell] = flat
     rows = table.reshape(top + 1, -1)
     # reach[j]: the leading row entries, those of the lines reaching level j
-    reach = np.searchsorted(-lengths[by_length], -np.arange(top + 1), side="left")
-    reach = (reach * flat.shape[1]).tolist()
-    # Passes write only into preallocated buffers, so the per-element cost
-    # does not depend on how the allocator serves pass-sized temporaries.
+    reach = [w * flat.shape[1] for w in lines.reach]
+    # Passes write only into preallocated, 64-byte aligned buffers, so the
+    # per-element cost does not depend on where the allocator puts them.
     pts = points[: top + 1, None]
-    gaps = np.empty((top, 1))
+    gaps = _aligned_empty((top, 1))
     if inverse:
         for j in range(top, 0, -1):
             r, w = top + 1 - j, reach[j]
             rows[j:, :w] *= np.subtract(pts[j:], pts[:r], out=gaps[:r])
             np.cumsum(rows[j - 1 :, :w], axis=0, out=rows[j - 1 :, :w])
     else:
-        work = np.empty_like(rows[1:])
+        work = _aligned_empty(rows[1:].shape)
         for j in range(1, top + 1):
             r, w = top + 1 - j, reach[j]
             g = np.subtract(pts[j:], pts[:r], out=gaps[:r])
@@ -172,14 +169,27 @@ def _axis_sweep(index_set: MultiIndexSet, axis: int, points: np.ndarray, values,
             np.divide(diff, g, out=rows[j:, :w])
     # ``cell`` is in range by construction; a mode other than "raise" lets
     # take write straight into ``flat`` instead of through a buffer.
-    np.take(table, cell, axis=0, out=flat, mode="clip")
+    np.take(table, lines.cell, axis=0, out=flat, mode="clip")
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised float array whose data starts on a 64-byte boundary.
+
+    Large blocks from the C allocator start 16 bytes past one, and the 1D
+    n = 19,999 sweep took 290 ms with its work and gap buffers there against
+    209 ms aligned (2-core SkylakeX, numpy 2.4).
+    """
+    size = int(np.prod(shape))
+    raw = np.empty(size + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + size].reshape(shape)
 
 
 def _transform(grid: UnisolventGrid, values: np.ndarray, inverse: bool = False):
-    dim = grid.dim
-    axis_order = range(dim) if inverse else range(dim - 1, -1, -1)
+    lines = grid.index_set.layout().lines
+    axis_order = range(grid.dim) if inverse else range(grid.dim - 1, -1, -1)
     for axis in axis_order:
-        _axis_sweep(grid.index_set, axis, grid.axes[axis].points, values, inverse)
+        _axis_sweep(lines[axis], axis, grid.axes[axis].points, values, inverse)
     return values
 
 
@@ -352,50 +362,6 @@ def newton_basis_values(grid: UnisolventGrid, x, order=None) -> np.ndarray:
     return out[0] if single else out
 
 
-def _fold_layout(exponents: np.ndarray):
-    """Run structure of the canonical layout, as :func:`_fold` consumes it.
-
-    A group of axis ``i`` is a maximal block of canonical rows sharing the
-    coordinates after ``i``; the groups of axis 0 are the axis-1 runs.  In
-    a downward-closed set the groups of axis ``i - 1`` inside one group of
-    axis ``i`` sit at levels ``0, 1, ..., len - 1`` of coordinate ``i``;
-    anything else raises ``ValueError``.
-
-    Returns ``(run, steps)``: ``run[r]`` numbers the run holding row ``r``.
-    For each later axis ``i``, the groups of axis ``i`` are listed longest
-    first, and ``steps[i - 1][l]`` holds the rows, in the previous step's
-    listing (canonical order for the runs), of the level-``l`` members of
-    the groups that reach level ``l``; those groups form a prefix.
-    """
-    count, dim = exponents.shape
-    # heads[r, i]: row r opens a group of axis i (row 0 opens all of them)
-    heads = np.ones((count, dim), dtype=bool)
-    changed = exponents[1:] != exponents[:-1]
-    heads[1:, :-1] = np.logical_or.accumulate(changed[:, :0:-1], axis=1)[:, ::-1]
-    heads[1:, -1] = False
-    rows = np.arange(count)  # first canonical row of each group of axis i - 1
-    steps = []
-    for i in range(dim):
-        opens = heads[rows, i]
-        group = np.cumsum(opens) - 1
-        starts = np.flatnonzero(opens)
-        if not np.array_equal(exponents[rows, i], np.arange(rows.size) - starts[group]):
-            raise ValueError("evaluation requires a downward-closed index set")
-        if i == 0:
-            run = group
-            where = np.arange(starts.size)  # listing of the runs: canonical
-        else:
-            lengths = np.diff(starts, append=rows.size)
-            by_length = np.argsort(-lengths, kind="stable")
-            first = starts[by_length]
-            reach = np.searchsorted(-lengths[by_length], -np.arange(lengths.max()))
-            steps.append([where[first[:w] + level] for level, w in enumerate(reach)])
-            where = np.empty_like(by_length)
-            where[by_length] = np.arange(by_length.size)
-        rows = rows[starts]
-    return run, steps
-
-
 def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
     """Batched recursive splitting ``Q = Q1 + (x_i - p) Q2`` over all points.
 
@@ -405,27 +371,35 @@ def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
     axis ``i`` then collapses the groups sharing the coordinates after
     ``i``: level by level, the members at level ``l`` are scaled by row
     ``l`` of the axis-``i`` table and added to their group's sum.  Points
-    stay on the last, contiguous axis.
+    stay on the last, contiguous axis.  The walk follows the index set's
+    cached :class:`~mvnewton.multi_index.FoldPlan`: the runs are listed
+    level-major in ``a_2``, so the largest sums, those of axis 2, read
+    contiguous slices of the GEMM output.
     """
     pts, single = _as_points(x, poly.grid.dim)
-    exps = poly.grid.index_set.exponents
+    layout = poly.grid.index_set.layout()
+    plan = layout.fold
     axes = poly.grid.axes
-    tops = exps.max(axis=0)
-    run, steps = _fold_layout(exps)
-    scattered = np.zeros((int(run[-1]) + 1, int(tops[0]) + 1))
-    scattered[run, exps[:, 0]] = poly.coeffs
+    tops = [len(lines.reach) - 1 for lines in layout.lines]
+    # lay the coefficients out in the axis-0 line table, then list its
+    # columns (the runs) as the plan does
+    padded = np.zeros((tops[0] + 1) * plan.runs.size)
+    padded[layout.lines[0].cell] = poly.coeffs
+    scattered = padded.reshape(tops[0] + 1, -1).T[plan.runs]
     columns = np.ascontiguousarray(pts.T)
     out = np.empty(pts.shape[0])
-    step = max(1, _CHUNK_BUDGET // max(scattered.shape[0], int(tops.max()) + 1))
+    step = max(1, _CHUNK_BUDGET // max(plan.runs.size, max(tops) + 1))
     for start in range(0, pts.shape[0], step):
         chunk = columns[:, start : start + step]
-        acc = scattered @ _axis_table(axes[0].points, int(tops[0]), chunk[0], order[0])
-        for i, members in enumerate(steps, 1):
-            table = _axis_table(axes[i].points, int(tops[i]), chunk[i], order[i])
+        acc = scattered @ _axis_table(axes[0].points, tops[0], chunk[0], order[0])
+        for i, members in enumerate(plan.steps, 1):
+            table = _axis_table(axes[i].points, tops[i], chunk[i], order[i])
             total = acc[members[0]] * table[0]
+            product = np.empty_like(total)
             for level in range(1, len(members)):
-                rows = members[level]
-                total[: rows.size] += acc[rows] * table[level]
+                part = acc[members[level]]
+                size = part.shape[0]
+                total[:size] += np.multiply(part, table[level], out=product[:size])
             acc = total
         out[start : start + step] = acc[0]
     return float(out[0]) if single else out
@@ -437,7 +411,8 @@ def eval_iterative(poly: NewtonPolynomial, x):
     The batched form of the recursive splitting of :func:`eval_recursive`
     (see :func:`_fold`): one ``(runs x (n_1 + 1)) . ((n_1 + 1) x k)`` GEMM
     plus ``O(k * runs)`` segmented work for the later axes, where ``runs``
-    counts the blocks of indices sharing ``a_2..a_m``.
+    counts the blocks of indices sharing ``a_2..a_m``.  The walk is read
+    from the index set's layout, built once per index set.
     """
     return _fold(poly, x, (0,) * poly.grid.dim)
 
@@ -463,6 +438,9 @@ def eval_recursive(poly: NewtonPolynomial, x) -> float:
     pts, single = _as_points(x, poly.grid.dim)
     if not single:
         raise ValueError("eval_recursive evaluates a single point")
+    # the walk takes every level below a block's top as present; the layout
+    # raises for a set where that fails
+    poly.grid.index_set.layout()
     point = pts[0]
     exps = poly.grid.index_set.exponents
     coeffs = poly.coeffs

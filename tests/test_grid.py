@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_axes, random_downward_closed
+from mvnewton import grid as grid_module
 from mvnewton.grid import (
     Nodes1D,
     UnisolventGrid,
+    axes_for,
     build_grid,
     chebyshev_lobatto,
     leja_order,
@@ -142,6 +144,27 @@ def test_build_grid_rejects_duplicate_axis_points():
     a = make_lp_set(1, 1, 1)
     with pytest.raises(ValueError):
         build_grid(a, [np.array([0.5, 0.5])])
+
+
+def test_axes_for_builds_each_length_once(monkeypatch):
+    # top degrees (3, 1, 3): axes 1 and 3 are one shared object
+    index_set = MultiIndexSet(
+        [(a, b, c) for a in range(4) for b in range(2) for c in range(4)]
+    )
+    built = []
+    monkeypatch.setattr(
+        grid_module, "leja_order", lambda nodes: built.append(len(nodes)) or leja_order(nodes)
+    )
+    lcl = axes_for(index_set, "lcl")
+    assert built == [4, 2]
+    assert [len(ax) for ax in lcl] == [4, 2, 4] and lcl[0] is lcl[2]
+    for ax, n in zip(lcl, (3, 1, 3)):
+        assert np.array_equal(ax.points, leja_order(chebyshev_lobatto(n)).points)
+    leja = axes_for(index_set, "leja", leja_resolution=100)
+    assert [len(ax) for ax in leja] == [4, 2, 4] and leja[0] is leja[2]
+    assert np.array_equal(leja[1].points, leja_points(1, resolution=100).points)
+    with pytest.raises(ValueError, match="unknown grid family"):
+        axes_for(index_set, "chebyshev")
 
 
 def test_build_grid_requires_downward_closed():

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_axes, random_downward_closed
+from mvnewton import multi_index
+from mvnewton.grid import UnisolventGrid
 from mvnewton.multi_index import MultiIndexSet, is_downward_closed, make_lp_set
+from mvnewton.newton import (
+    LagrangeCoefficients,
+    NewtonPolynomial,
+    divided_differences,
+    eval_iterative,
+    newton_to_lagrange,
+)
 
 INF = math.inf
 
@@ -78,6 +88,80 @@ def test_is_downward_closed():
     assert is_downward_closed(make_lp_set(3, 4, 2))
     assert not is_downward_closed(MultiIndexSet([(0, 0), (1, 1)]))
     assert is_downward_closed(MultiIndexSet([(0, 0), (1, 0), (0, 1)]))
+
+
+def brute_force_closed(members) -> bool:
+    """Every member with a_i > 0 has alpha - e_i in the set."""
+    present = set(members)
+    return all(
+        alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :] in present
+        for alpha in present
+        for i in range(len(alpha))
+        if alpha[i] > 0
+    )
+
+
+def assert_layouts_equal(a, b):
+    for x, y in zip(a.lines, b.lines, strict=True):
+        assert x.reach == y.reach
+        assert x.cell.dtype == y.cell.dtype and np.array_equal(x.cell, y.cell)
+    assert np.array_equal(a.fold.runs, b.fold.runs)
+    for x, y in zip(a.fold.steps, b.fold.steps, strict=True):
+        assert len(x) == len(y)
+        for u, v in zip(x, y):
+            assert u == v if isinstance(u, slice) else np.array_equal(u, v)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_closure_check_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+    if rng.integers(2):
+        index_set = random_downward_closed(rng, dim, int(rng.integers(1, 40)), 4)
+    else:
+        # a random subset of a box: mostly not closed, sometimes closed
+        box = rng.integers(0, 4, size=(int(rng.integers(1, 20)), dim))
+        index_set = MultiIndexSet(np.unique(box, axis=0))
+    closed = brute_force_closed(list(index_set))
+    assert is_downward_closed(index_set) == closed
+    if not closed:
+        with pytest.raises(ValueError, match="not downward closed"):
+            index_set.layout()
+        return
+    assert_layouts_equal(index_set.layout(), multi_index._build_layout(index_set.exponents))
+    # the same transforms and evaluation from a cold copy of the set, twice
+    axes = random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+    values = rng.standard_normal(len(index_set))
+    pts = rng.uniform(-1, 1, (5, dim))
+    results = []
+    for grid in (
+        UnisolventGrid(index_set=index_set, axes=tuple(axes)),
+        UnisolventGrid(index_set=MultiIndexSet(index_set.exponents), axes=tuple(axes)),
+    ):
+        for _ in range(2):
+            poly = divided_differences(LagrangeCoefficients(grid, values))
+            results.append(
+                (poly.coeffs, newton_to_lagrange(poly).values, eval_iterative(poly, pts))
+            )
+    for result in results[1:]:
+        for got, first in zip(result, results[0]):
+            assert np.array_equal(got, first)
+
+
+def test_canonical_input_skips_sorting_but_keeps_checks(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(
+        multi_index.np, "lexsort", lambda keys: calls.append(1) or lexsort(keys)
+    )
+    rows = make_lp_set(2, 3, 1).exponents
+    MultiIndexSet(rows)
+    assert calls == []
+    assert MultiIndexSet(rows[::-1]) == MultiIndexSet(rows) and calls == [1]
+    with pytest.raises(ValueError, match="duplicate"):
+        MultiIndexSet(np.concatenate([rows[:2], rows[1:]]))
+    with pytest.raises(ValueError, match="duplicate"):
+        MultiIndexSet([(1, 0), (0, 1), (1, 0)])
 
 
 def test_positions_and_contains():

@@ -1,6 +1,8 @@
 import logging
 import math
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import newton_collocation_matrix, random_axes, random_downward_closed
-from mvnewton import newton
+from mvnewton import multi_index, newton
 from mvnewton.grid import (
     Nodes1D,
     UnisolventGrid,
+    axes_for,
     build_grid,
     chebyshev_lobatto,
     leja_order,
@@ -188,12 +191,19 @@ def test_fold_edge_cases():
     pts = np.random.default_rng(6).uniform(-1, 1, (7, 2))
     assert np.array_equal(eval_iterative(constant, pts), np.full(7, 2.5))
     assert not eval_derivative(constant, (0, 1), pts).any()
-    run, steps = newton._fold_layout(make_lp_set(1, 6, 1).exponents)
-    assert np.array_equal(run, np.zeros(7)) and steps == []
+    plan = make_lp_set(1, 6, 1).layout().fold
+    assert plan.runs.tolist() == [0] and plan.steps == ()
     # runs of l_1 (2, 2): a_2 = 0 holds a_1 = 0..2, a_2 = 1 holds 0..1, a_2 = 2 holds 0
-    run, steps = newton._fold_layout(make_lp_set(2, 2, 1).exponents)
-    assert run.tolist() == [0, 0, 0, 1, 1, 2]
-    assert [rows.tolist() for rows in steps[0]] == [[0], [1], [2]]
+    plan = make_lp_set(2, 2, 1).layout().fold
+    assert plan.runs.tolist() == [0, 1, 2]
+    assert plan.steps == ([slice(0, 1), slice(1, 2), slice(2, 3)],)
+    # l_1 (1, 1, 1): runs (a_2, a_3) = (0, 0), (1, 0), (0, 1); the groups of
+    # axis 2 are a_3 = 0 (levels 0..1) and a_3 = 1 (level 0), so level 0 of
+    # both comes first, then level 1 of the first
+    plan = make_lp_set(3, 1, 1).layout().fold
+    assert plan.runs.tolist() == [0, 2, 1]
+    assert plan.steps[0] == [slice(0, 2), slice(2, 3)]
+    assert [rows.tolist() for rows in plan.steps[1]] == [[0], [1]]
 
 
 def test_divided_differences_matches_collocation_solve(rng):
@@ -418,18 +428,29 @@ def test_sweep_rejects_line_missing_level_zero():
     # lacks level 0 (no (0, 0, 1)); it must not merge into the line before it
     exps = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0),
             (1, 1, 0), (0, 2, 0), (0, 3, 0), (0, 1, 1), (0, 2, 1)]
-    index_set = MultiIndexSet(exps)
-    axes = (Nodes1D(np.array([1.0, -1.0, 0.0, 0.5])),) * 2 + (
-        Nodes1D(np.array([1.0, -1.0])),
-    )
-    grid = UnisolventGrid(index_set=index_set, axes=axes)
-    assert not is_downward_closed(index_set)
-    with pytest.raises(ValueError):
-        divided_differences(LagrangeCoefficients(grid, np.ones(len(grid))))
-    with pytest.raises(ValueError):
-        newton_to_lagrange(NewtonPolynomial(grid, np.ones(len(grid))))
-    with pytest.raises(ValueError):
-        eval_iterative(NewtonPolynomial(grid, np.ones(len(grid))), [0.1, 0.2, 0.3])
+    axis = Nodes1D(np.array([1.0, -1.0, 0.0, 0.5]))
+    # {(0, 0), (0, 1), (1, 1)} lacks (1, 0): every axis-1 run and axis-2
+    # group starts at level 0, so only the line check along axis 2 sees it;
+    # on {(0, 0), (2, 0)} the recursive walk would use c_(2,0) at level 1
+    for index_set in (
+        MultiIndexSet(exps),
+        MultiIndexSet([(0, 0), (0, 1), (1, 1)]),
+        MultiIndexSet([(0, 0), (2, 0)]),
+    ):
+        grid = UnisolventGrid(index_set=index_set, axes=(axis,) * index_set.dim)
+        poly = NewtonPolynomial(grid, np.ones(len(grid)))
+        x = np.full(index_set.dim, 0.1)
+        assert not is_downward_closed(index_set)
+        for call in (
+            lambda: divided_differences(LagrangeCoefficients(grid, np.ones(len(grid)))),
+            lambda: newton_to_lagrange(poly),
+            lambda: lagrange_newton_matrix(grid),
+            lambda: eval_iterative(poly, x),
+            lambda: eval_derivative(poly, (1,) * index_set.dim, x),
+            lambda: eval_recursive(poly, x),
+        ):
+            with pytest.raises(ValueError, match="^the index set is not downward closed$"):
+                call()
 
 
 def test_sample_length_validation():
@@ -528,3 +549,76 @@ def test_bundle_files_pin_the_on_disk_format(tmp_path):
         b"1,1,-0\r\n"
         b"0,2,4.9406564584124654e-324\r\n"
     )
+
+
+def test_key_space_beyond_int64_uses_the_dict_lookup(tmp_path):
+    # 3**40 keys do not fit int64, so positions go through the dict path
+    index_set = make_lp_set(40, 2, 1)
+    assert len(index_set) == 861
+    grid = build_grid(index_set, axes_for(index_set, "lcl"))
+    weights = np.linspace(-1.0, 1.0, 40)
+    poly = interpolate(lambda pts: np.cos(pts @ weights), grid)
+    assert index_set.position((0,) * 39 + (2,)) == len(index_set) - 1
+    assert index_set._keys is None and index_set._lookup is not None
+    pts = np.random.default_rng(7).uniform(-1, 1, (3, 40))
+    values = eval_iterative(poly, pts)
+    for x, value in zip(pts, values):
+        exact = eval_recursive(poly, x)
+        assert abs(value - exact) <= 1e-13 * (1.0 + abs(exact))
+    order = (1, 2) + (0,) * 38
+    basis = newton_basis_values(grid, pts, order)
+    scale = 1.0 + np.abs(basis).dot(np.abs(poly.coeffs)).max()
+    derivative = eval_derivative(poly, order, pts)
+    assert np.abs(derivative - basis @ poly.coeffs).max() <= 1e-13 * scale
+    save_bundle(poly, tmp_path)
+    back = load_bundle(tmp_path)
+    assert back.grid.index_set == index_set
+    assert np.array_equal(back.coeffs.view(np.int64), poly.coeffs.view(np.int64))
+
+
+def test_layout_is_built_once_and_read_safely_from_threads(monkeypatch):
+    builds = []
+    build = multi_index._build_layout
+    monkeypatch.setattr(
+        multi_index, "_build_layout", lambda exps: builds.append(1) or build(exps)
+    )
+    index_set = make_lp_set(3, 6, 2)
+    grid = build_grid(index_set, axes_for(index_set, "lcl"))
+    poly = interpolate(lambda pts: np.exp(pts.sum(axis=1)), grid)
+    eval_derivative(poly, (1, 0, 1), np.random.default_rng(8).uniform(-1, 1, (50, 3)))
+    newton_to_lagrange(poly)
+    assert len(builds) == 1
+
+    # threads on one fresh set, more than the cores, switching often: several
+    # may build, and each must publish a whole layout
+    fresh = UnisolventGrid(index_set=make_lp_set(3, 6, 2), axes=grid.axes)
+    values = np.cos(grid.node_coordinates.sum(axis=1))
+    pts = np.random.default_rng(9).uniform(-1, 1, (2000, 3))
+    start = threading.Barrier(4, timeout=60)
+    results = [None] * 4
+
+    def work(slot):
+        start.wait()
+        poly = divided_differences(LagrangeCoefficients(fresh, values))
+        results[slot] = (
+            poly.coeffs, eval_iterative(poly, pts), newton_to_lagrange(poly).values
+        )
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    reference = divided_differences(LagrangeCoefficients(grid, values))
+    expected = (
+        reference.coeffs, eval_iterative(reference, pts), newton_to_lagrange(reference).values
+    )
+    for result in results:
+        for got, want in zip(result, expected, strict=True):
+            assert np.array_equal(got, want)
