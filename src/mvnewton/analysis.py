@@ -71,6 +71,20 @@ SATURATION_FLOOR = 1e-13
 LEBESGUE_SIZE_CAP = 5000
 LEBESGUE_MAX_ORDER = 2
 
+# Soft bound on the floats of one chunk's (|A| x points) blocks, the Newton
+# basis values and their products with the Lagrange-Newton matrix.  With
+# all points in one chunk the perfbench ``lagrange`` workload peaked at
+# 149 MB instead of 94 MB, and ``cli``, whose peak lies elsewhere, at 115 MB
+# instead of 114 MB (2-core x86 machine, OpenBLAS with 2 threads).
+_LEBESGUE_BUDGET = 2_000_000
+
+# Row blocks of the triangular Lagrange-Newton product; a block needs the
+# basis rows from its own first row on, so 3 blocks do 2/3 of the work of
+# one product.  Per 2,000,000-float chunk at |A| = 216/325/625 (2-core x86,
+# OpenBLAS 2 threads), 1 block took 8.8/13.0/27.2 ms, 2 blocks
+# 7.3/10.4/21.6, 3 blocks 6.8/9.8/19.9 and 4 blocks 7.6/9.9/19.0.
+_TRIANGLE_BLOCKS = 3
+
 
 @dataclass(frozen=True)
 class BenchmarkFunction:
@@ -302,6 +316,14 @@ def lebesgue_estimate(
     value of ``sum_{|b| <= k} sum_a |d^b L_a(x)|``; ``k = 0`` is the plain
     Lebesgue function max.  Needs all ``|A|`` Lagrange basis polynomials,
     hence O(|A|^2) memory, capped at ``size_cap``.
+
+    Points go in chunks of ``_LEBESGUE_BUDGET // |A|``.  Per chunk and
+    derivative order, the transposed Lagrange-Newton matrix times the
+    points-last ``(|A|, k)`` Newton basis values gives every ``d^b L_a`` at
+    every point.  That matrix is lower triangular, so the product runs in
+    row blocks that skip its zero part.  Absolute values are taken in place
+    and summed down the columns: a chunk holds two ``(|A|, k)`` blocks, 16
+    MB each at the budget, besides the ``8 |A|^2``-byte matrix.
     """
     size = len(grid)
     if size > size_cap:
@@ -311,7 +333,8 @@ def lebesgue_estimate(
     if not 0 <= k <= max_order:
         raise ValueError(f"derivative order k={k} outside 0..{max_order}")
 
-    basis = lagrange_newton_matrix(grid)  # column alpha: Newton coeffs of L_alpha
+    # row alpha: Newton coefficients of L_alpha, zero before column alpha
+    lagrange = lagrange_newton_matrix(grid).T
     m = grid.dim
     if m == 1:
         points = np.linspace(-1.0, 1.0, num_samples)[:, None]
@@ -324,13 +347,18 @@ def lebesgue_estimate(
     )
 
     best = 0.0
-    step = max(1, 2_000_000 // max(size, 1))
+    step = max(1, _LEBESGUE_BUDGET // size)
+    block = -(-size // _TRIANGLE_BLOCKS)
     for start in range(0, num_samples, step):
         chunk = points[start : start + step]
         totals = np.zeros(chunk.shape[0])
+        values = np.empty((size, chunk.shape[0]))
         for order in orders:
-            nb = newton_basis_values(grid, chunk, order)
-            totals += np.abs(nb @ basis).sum(axis=1)
+            newton = newton_basis_values(grid, chunk, order).T
+            for lo in range(0, size, block):
+                hi = lo + block
+                np.matmul(lagrange[lo:hi, lo:], newton[lo:], out=values[lo:hi])
+            totals += np.abs(values, out=values).sum(axis=0)
         best = max(best, float(totals.max()))
     return best
 

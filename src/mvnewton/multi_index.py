@@ -49,14 +49,16 @@ class MultiIndexSet:
         ``(m, n, p)`` tag attached by :func:`make_lp_set`.
 
     The instance is immutable after construction and safe for concurrent
-    reads: the lookup keys and the :meth:`layout` are computed on first use
-    and published with one assignment each.  Downward closure is *not*
-    enforced here (use :func:`is_downward_closed`); operations that require
-    it, such as grid construction, check it themselves.
+    reads: the per-axis bounds, the lookup keys and the :meth:`layout` are
+    computed on first use and published with one assignment each.
+    Downward closure is *not* enforced here (use :func:`is_downward_closed`);
+    operations that require it, such as grid construction, check it
+    themselves.
     """
 
     __slots__ = (
-        "dim", "exponents", "provenance", "_keys", "_key_weights", "_lookup", "_layout"
+        "dim", "exponents", "provenance", "_bounds", "_keys", "_key_weights", "_lookup",
+        "_layout",
     )
 
     def __init__(self, exponents, provenance: tuple | None = None):
@@ -80,6 +82,7 @@ class MultiIndexSet:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "exponents", arr)
         object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "_bounds", None)
         object.__setattr__(self, "_keys", None)
         object.__setattr__(self, "_key_weights", None)
         object.__setattr__(self, "_lookup", None)
@@ -115,10 +118,18 @@ class MultiIndexSet:
 
     # -- positional lookup ------------------------------------------------
 
+    def _axis_bounds(self) -> np.ndarray:
+        """The largest exponent along every axis, computed once."""
+        if self._bounds is None:
+            bounds = self.exponents.max(axis=0)
+            bounds.setflags(write=False)
+            object.__setattr__(self, "_bounds", bounds)
+        return self._bounds
+
     def _build_lookup(self) -> None:
         if self._keys is not None or self._lookup is not None:
             return
-        radices = self.exponents.max(axis=0) + 1
+        radices = self._axis_bounds() + 1
         weights = [1]
         for r in radices[:-1]:
             weights.append(weights[-1] * int(r))
@@ -141,7 +152,7 @@ class MultiIndexSet:
             raise ValueError(f"queries must have {self.dim} columns")
         self._build_lookup()
         if self._keys is not None:
-            inside = (q >= 0).all(axis=1) & (q <= self.exponents.max(axis=0)).all(axis=1)
+            inside = (q >= 0).all(axis=1) & (q <= self._bounds).all(axis=1)
             qkeys = np.where(inside, q @ self._key_weights, -1)
             pos = np.searchsorted(self._keys, qkeys)
             pos = np.minimum(pos, len(self) - 1)
@@ -162,7 +173,8 @@ class MultiIndexSet:
         return int(self.positions(np.asarray(alpha, dtype=np.int64)[None, :])[0])
 
     def layout(self) -> Layout:
-        """The grid-line tables of every axis and the evaluation fold plan.
+        """The grid-line tables of every axis, the evaluation fold plan and
+        the basis-value plan.
 
         Built on first use and cached.  Raises ``ValueError`` when the set is
         not downward closed (nothing is cached then).
@@ -177,7 +189,7 @@ class MultiIndexSet:
         """Largest exponent appearing along ``axis`` (0-based)."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
-        return int(self.exponents[:, axis].max())
+        return int(self._axis_bounds()[axis])
 
 
 def _max_feasible(residual: np.ndarray, p) -> np.ndarray:
@@ -290,11 +302,30 @@ class FoldPlan(NamedTuple):
     steps: tuple[list, ...]
 
 
+class BasisPlan(NamedTuple):
+    """How the Newton basis values are built, one axis at a time.
+
+    The canonical rows whose coordinates after axis ``i`` are all 0 form a
+    prefix, the first ``stops[i]`` rows: the projection of the set onto
+    axes ``0..i``.  Within it the rows at level ``l`` of axis ``i`` form
+    one block, and each takes the value of its level-0 neighbour, which
+    lies in the prefix of axis ``i - 1``.  ``levels[i - 1][l - 1]`` is
+    ``(rows, source)`` for level ``l >= 1``: the block's slice and the
+    selection of those neighbours, a slice where they are contiguous (at
+    every level of axis 1) and an index array otherwise.
+    """
+
+    stops: tuple[int, ...]
+    levels: tuple[list, ...]
+
+
 class Layout(NamedTuple):
-    """What the transforms and the evaluator read of a downward-closed set."""
+    """What the transforms, the evaluator and the basis values read of a
+    downward-closed set."""
 
     lines: tuple[AxisLines, ...]
     fold: FoldPlan
+    basis: BasisPlan
 
 
 def _axis_lines(exponents: np.ndarray, axis: int) -> AxisLines:
@@ -372,11 +403,42 @@ def _fold_plan(exponents: np.ndarray, lines0: AxisLines) -> FoldPlan:
     return FoldPlan(listed, tuple(steps))
 
 
+def _basis_plan(exponents: np.ndarray, lines: tuple[AxisLines, ...]) -> BasisPlan:
+    """The :class:`BasisPlan` of a downward-closed canonical array with the
+    line tables ``lines``."""
+    count, dim = exponents.shape
+    stops = [count]
+    for i in range(dim - 1, 0, -1):
+        stops.append(int(np.searchsorted(exponents[: stops[-1], i], 1)))
+    stops.reverse()
+    levels = []
+    for i in range(1, dim):
+        lo, hi = stops[i - 1], stops[i]
+        level = exponents[lo:hi, i]
+        top = int(level[-1]) if hi > lo else 0
+        bounds = lo + np.searchsorted(level, np.arange(1, top + 2))
+        # a row of the prefix sits at level 0 of its line, so its cell is
+        # its line's column, and the line of every row of the block starts
+        # in the prefix
+        width = lines[i].reach[0]
+        first = np.empty(width, dtype=lines[i].cell.dtype)
+        first[lines[i].cell[:lo]] = np.arange(lo)
+        source = first[lines[i].cell[lo:hi] - level * width]
+        steps = []
+        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            picked = source[start - lo : stop - lo]
+            if picked[-1] - picked[0] == stop - start - 1:  # ascending, so contiguous
+                picked = slice(int(picked[0]), int(picked[-1]) + 1)
+            steps.append((slice(start, stop), picked))
+        levels.append(steps)
+    return BasisPlan(tuple(stops), tuple(levels))
+
+
 def _build_layout(exponents: np.ndarray) -> Layout:
     """The :class:`Layout` of a canonical exponent array; ``ValueError`` if
     the set is not downward closed."""
     lines = tuple(_axis_lines(exponents, axis) for axis in range(exponents.shape[1]))
-    return Layout(lines, _fold_plan(exponents, lines[0]))
+    return Layout(lines, _fold_plan(exponents, lines[0]), _basis_plan(exponents, lines))
 
 
 def is_downward_closed(index_set: MultiIndexSet) -> bool:

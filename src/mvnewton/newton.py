@@ -15,11 +15,12 @@ up to two zero-padded tables of (longest line) x (number of lines) entries
 per column: under ``m * |A|`` for the ``l_p`` sets with ``p >= 1``, and
 larger for ``p < 1``, whose long thin arms leave most of a table as padding.
 
-Where each index lands in those tables, and the walk of the evaluation
-fold, are the index set's layout (:meth:`MultiIndexSet.layout
-<mvnewton.multi_index.MultiIndexSet.layout>`): it is built once per index
-set, by the downward-closure check of grid construction or by the first
-transform or evaluation, and every later call reads it.
+Where each index lands in those tables, the walk of the evaluation fold
+and the build order of the basis values are the index set's layout
+(:meth:`MultiIndexSet.layout <mvnewton.multi_index.MultiIndexSet.layout>`):
+it is built once per index set, by the downward-closure check of grid
+construction or by the first transform or evaluation, and every later
+call reads it.
 """
 from __future__ import annotations
 
@@ -332,34 +333,36 @@ def _axis_table(points: np.ndarray, top: int, x: np.ndarray, order: int) -> np.n
 def newton_basis_values(grid: UnisolventGrid, x, order=None) -> np.ndarray:
     """All Newton basis functions (or a partial derivative of them) at ``x``.
 
-    Returns ``(k, |A|)`` for ``(k, m)`` input, aligned to canonical order.
+    Returns ``(k, |A|)`` for ``(k, m)`` input, aligned to canonical order;
+    ``(|A|,)`` for a single point ``(m,)``.
+
+    The result is the transpose of a C-contiguous ``(|A|, k)`` array, built
+    one axis at a time along the index set's cached
+    :class:`~mvnewton.multi_index.BasisPlan`: axis 0 writes its table (see
+    :func:`_axis_table`) into the leading rows, and each later axis fills
+    its level-``l`` rows with already built rows times row ``l`` of its
+    table.  Besides the output, memory is the axis tables of
+    ``(n_i + 1) x k`` floats and one gathered block of rows.  Every value
+    is multiplied in axis order, as in the product formula
+    ``prod_i N_i(x_i)``, so it is bitwise equal to that formula.
     """
     pts, single = _as_points(x, grid.dim)
-    exps = grid.index_set.exponents
     order = _check_order((0,) * grid.dim if order is None else order, grid.dim)
-    tables = []
-    for i in range(grid.dim):
-        top = grid.index_set.max_exponent(i)
-        table = _axis_table(grid.axes[i].points, top, pts[:, i], order[i])
-        tables.append(np.ascontiguousarray(table.T))
-    # Fusing adjacent dimensions into one outer-product table halves the
-    # number of (k, |A|) gathers, the dominant cost for large index sets.
-    out = None
-    i = 0
-    while i < grid.dim:
-        width = tables[i].shape[1]
-        if i + 1 < grid.dim and width * tables[i + 1].shape[1] <= 65536:
-            fused = (tables[i + 1][:, :, None] * tables[i][:, None, :]).reshape(
-                pts.shape[0], -1
-            )
-            idx = exps[:, i] + width * exps[:, i + 1]
-            factor = fused[:, idx]
-            i += 2
-        else:
-            factor = tables[i][:, exps[:, i]]
-            i += 1
-        out = factor if out is None else out * factor
-    return out[0] if single else out
+    layout = grid.index_set.layout()
+    tops = [len(lines.reach) - 1 for lines in layout.lines]
+    columns = np.ascontiguousarray(pts.T)
+    out = np.empty((len(grid), pts.shape[0]))
+    out[: tops[0] + 1] = _axis_table(grid.axes[0].points, tops[0], columns[0], order[0])
+    plan = layout.basis
+    for i, levels in enumerate(plan.levels, 1):
+        table = _axis_table(grid.axes[i].points, tops[i], columns[i], order[i])
+        for level, (rows, source) in enumerate(levels, 1):
+            np.multiply(out[source], table[level], out=out[rows])
+        if order[i]:
+            # a differentiated axis has row 0 zero, not one: scale the
+            # level-0 rows last, after every level has read them
+            out[: plan.stops[i - 1]] *= table[0]
+    return out[:, 0] if single else out.T
 
 
 def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):

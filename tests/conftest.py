@@ -62,21 +62,40 @@ def random_axes(rng: np.random.Generator, sizes) -> list[Nodes1D]:
     return axes
 
 
-def newton_collocation_matrix(grid) -> np.ndarray:
-    """Oracle collocation matrix ``N_beta(p_alpha)``, written out directly
-    from the basis product formula (independent of the library kernels);
-    lower triangular in canonical order."""
+def newton_basis_oracle(grid, x, order=None) -> np.ndarray:
+    """Oracle values ``d^order N_beta(x)`` of every Newton basis function at
+    the rows of ``x``, shape ``(k, |A|)``, written out directly from the
+    basis product formula (independent of the library kernels).
+
+    Each axis factor ``prod_{j < l} (x_i - p_j)`` is differentiated with
+    the product rule, ``d_o[l] = d_o[l - 1] (x_i - p_{l-1}) + o d_{o-1}[l - 1]``,
+    and the factors are multiplied in axis order.
+    """
     exps = grid.index_set.exponents
-    coords = grid.node_coordinates
-    size = len(grid)
-    out = np.ones((size, size))
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    out = np.ones((x.shape[0], len(grid)))
     for i in range(grid.dim):
         pts = grid.axes[i].points
-        prefix = np.ones((size, exps[:, i].max() + 1))
-        for k in range(1, prefix.shape[1]):
-            prefix[:, k] = prefix[:, k - 1] * (coords[:, i] - pts[k - 1])
-        out *= prefix[:, exps[:, i]]
+        top = exps[:, i].max()
+        o = 0 if order is None else order[i]
+        # prefix[d][:, l]: the d-th derivative of prod_{j < l} (x_i - p_j)
+        prefix = np.zeros((o + 1, x.shape[0], top + 1))
+        prefix[0, :, 0] = 1.0
+        for level in range(1, top + 1):
+            step = x[:, i] - pts[level - 1]
+            prefix[0, :, level] = prefix[0, :, level - 1] * step
+            for d in range(1, o + 1):
+                prefix[d, :, level] = (
+                    prefix[d, :, level - 1] * step + d * prefix[d - 1, :, level - 1]
+                )
+        out *= prefix[o][:, exps[:, i]]
     return out
+
+
+def newton_collocation_matrix(grid) -> np.ndarray:
+    """Oracle collocation matrix ``N_beta(p_alpha)`` from the basis product
+    formula; lower triangular in canonical order."""
+    return newton_basis_oracle(grid, grid.node_coordinates)
 
 
 @pytest.fixture

@@ -1,8 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import (
+    newton_basis_oracle,
+    newton_collocation_matrix,
+    random_axes,
+    random_downward_closed,
+)
+from mvnewton import analysis
 from mvnewton.analysis import (
     ConvergenceRecord,
     RateFit,
@@ -182,6 +192,34 @@ def test_lebesgue_higher_order_dominates():
     l0 = lebesgue_estimate(grid, 2000, 1, 0)
     l1 = lebesgue_estimate(grid, 2000, 1, 1)
     assert l1 >= l0  # the k=1 sum includes the k=0 term
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_lebesgue_estimate_matches_the_inverse_collocation_oracle(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    index_set = random_downward_closed(rng, dim, int(rng.integers(1, 40)), 5)
+    grid = build_grid(
+        index_set, random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+    )
+    k, samples, draw = int(rng.integers(0, 2)), int(rng.integers(1, 300)), int(rng.integers(100))
+    # column alpha: Newton coefficients of L_alpha
+    lagrange = np.linalg.inv(newton_collocation_matrix(grid))
+    if dim == 1:
+        pts = np.linspace(-1.0, 1.0, samples)[:, None]
+    else:
+        pts = np.random.default_rng(draw).uniform(-1.0, 1.0, size=(samples, dim))
+    orders = [None] if k == 0 else [None, *np.eye(dim, dtype=int).tolist()]
+    oracle = sum(
+        np.abs(newton_basis_oracle(grid, pts, order) @ lagrange).sum(axis=1)
+        for order in orders
+    ).max()
+    # chunks of a few points, and row blocks of the triangular product
+    budget = int(rng.choice([analysis._LEBESGUE_BUDGET, len(grid) * int(rng.integers(1, 8))]))
+    blocks = int(rng.choice([1, 2, analysis._TRIANGLE_BLOCKS, 7]))
+    with mock.patch.multiple(analysis, _LEBESGUE_BUDGET=budget, _TRIANGLE_BLOCKS=blocks):
+        lam = lebesgue_estimate(grid, samples, draw, k)
+    assert abs(lam - oracle) <= 1e-12 * oracle
 
 
 def test_lebesgue_size_cap():

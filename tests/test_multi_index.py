@@ -110,6 +110,12 @@ def assert_layouts_equal(a, b):
         assert len(x) == len(y)
         for u, v in zip(x, y):
             assert u == v if isinstance(u, slice) else np.array_equal(u, v)
+    assert a.basis.stops == b.basis.stops
+    for x, y in zip(a.basis.levels, b.basis.levels, strict=True):
+        assert len(x) == len(y)
+        for (rows_a, u), (rows_b, v) in zip(x, y):
+            assert rows_a == rows_b
+            assert u == v if isinstance(u, slice) else np.array_equal(u, v)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -171,6 +177,37 @@ def test_positions_and_contains():
     assert (9, 9, 9) not in s
     with pytest.raises(KeyError):
         s.position((9, 9, 9))
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_positions_match_a_brute_force_index(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    # any set of distinct indices, closed or not
+    rows = np.unique(rng.integers(0, 5, size=(int(rng.integers(1, 40)), dim)), axis=0)
+    index_set = MultiIndexSet(rows[rng.permutation(len(rows))])
+    bounds = [int(index_set.exponents[:, i].max()) for i in range(dim)]
+    assert [index_set.max_exponent(i) for i in range(dim)] == bounds
+    cached = index_set._bounds  # computed once, by the first query
+    assert cached is not None and cached.tolist() == bounds
+    index = {alpha: i for i, alpha in enumerate(index_set)}
+    members = index_set.exponents[rng.permutation(len(index_set))]
+    assert index_set.positions(members).tolist() == [index[tuple(a)] for a in members.tolist()]
+    assert index_set._bounds is cached
+    for q in rng.integers(0, 6, size=(20, dim)):
+        if tuple(q.tolist()) not in index:
+            with pytest.raises(KeyError):
+                index_set.positions(q)
+            assert tuple(q) not in index_set
+    for axis in range(dim):
+        for value in (-1, bounds[axis] + 1):
+            q = index_set.exponents[int(rng.integers(len(index_set)))].copy()
+            q[axis] = value
+            with pytest.raises(KeyError):
+                index_set.position(q)
+            # one bad row in a batch of members fails the whole batch
+            with pytest.raises(KeyError):
+                index_set.positions(np.vstack([members, q]))
 
 
 @given(

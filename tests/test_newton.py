@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import newton_collocation_matrix, random_axes, random_downward_closed
+from conftest import (
+    newton_basis_oracle,
+    newton_collocation_matrix,
+    random_axes,
+    random_downward_closed,
+)
 from mvnewton import multi_index, newton
 from mvnewton.grid import (
     Nodes1D,
@@ -152,6 +157,40 @@ def test_fold_matches_basis_matrix_oracle(seed):
     for x in pts[:3]:
         a = eval_recursive(poly, x)
         assert abs(eval_iterative(poly, x) - a) <= 1e-13 * (1.0 + abs(a))
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_newton_basis_values_is_the_product_formula_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 6))
+    index_set = random_downward_closed(rng, dim, int(rng.integers(1, 90)), 6)
+    tops = [index_set.max_exponent(i) for i in range(dim)]
+    grid = build_grid(index_set, random_axes(rng, [top + 1 for top in tops]))
+    pts = rng.uniform(-1, 1, (int(rng.integers(1, 25)), dim))
+    # up to two above an axis's top degree, where the factor is exactly zero
+    order = tuple(int(rng.integers(0, top + 3)) for top in tops)
+    for o in (None, order):
+        basis = newton_basis_values(grid, pts, o)
+        assert same_bits(basis, newton_basis_oracle(grid, pts, o))
+        assert same_bits(newton_basis_values(grid, pts[0], o), basis[0])
+    if any(o > top for o, top in zip(order, tops)):
+        assert not newton_basis_values(grid, pts, order).any()
+
+
+def test_newton_basis_values_edge_shapes():
+    grid = lcl_grid(3, 4, 2)
+    assert newton_basis_values(grid, np.empty((0, 3))).shape == (0, len(grid))
+    # a single-index set and a set with only level 0 on its later axes
+    for index_set in (make_lp_set(2, 0, 1), MultiIndexSet([(0, 0, 0), (1, 0, 0), (2, 0, 0)])):
+        grid = build_grid(index_set, axes_for(index_set, "lcl"))
+        pts = np.random.default_rng(1).uniform(-1, 1, (4, index_set.dim))
+        for order in (None, (1,) + (0,) * (index_set.dim - 1), (0,) * (index_set.dim - 1) + (1,)):
+            basis = newton_basis_values(grid, pts, order)
+            assert same_bits(basis, newton_basis_oracle(grid, pts, order))
 
 
 def test_fold_chunks_agree_with_one_chunk(monkeypatch):
