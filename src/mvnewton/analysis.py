@@ -9,7 +9,6 @@ closed form or constant is available.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +26,7 @@ from .grid import (
 )
 from .multi_index import make_lp_set
 from .newton import (
+    _as_points,
     eval_derivative,
     interpolate,
     lagrange_newton_matrix,
@@ -170,12 +170,7 @@ def benchmark_eval(f: BenchmarkFunction, x, order=None):
     ``order`` is a multi-index with total order at most 2; orders above 0
     are rejected for functions without analytic derivatives.
     """
-    pts = np.asarray(x, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != f.dim:
-        raise ValueError(f"points must have shape (m,) or (k, m) with m={f.dim}")
+    pts, single = _as_points(x, f.dim)
     if order is None:
         order = (0,) * f.dim
     order = tuple(int(v) for v in order)
@@ -307,7 +302,6 @@ def lebesgue_estimate(
     k: int = 0,
     *,
     size_cap: int = LEBESGUE_SIZE_CAP,
-    max_order: int = LEBESGUE_MAX_ORDER,
 ) -> float:
     """Sampled lower bound on the (k-th order) Lebesgue constant of ``grid``.
 
@@ -330,8 +324,8 @@ def lebesgue_estimate(
         raise ValueError(f"index set size {size} exceeds the Lebesgue cap {size_cap}")
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
-    if not 0 <= k <= max_order:
-        raise ValueError(f"derivative order k={k} outside 0..{max_order}")
+    if not 0 <= k <= LEBESGUE_MAX_ORDER:
+        raise ValueError(f"derivative order k={k} outside 0..{LEBESGUE_MAX_ORDER}")
 
     # row alpha: Newton coefficients of L_alpha, zero before column alpha
     lagrange = lagrange_newton_matrix(grid).T
@@ -389,10 +383,6 @@ class ConvergenceRecord:
         meta = "".join(f"# {key}: {self.meta[key]}\n" for key in sorted(self.meta))
         columns = [self.degrees, self.num_coeffs, self.errors]
         return meta + _table_text(["n", "num_coeffs", "error"], columns)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
 
     @classmethod
     def from_csv(cls, path) -> "ConvergenceRecord":
@@ -512,27 +502,19 @@ class RateFit:
             "fit_range": list(self.fit_range),
         }
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
-
-def fit_rate(record: ConvergenceRecord, saturation: float = SATURATION_FLOOR) -> RateFit:
+def fit_rate(record: ConvergenceRecord) -> RateFit:
     """Fit the geometric model to a convergence record.
 
     Filtering before the fit, in order: rows at machine-precision
-    saturation (``error < saturation``) are dropped; leading rows whose
+    saturation (``error < SATURATION_FLOOR``) are dropped; leading rows whose
     error has not fallen below the first row's error are dropped (plateau
     guard, applied to the leading prefix only); the window is then advanced
     to the first position where the errors decrease strictly over three
     consecutive rows.  At least 4 rows must survive.
     """
-    rows = [
-        (n, e)
-        for n, e in zip(record.degrees, record.errors)
-        if e >= saturation
-    ]
+    pairs = zip(record.degrees, record.errors)
+    rows = [(n, e) for n, e in pairs if e >= SATURATION_FLOOR]
     if len(rows) >= 2:
         head = rows[0][1]
         keep = [rows[0]]

@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="Lebesgue order k",
     )
-    p_leb.add_argument("--cap", type=int, default=analysis.LEBESGUE_SIZE_CAP)
+    p_leb.add_argument("--cap", type=_positive_int, default=analysis.LEBESGUE_SIZE_CAP)
     _add_common(p_leb)
     p_leb.set_defaults(func=cmd_lebesgue)
 

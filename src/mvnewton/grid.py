@@ -389,20 +389,15 @@ def monomial_vandermonde(points: np.ndarray, exponents: np.ndarray) -> np.ndarra
     return out
 
 
-def vandermonde_unisolvence_check(
-    nodes,
-    exponents=None,
-    *,
-    size_cap: int = UNISOLVENCE_SIZE_CAP,
-    rel_threshold: float = UNISOLVENCE_RTOL,
-) -> bool:
+def vandermonde_unisolvence_check(nodes, exponents=None) -> bool:
     """Numerically decide unisolvence of a node set (desk-scale oracle).
 
     Builds the ``|A| x |A|`` monomial Vandermonde matrix and reports whether
-    the smallest singular value exceeds ``rel_threshold`` times the largest.
-    Accepts an :class:`UnisolventGrid`, or raw ``(nodes, exponents)`` arrays
-    so degenerate inputs that the constructors forbid can still be probed.
-    The O(|A|^3) cost is capped at ``size_cap`` rows.
+    the smallest singular value exceeds ``UNISOLVENCE_RTOL`` times the
+    largest.  Accepts an :class:`UnisolventGrid`, or raw ``(nodes,
+    exponents)`` arrays so degenerate inputs that the constructors forbid
+    can still be probed.  The O(|A|^3) cost is capped at
+    ``UNISOLVENCE_SIZE_CAP`` rows.
     """
     if isinstance(nodes, UnisolventGrid):
         coords = nodes.node_coordinates
@@ -414,10 +409,11 @@ def vandermonde_unisolvence_check(
         exps = np.asarray(exponents, dtype=np.int64)
     if coords.shape[0] != exps.shape[0]:
         raise ValueError("node count must match index count")
-    if coords.shape[0] > size_cap:
+    if coords.shape[0] > UNISOLVENCE_SIZE_CAP:
         raise ValueError(
-            f"instance size {coords.shape[0]} exceeds the oracle cap {size_cap}"
+            f"instance size {coords.shape[0]} exceeds the oracle cap "
+            f"{UNISOLVENCE_SIZE_CAP}"
         )
     vmat = monomial_vandermonde(coords, exps)
     singular = np.linalg.svd(vmat, compute_uv=False)
-    return bool(singular[-1] > rel_threshold * singular[0])
+    return bool(singular[-1] > UNISOLVENCE_RTOL * singular[0])

@@ -221,18 +221,11 @@ def make_lp_set(m: int, n: int, p) -> MultiIndexSet:
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"degree n must be a non-negative integer, got {n!r}")
     m, n = int(m), int(n)
-    if p == math.inf:
-        p_norm = math.inf
-    elif isinstance(p, (int, np.integer)) or (isinstance(p, float) and p.is_integer()):
-        p_norm = int(p)
-    else:
-        p_norm = float(p)
-    if not p_norm == math.inf and p_norm <= 0:
+    p_exact = float(p)
+    if not p_exact > 0:  # also rejects nan
         raise ValueError(f"degree selector p must be positive, got {p!r}")
-    if p_norm == math.inf or p_norm in (1, 2):
-        p_exact = p_norm
-    else:
-        p_exact = float(p_norm)
+    if p_exact in (1, 2):
+        p_exact = int(p_exact)
 
     # Grow the table one coordinate at a time, starting from the *last*
     # coordinate so rows come out already in canonical order.
@@ -265,8 +258,7 @@ def make_lp_set(m: int, n: int, p) -> MultiIndexSet:
                 residual = residual[rep] - np.power(new_col.astype(np.float64), p_exact)
 
     exponents = block[:, ::-1]  # columns were built last-to-first
-    tag = (m, n, math.inf if p_exact == math.inf else p_exact)
-    return MultiIndexSet(exponents, provenance=tag)
+    return MultiIndexSet(exponents, provenance=(m, n, p_exact))
 
 
 class AxisLines(NamedTuple):

@@ -262,6 +262,15 @@ def test_lebesgue_cap_skips_rows(tmp_path, capsys):
     assert kept == {("1", "2"), ("inf", "2")}
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_lebesgue_rejects_cap_below_one(tmp_path, capsys, cap):
+    out = tmp_path / "leb.csv"
+    argv = ["lebesgue", "-m", 2, "-p", "1", "--degrees", "2", "--cap", cap, "--out", out]
+    assert run(argv) == 2
+    assert "--cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_identical_flags_identical_bytes(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

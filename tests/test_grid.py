@@ -198,8 +198,9 @@ def test_unisolvence_check_duplicate_nodes_fails():
 def test_unisolvence_check_size_cap():
     a = make_lp_set(2, 40, 1)
     grid = build_grid(a, [leja_order(chebyshev_lobatto(40))] * 2)
-    with pytest.raises(ValueError):
-        vandermonde_unisolvence_check(grid, size_cap=600)
+    assert len(grid) == 861 > grid_module.UNISOLVENCE_SIZE_CAP
+    with pytest.raises(ValueError, match="oracle cap"):
+        vandermonde_unisolvence_check(grid)
 
 
 def test_monomial_vandermonde_values():

@@ -56,6 +56,13 @@ def test_make_lp_set_rejects_bad_args():
         make_lp_set(2, 3, -2.5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_make_lp_set_rejects_nan_and_negative_infinity():
+    for p in (math.nan, -INF, np.float64("nan")):
+        with pytest.raises(ValueError, match="must be positive"):
+            make_lp_set(2, 3, p)
+
+
 def test_lex_order_compares_last_entry_first():
     # (5,3,1) < (1,0,3) < (1,1,3): compare from the last entry to the first
     s = MultiIndexSet([(1, 1, 3), (5, 3, 1), (1, 0, 3)])
