@@ -15,14 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (
-    DEFAULT_LEJA_RESOLUTION,
-    Nodes1D,
+    GRID_FAMILIES,
     UnisolventGrid,
     _read_table,
     _table_text,
     axes_for,
     build_grid,
-    leja_points,
 )
 from .multi_index import make_lp_set
 from .newton import (
@@ -46,8 +44,6 @@ __all__ = [
     "fit_rate",
     "GRID_FAMILIES",
 ]
-
-GRID_FAMILIES = ("lcl", "leja")
 
 BENCHMARK_IDS = (
     "runge",
@@ -416,7 +412,6 @@ def convergence_run(
     num_samples: int = 10_000,
     seed: int = 0,
     deriv_order=None,
-    leja_resolution: int = DEFAULT_LEJA_RESOLUTION,
 ) -> ConvergenceRecord:
     """Interpolate ``f`` for each degree and record sampled max errors.
 
@@ -438,22 +433,15 @@ def convergence_run(
     if not f.supports_order(order):
         raise ValueError(f"{f.kind} does not support derivative order {order}")
 
-    # Leja points are nested, so one long run serves every degree.
-    leja_axis = None
+    # Leja points are nested, so the axes of the top degree serve every
+    # degree; LCL points are not, so their axes are built per degree.
     if node_family == "leja":
-        top = max(degrees)
-        leja_axis = leja_points(top, resolution=max(leja_resolution, 10 * (top + 1)))
+        leja_axes = axes_for(make_lp_set(m, degrees[-1], p), "leja")
 
     sizes, errors = [], []
     for n in degrees:
         index_set = make_lp_set(m, n, p)
-        if node_family == "lcl":
-            axes = axes_for(index_set, "lcl")
-        else:
-            axes = tuple(
-                _truncate_axis(leja_axis, index_set.max_exponent(i) + 1)
-                for i in range(m)
-            )
+        axes = leja_axes if node_family == "leja" else axes_for(index_set, "lcl")
         grid = build_grid(index_set, axes)
         poly = interpolate(f, grid)
         rng = np.random.default_rng(seed ^ n)
@@ -474,12 +462,6 @@ def convergence_run(
         "deriv_order": ",".join(str(v) for v in order),
     }
     return ConvergenceRecord(tuple(degrees), tuple(sizes), tuple(errors), meta)
-
-
-def _truncate_axis(axis: Nodes1D, size: int) -> Nodes1D:
-    if len(axis) < size:
-        raise ValueError("cached Leja axis shorter than required")
-    return Nodes1D(axis.points[:size], family=axis.family)
 
 
 # -- rate fitting -------------------------------------------------------------

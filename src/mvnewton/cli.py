@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, grid as grid_mod
+from . import analysis
 from .analysis import (
     BenchmarkFunction,
     convergence_run,
@@ -30,7 +30,7 @@ from .analysis import (
     make_benchmark,
     optimal_rho,
 )
-from .grid import _loadtxt, _table_text, axes_for, build_grid
+from .grid import GRID_FAMILIES, _loadtxt, _table_text, axes_for, build_grid
 from .multi_index import make_lp_set
 from .newton import (
     DegenerateNodesError,
@@ -165,8 +165,7 @@ def _build_function(args) -> BenchmarkFunction:
 
 
 def _grid_for(args, index_set):
-    axes = axes_for(index_set, args.family, leja_resolution=args.leja_resolution)
-    return build_grid(index_set, axes)
+    return build_grid(index_set, axes_for(index_set, args.family))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -287,7 +286,6 @@ def cmd_convergence(args) -> int:
         num_samples=args.samples,
         seed=args.seed,
         deriv_order=deriv,
-        leja_resolution=args.leja_resolution,
     )
     fit = fit_rate(record)
     out = Path(args.out)
@@ -330,7 +328,13 @@ def cmd_lebesgue(args) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_output_args(parser: argparse.ArgumentParser, formats: bool = False):
+    parser.add_argument("--out", required=True, help="output path")
+    if formats:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_sampling_args(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
         "--samples",
@@ -338,8 +342,6 @@ def _add_common(parser: argparse.ArgumentParser):
         default=DEFAULT_SAMPLES,
         help="number of sample points",
     )
-    parser.add_argument("--out", required=True, help="output path")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_space_args(
@@ -351,15 +353,7 @@ def _add_space_args(
         "-m", "--dim", type=_positive_int, required=True, help="dimension m >= 1"
     )
     parser.add_argument("-p", type=p_type, default="2", help=p_help)
-    parser.add_argument(
-        "--family", choices=analysis.GRID_FAMILIES, default="lcl", help="node family"
-    )
-    parser.add_argument(
-        "--leja-resolution",
-        type=int,
-        default=grid_mod.DEFAULT_LEJA_RESOLUTION,
-        help="candidate grid size for continuum Leja points",
-    )
+    parser.add_argument("--family", choices=GRID_FAMILIES, default="lcl", help="node family")
 
 
 def _add_function_args(parser: argparse.ArgumentParser):
@@ -384,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nodes = sub.add_parser("nodes", help="generate an interpolation grid")
     _add_space_args(p_nodes)
     p_nodes.add_argument("-n", "--degree", type=int, required=True)
-    _add_common(p_nodes)
+    _add_output_args(p_nodes, formats=True)
     p_nodes.set_defaults(func=cmd_nodes)
 
     p_int = sub.add_parser("interpolate", help="interpolate samples or a builtin")
@@ -392,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("-n", "--degree", type=int, required=True)
     _add_function_args(p_int)
     p_int.add_argument("--values", help="file with one sample per line, grid order")
-    _add_common(p_int)
+    _add_output_args(p_int)
     p_int.set_defaults(func=cmd_interpolate)
 
     p_eval = sub.add_parser("eval", help="evaluate a polynomial bundle at points")
     p_eval.add_argument("--bundle", required=True, help="bundle directory")
     p_eval.add_argument("--points", required=True, help="CSV of query points")
     p_eval.add_argument("--deriv", type=parse_deriv, help="derivative multi-index, e.g. 1,0")
-    _add_common(p_eval)
+    _add_output_args(p_eval, formats=True)
     p_eval.set_defaults(func=cmd_eval)
 
     p_conv = sub.add_parser("convergence", help="run a degree sweep and fit the rate")
@@ -409,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_function_args(p_conv)
     p_conv.add_argument("--deriv", type=parse_deriv, help="derivative multi-index, e.g. 1,0")
-    _add_common(p_conv)
+    _add_sampling_args(p_conv)
+    _add_output_args(p_conv)
     p_conv.set_defaults(func=cmd_convergence)
 
     p_leb = sub.add_parser("lebesgue", help="sweep Lebesgue-constant estimates")
@@ -426,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="Lebesgue order k",
     )
     p_leb.add_argument("--cap", type=_positive_int, default=analysis.LEBESGUE_SIZE_CAP)
-    _add_common(p_leb)
+    _add_sampling_args(p_leb)
+    _add_output_args(p_leb, formats=True)
     p_leb.set_defaults(func=cmd_lebesgue)
 
     return parser

@@ -32,6 +32,9 @@ __all__ = [
 
 NODE_FAMILIES = ("chebyshev_lobatto", "leja_ordered_chebyshev_lobatto", "leja", "custom")
 
+# What ``axes_for`` builds: Leja-ordered Chebyshev-Lobatto or Leja points.
+GRID_FAMILIES = ("lcl", "leja")
+
 DEFAULT_LEJA_RESOLUTION = 100_000
 
 # Relative smallest-singular-value threshold separating "singular" from
@@ -148,18 +151,21 @@ def _golden_section_max(fun, lo: float, hi: float, tol: float = 1e-13) -> float:
     return 0.5 * (a + b)
 
 
-def leja_points(n: int, resolution: int = DEFAULT_LEJA_RESOLUTION) -> Nodes1D:
+def leja_points(n: int, resolution: int | None = None) -> Nodes1D:
     """The first ``n + 1`` Leja points of ``[-1, 1]``, starting at ``1``.
 
     Each point maximizes ``prod_j |p - p_j|`` over the interval.  The search
     is deterministic: an exhaustive scan over a Chebyshev-distributed
-    candidate grid of size ``resolution`` followed by golden-section
-    refinement of the winning candidate's bracketing interval (abscissa
-    tolerance ``1e-13``).  The sequence is nested, so a prefix of the result
-    is itself a valid Leja set.
+    candidate grid of size ``resolution`` (by default
+    ``DEFAULT_LEJA_RESOLUTION``, or ``10 * (n + 1)`` if that is larger)
+    followed by golden-section refinement of the winning candidate's
+    bracketing interval (abscissa tolerance ``1e-13``).  The sequence is
+    nested, so a prefix of the result is itself a valid Leja set.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
+    if resolution is None:
+        resolution = max(DEFAULT_LEJA_RESOLUTION, 10 * (n + 1))
     if resolution < 10 * (n + 1):
         raise ValueError(f"resolution must be at least 10*(n+1) = {10 * (n + 1)}")
     chosen = [1.0]
@@ -352,18 +358,14 @@ def build_grid(index_set: MultiIndexSet, axes) -> UnisolventGrid:
     return UnisolventGrid(index_set=index_set, axes=axes)
 
 
-def axes_for(
-    index_set: MultiIndexSet,
-    family: str,
-    leja_resolution: int = DEFAULT_LEJA_RESOLUTION,
-) -> tuple[Nodes1D, ...]:
+def axes_for(index_set: MultiIndexSet, family: str) -> tuple[Nodes1D, ...]:
     """Per-dimension axes of the requested family, sized for ``index_set``.
 
     ``family`` is ``"lcl"`` (Leja-ordered Chebyshev-Lobatto) or ``"leja"``
     (Leja points of the interval).  Axes of equal length are built once and
     shared.
     """
-    if family not in ("lcl", "leja"):
+    if family not in GRID_FAMILIES:
         raise ValueError(f"unknown grid family {family!r} (expected 'lcl' or 'leja')")
     tops = [index_set.max_exponent(i) for i in range(index_set.dim)]
     made = {}
@@ -373,7 +375,7 @@ def axes_for(
         if family == "lcl":
             made[n_i] = leja_order(chebyshev_lobatto(n_i))
         else:
-            made[n_i] = leja_points(n_i, resolution=max(leja_resolution, 10 * (n_i + 1)))
+            made[n_i] = leja_points(n_i)
     return tuple(made[n_i] for n_i in tops)
 
 

@@ -192,8 +192,8 @@ class MultiIndexSet:
         return int(self._axis_bounds()[axis])
 
 
-def _max_feasible(residual: np.ndarray, p) -> np.ndarray:
-    """Largest value ``a`` with ``a**p <= residual``, elementwise."""
+def _max_feasible(residual: np.ndarray, p, n: int) -> np.ndarray:
+    """Largest value ``a <= n`` with ``a**p <= residual``, elementwise."""
     if p == 1:
         return residual.astype(np.int64)
     if p == 2:
@@ -201,10 +201,14 @@ def _max_feasible(residual: np.ndarray, p) -> np.ndarray:
         c += (c + 1) ** 2 <= residual  # repair float rounding both ways
         c -= c**2 > residual
         return c
-    c = np.floor(np.power(np.maximum(residual, 0.0), 1.0 / p)).astype(np.int64)
+    # no coordinate of the ball exceeds n; clipping the root first keeps a
+    # tiny p, whose root overflows to inf, from breaking the int64 cast
+    with np.errstate(over="ignore"):
+        root = np.power(np.maximum(residual, 0.0), 1.0 / p)
+    c = np.floor(np.minimum(root, n)).astype(np.int64)
     c += np.power(c + 1.0, p) <= residual
     c -= (np.power(c.astype(np.float64), p) > residual) & (c > 0)
-    return np.maximum(c, 0)
+    return np.clip(c, 0, n)
 
 
 def make_lp_set(m: int, n: int, p) -> MultiIndexSet:
@@ -243,7 +247,7 @@ def make_lp_set(m: int, n: int, p) -> MultiIndexSet:
         if p_exact == math.inf:
             counts = np.full(block.shape[0], n + 1, dtype=np.int64)
         else:
-            counts = _max_feasible(residual, p_exact) + 1
+            counts = _max_feasible(residual, p_exact, n) + 1
         total = int(counts.sum())
         rep = np.repeat(np.arange(block.shape[0]), counts)
         offsets = np.cumsum(counts) - counts

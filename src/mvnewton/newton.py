@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import UnisolventGrid, _read_table, _table_text
+from .grid import NODE_FAMILIES, UnisolventGrid, _read_table, _table_text
 from .multi_index import AxisLines
 
 __all__ = [
@@ -495,7 +495,7 @@ def load_bundle(directory) -> NewtonPolynomial:
     if not isinstance(header, dict):
         raise ValueError(f"{directory / 'header.json'} does not hold a JSON object")
     family = header.get("node_family", "custom")
-    if family not in ("chebyshev_lobatto", "leja_ordered_chebyshev_lobatto", "leja"):
+    if family not in NODE_FAMILIES:
         family = "custom"
     grid = UnisolventGrid.from_csv(directory / "grid.csv", family=family)
     if header.get("m") != grid.dim or header.get("num_coeffs") != len(grid):

@@ -27,6 +27,7 @@ from mvnewton.analysis import (
 )
 from mvnewton.grid import axes_for, build_grid
 from mvnewton.multi_index import make_lp_set
+from mvnewton.newton import eval_derivative, interpolate
 
 INF = math.inf
 
@@ -329,11 +330,26 @@ def test_convergence_runge_1d_classic_decay():
 
 def test_convergence_leja_family_runs():
     f = make_benchmark("runge", 1, r=1, s=1)
-    rec = convergence_run(
-        f, 2, "leja", [2, 4, 6, 8], num_samples=500, seed=1, leja_resolution=2000
-    )
+    rec = convergence_run(f, 2, "leja", [2, 4, 6, 8], num_samples=500, seed=1)
     assert rec.errors[-1] < rec.errors[0]
     assert rec.meta["family"] == "leja"
+
+
+@pytest.mark.parametrize("p", [1, 2, INF])
+def test_convergence_leja_reuses_top_axes_bitwise(p):
+    # the top degree's Leja axes serve every degree, because the points
+    # are nested; rebuilding the axes per degree must give the same bits
+    f = make_benchmark("runge", 2, r=1, s=1)
+    degrees = list(range(2, 11))
+    rec = convergence_run(f, p, "leja", degrees, num_samples=300, seed=4)
+    expected = []
+    for n in degrees:
+        index_set = make_lp_set(2, n, p)
+        poly = interpolate(f, build_grid(index_set, axes_for(index_set, "leja")))
+        points = np.random.default_rng(4 ^ n).uniform(-1.0, 1.0, size=(300, 2))
+        error = benchmark_eval(f, points, (0, 0)) - eval_derivative(poly, (0, 0), points)
+        expected.append(float(np.abs(error).max()))
+    assert rec.errors == tuple(expected)
 
 
 def test_convergence_validation():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -334,3 +335,101 @@ def test_eval_rejects_non_finite_points(tmp_path, capsys):
         assert run(argv) == 2
         assert not out.exists()
         assert f"line {line} " in capsys.readouterr().err
+
+
+class _RecordingNamespace(argparse.Namespace):
+    """A namespace that records the public attributes read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _subparser_dests(parser, name):
+    (subparsers,) = (
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {a.dest for a in subparsers.choices[name]._actions if a.dest != "help"}
+
+
+def test_every_command_reads_every_flag(tmp_path):
+    _xy_bundle(tmp_path / "b")
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,-0.25\n")
+    vals = tmp_path / "vals.txt"
+    vals.write_text("1\n2\n3\n")
+    branches = {
+        "nodes": [
+            ["-m", 1, "-n", 2, "--family", "lcl"],
+            ["-m", 1, "-n", 2, "--family", "leja", "--format", "json"],
+        ],
+        "interpolate": [
+            ["-m", 1, "-n", 2, "--family", "leja", "--values", vals],
+            ["-m", 1, "-n", 2, "--function", "runge", "--r", 2, "--s", 1],
+            ["-m", 1, "-n", 2, "--function", "f4", "--a", 1.5],
+            ["-m", 1, "-n", 2, "--function", "f5", "--k1", 1, "--k2", 2],
+        ],
+        "eval": [
+            ["--bundle", tmp_path / "b", "--points", pts],
+            ["--bundle", tmp_path / "b", "--points", pts, "--deriv", "1,0"],
+        ],
+        "convergence": [
+            ["-m", 1, "--function", "runge", "--degrees", "2:12:2", "--samples", 50],
+            ["-m", 1, "--family", "leja", "--function", "runge", "--degrees", "2:12:2",
+             "--deriv", "1", "--samples", 50, "--seed", 3],
+        ],
+        "lebesgue": [
+            ["-m", 1, "-p", "1,inf", "--degrees", "1,2", "-k", 1, "--cap", 10,
+             "--samples", 50, "--seed", 3, "--format", "json"],
+            ["-m", 1, "--family", "leja", "--degrees", "1,2", "--samples", 50],
+        ],
+    }
+    parser = cli.build_parser()
+    unread = {}
+    for command, runs in branches.items():
+        read = set()
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"{command}{i}"
+            argv = [command, *argv, "--out", out]
+            args = parser.parse_args([str(a) for a in argv], _RecordingNamespace())
+            args._read.clear()  # parsing itself reads the defaults
+            assert args.func(args) == 0, argv
+            read |= args._read
+        missing = _subparser_dests(parser, command) - read
+        if missing:
+            unread[command] = sorted(missing)
+    assert unread == {}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("nodes", ["--leja-resolution", 0]),
+        ("nodes", ["--seed", 3]),
+        ("eval", ["--samples", 5]),
+        ("interpolate", ["--format", "json"]),
+        ("convergence", ["--format", "json"]),
+    ],
+)
+def test_flags_no_command_reads_are_rejected(tmp_path, capsys, command, flag):
+    _xy_bundle(tmp_path / "b")
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,-0.25\n")
+    argv = {
+        "nodes": ["-m", 2, "-n", 3, "--family", "leja"],
+        "eval": ["--bundle", tmp_path / "b", "--points", pts],
+        "interpolate": ["-m", 2, "-n", 3, "--function", "runge"],
+        "convergence": ["-m", 1, "--function", "runge", "--degrees", "2:12:2",
+                        "--samples", 50],
+    }[command]
+    out = tmp_path / "out"
+    assert run([command, *argv, *flag, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(map(str, flag))}" in err
+    assert not out.exists()
+    assert not out.with_suffix(".fit.json").exists()

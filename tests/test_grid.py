@@ -160,9 +160,9 @@ def test_axes_for_builds_each_length_once(monkeypatch):
     assert [len(ax) for ax in lcl] == [4, 2, 4] and lcl[0] is lcl[2]
     for ax, n in zip(lcl, (3, 1, 3)):
         assert np.array_equal(ax.points, leja_order(chebyshev_lobatto(n)).points)
-    leja = axes_for(index_set, "leja", leja_resolution=100)
+    leja = axes_for(index_set, "leja")
     assert [len(ax) for ax in leja] == [4, 2, 4] and leja[0] is leja[2]
-    assert np.array_equal(leja[1].points, leja_points(1, resolution=100).points)
+    assert np.array_equal(leja[1].points, leja_points(1).points)
     with pytest.raises(ValueError, match="unknown grid family"):
         axes_for(index_set, "chebyshev")
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -61,6 +62,39 @@ def test_make_lp_set_rejects_nan_and_negative_infinity():
     for p in (math.nan, -INF, np.float64("nan")):
         with pytest.raises(ValueError, match="must be positive"):
             make_lp_set(2, 3, p)
+
+
+def _lp_oracle(m, n, p):
+    """The l_p ball by enumeration, with ``make_lp_set``'s arithmetic: exact
+    for p in {1, 2, inf}, otherwise the float residual ``n**p + slack`` less
+    ``a_i**p``, last coordinate first."""
+    slack = 0.0 if p in (1, 2) else multi_index.GENERAL_P_TOLERANCE
+
+    def inside(alpha):
+        residual = np.power(float(n), p) + slack
+        for a in reversed(alpha):
+            term = np.power(float(a), p)
+            if term > residual:
+                return False
+            residual -= term
+        return True
+
+    box = itertools.product(range(n + 1), repeat=m)
+    members = list(box) if p == INF else [alpha for alpha in box if inside(alpha)]
+    return sorted(members, key=lambda a: tuple(reversed(a)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_p_gives_the_cross_and_other_p_are_unchanged():
+    cross = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]
+    assert list(make_lp_set(2, 2, 1e-3)) == cross
+    assert list(make_lp_set(2, 2, 1e-300)) == cross
+    for p in (0.3, 0.5, 1.5, 3, 1, 2, INF):
+        for m, n in [(1, 9), (2, 7), (3, 5)]:
+            expected = np.array(_lp_oracle(m, n, p), dtype=np.int64).reshape(-1, m)
+            exponents = make_lp_set(m, n, p).exponents
+            assert exponents.dtype == expected.dtype
+            assert np.array_equal(exponents, expected), (m, n, p)
 
 
 def test_lex_order_compares_last_entry_first():
