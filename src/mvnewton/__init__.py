@@ -4,7 +4,7 @@ and differentiation, Lagrange-basis tools, Lebesgue-constant estimation,
 and a convergence-rate benchmark harness.
 """
 
-from .multi_index import MultiIndexSet, is_downward_closed, make_lp_set
+from .multi_index import MultiIndexSet, make_lp_set
 from .grid import (
     Nodes1D,
     UnisolventGrid,
@@ -50,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MultiIndexSet",
-    "is_downward_closed",
     "make_lp_set",
     "Nodes1D",
     "UnisolventGrid",

@@ -21,6 +21,7 @@ from .grid import (
     _table_text,
     axes_for,
     build_grid,
+    leja_points,
 )
 from .multi_index import make_lp_set
 from .newton import (
@@ -231,8 +232,9 @@ def _benchmark_dispatch(f: BenchmarkFunction, pts: np.ndarray, order) -> np.ndar
     )
 
 
-def optimal_rho(f: BenchmarkFunction, p, m: int | None = None) -> float | None:
-    """Published reference rate for ``(f, p, m)``, or ``None`` when unknown.
+def optimal_rho(f: BenchmarkFunction, p) -> float | None:
+    """Published reference rate for ``(f, p)`` in ``f``'s dimension ``m``, or
+    ``None`` when unknown.
 
     * ``runge``: ``(h + sqrt(h^2 + m)) / sqrt(m)`` for total degree and
       ``h + sqrt(h^2 + 1)`` for Euclidean/maximum degree, with ``h = s/r``;
@@ -244,7 +246,7 @@ def optimal_rho(f: BenchmarkFunction, p, m: int | None = None) -> float | None:
     * ``f4_shifted_runge_m``: the published 2D constants for ``a = 5/4``.
     * ``f5_trig``: entire, asymptotic rate unbounded; always ``None``.
     """
-    m = f.dim if m is None else int(m)
+    m = f.dim
     pars = f.params_dict
     if f.kind == "runge":
         h = pars["s"] / pars["r"]
@@ -434,9 +436,10 @@ def convergence_run(
         raise ValueError(f"{f.kind} does not support derivative order {order}")
 
     # Leja points are nested, so the axes of the top degree serve every
-    # degree; LCL points are not, so their axes are built per degree.
+    # degree (an l_p ball of radius n reaches n on every axis); LCL points
+    # are not, so their axes are built per degree.
     if node_family == "leja":
-        leja_axes = axes_for(make_lp_set(m, degrees[-1], p), "leja")
+        leja_axes = (leja_points(degrees[-1]),) * m
 
     sizes, errors = [], []
     for n in degrees:

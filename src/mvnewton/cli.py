@@ -173,10 +173,7 @@ def _grid_for(args, index_set):
 
 def cmd_nodes(args) -> int:
     the_grid = _grid_for(args, make_lp_set(args.dim, args.degree, args.p))
-    dim = the_grid.dim
-    header = [f"a{i + 1}" for i in range(dim)] + [f"x{i + 1}" for i in range(dim)]
-    columns = [*the_grid.index_set.exponents.T, *the_grid.node_coordinates.T]
-    _atomic_write_text(args.out, _rows_text(header, columns, args.format))
+    _atomic_write_text(args.out, _rows_text(*the_grid._table(), args.format))
     print(f"num_indices={len(the_grid)}")
     for i, axis in enumerate(the_grid.axes):
         print(f"axis{i + 1}: " + " ".join(_fmt(v) for v in axis.points))

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .multi_index import MultiIndexSet, is_downward_closed
+from .multi_index import MultiIndexSet
 
 __all__ = [
     "Nodes1D",
@@ -254,13 +254,17 @@ class UnisolventGrid:
     def __len__(self) -> int:
         return len(self.index_set)
 
-    def to_csv(self, path) -> None:
-        """Columns ``a1..am, x1..xm`` (index then coordinates), canonical order."""
+    def _table(self) -> tuple[list[str], list[np.ndarray]]:
+        """The header ``a1..am, x1..xm`` and the columns (index then
+        coordinates) of the grid table, rows in canonical order."""
         dim = self.dim
         header = [f"a{i + 1}" for i in range(dim)] + [f"x{i + 1}" for i in range(dim)]
-        columns = [*self.index_set.exponents.T, *self.node_coordinates.T]
+        return header, [*self.index_set.exponents.T, *self.node_coordinates.T]
+
+    def to_csv(self, path) -> None:
+        """The grid table as CSV: columns ``a1..am, x1..xm``, canonical order."""
         with open(path, "w", newline="") as fh:
-            fh.write(_table_text(header, columns))
+            fh.write(_table_text(*self._table()))
 
     @classmethod
     def from_csv(cls, path, family: str = "custom") -> "UnisolventGrid":
@@ -269,7 +273,8 @@ class UnisolventGrid:
         Axis points beyond the largest exponent used per dimension are not
         recoverable from the file; the reconstructed axes are exactly as
         long as the index set requires.  Rows that give one axis level two
-        different coordinates are rejected.
+        different coordinates, or indices that are not downward closed, are
+        rejected.
         """
 
         def row_dtype(header):
@@ -283,10 +288,8 @@ class UnisolventGrid:
         index_set = MultiIndexSet(exps)
         axes = []
         for i in range(index_set.dim):
-            size = index_set.max_exponent(i) + 1
-            if np.unique(exps[:, i]).size != size:
-                raise ValueError(f"grid file {path} misses axis levels in dim {i + 1}")
-            pts = np.empty(size)
+            # a downward-closed set holds every level up to its axis top
+            pts = np.empty(index_set.max_exponent(i) + 1)
             pts[exps[:, i]] = coords[:, i]
             clash = np.flatnonzero(pts[exps[:, i]] != coords[:, i])
             if clash.size:
@@ -334,10 +337,10 @@ def _loadtxt(source, ndmin: int = 1, **options) -> np.ndarray:
 def build_grid(index_set: MultiIndexSet, axes) -> UnisolventGrid:
     """Assemble the node set ``{(p[a_1,1], ..., p[a_m,m]) : alpha in A}``.
 
-    Requires a downward-closed index set and, per dimension ``i``, at least
-    ``max_exponent(A, i) + 1`` pairwise-distinct axis points.  Distinct axis
-    points make all ``|A|`` grid nodes distinct, and the resulting grid is
-    unisolvent for the polynomial space spanned by ``A``.
+    Requires, per dimension ``i``, at least ``max_exponent(A, i) + 1``
+    pairwise-distinct axis points.  Distinct axis points make all ``|A|``
+    grid nodes distinct, and since every index set is downward closed, the
+    resulting grid is unisolvent for the polynomial space spanned by ``A``.
     """
     axes = tuple(
         ax if isinstance(ax, Nodes1D) else Nodes1D(np.asarray(ax, dtype=np.float64))
@@ -353,8 +356,6 @@ def build_grid(index_set: MultiIndexSet, axes) -> UnisolventGrid:
             raise ValueError(
                 f"axis {i + 1} has {len(ax)} points but the index set needs {needed}"
             )
-    if not is_downward_closed(index_set):
-        raise ValueError("grid construction requires a downward-closed index set")
     return UnisolventGrid(index_set=index_set, axes=axes)
 
 
@@ -367,16 +368,15 @@ def axes_for(index_set: MultiIndexSet, family: str) -> tuple[Nodes1D, ...]:
     """
     if family not in GRID_FAMILIES:
         raise ValueError(f"unknown grid family {family!r} (expected 'lcl' or 'leja')")
-    tops = [index_set.max_exponent(i) for i in range(index_set.dim)]
     made = {}
-    for n_i in tops:
+    for n_i in index_set.tops:
         if n_i in made:
             continue
         if family == "lcl":
             made[n_i] = leja_order(chebyshev_lobatto(n_i))
         else:
             made[n_i] = leja_points(n_i)
-    return tuple(made[n_i] for n_i in tops)
+    return tuple(made[n_i] for n_i in index_set.tops)
 
 
 def monomial_vandermonde(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:

@@ -4,6 +4,10 @@ Exponent vectors are kept in a canonical lexicographic order that compares
 the *last* entry first, e.g. ``(5, 3, 1) < (1, 0, 3) < (1, 1, 3)``.  Every
 coefficient vector in this package is aligned positionally to that order,
 so there is exactly one storage layout to get wrong.
+
+A :class:`MultiIndexSet` is downward closed by construction: the
+constructor builds the set's :class:`Layout`, which is also the one
+closure check, so every set that exists has one.
 """
 from __future__ import annotations
 
@@ -15,7 +19,6 @@ import numpy as np
 __all__ = [
     "MultiIndexSet",
     "make_lp_set",
-    "is_downward_closed",
 ]
 
 # Inclusion slack for non-integer p, where membership is decided in floats.
@@ -38,7 +41,8 @@ def _strictly_ascending(rows: np.ndarray) -> bool:
 
 
 class MultiIndexSet:
-    """A non-empty set of exponent vectors in ``N^m``, canonically ordered.
+    """A non-empty downward-closed set of exponent vectors in ``N^m``,
+    canonically ordered.
 
     Parameters
     ----------
@@ -48,17 +52,17 @@ class MultiIndexSet:
     provenance : tuple, optional
         ``(m, n, p)`` tag attached by :func:`make_lp_set`.
 
-    The instance is immutable after construction and safe for concurrent
-    reads: the per-axis bounds, the lookup keys and the :meth:`layout` are
-    computed on first use and published with one assignment each.
-    Downward closure is *not* enforced here (use :func:`is_downward_closed`);
-    operations that require it, such as grid construction, check it
-    themselves.
+    Construction raises ``ValueError("the index set is not downward
+    closed")`` unless every member's componentwise-smaller neighbours are
+    members.  It builds :attr:`layout`, the grid-line tables of every axis,
+    the evaluation fold plan and the basis-value plan, and :attr:`tops`, the
+    largest exponent along each axis.  The instance is immutable and safe
+    for concurrent reads: only the lookup keys of :meth:`positions` are
+    built on first use, and the key array is published after its weights.
     """
 
     __slots__ = (
-        "dim", "exponents", "provenance", "_bounds", "_keys", "_key_weights", "_lookup",
-        "_layout",
+        "dim", "exponents", "provenance", "layout", "tops", "_keys", "_key_weights", "_lookup",
     )
 
     def __init__(self, exponents, provenance: tuple | None = None):
@@ -79,14 +83,15 @@ class MultiIndexSet:
             if not _strictly_ascending(arr):
                 raise ValueError("duplicate multi-indices are not allowed")
         arr.setflags(write=False)
+        layout = _build_layout(arr)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "exponents", arr)
         object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "_bounds", None)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "tops", tuple(len(lines.reach) - 1 for lines in layout.lines))
         object.__setattr__(self, "_keys", None)
         object.__setattr__(self, "_key_weights", None)
         object.__setattr__(self, "_lookup", None)
-        object.__setattr__(self, "_layout", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiIndexSet is immutable")
@@ -118,22 +123,13 @@ class MultiIndexSet:
 
     # -- positional lookup ------------------------------------------------
 
-    def _axis_bounds(self) -> np.ndarray:
-        """The largest exponent along every axis, computed once."""
-        if self._bounds is None:
-            bounds = self.exponents.max(axis=0)
-            bounds.setflags(write=False)
-            object.__setattr__(self, "_bounds", bounds)
-        return self._bounds
-
     def _build_lookup(self) -> None:
         if self._keys is not None or self._lookup is not None:
             return
-        radices = self._axis_bounds() + 1
         weights = [1]
-        for r in radices[:-1]:
-            weights.append(weights[-1] * int(r))
-        if weights[-1] * int(radices[-1]) < _KEY_LIMIT:
+        for top in self.tops[:-1]:
+            weights.append(weights[-1] * (top + 1))
+        if weights[-1] * (self.tops[-1] + 1) < _KEY_LIMIT:
             w = np.asarray(weights, dtype=np.int64)
             object.__setattr__(self, "_key_weights", w)
             object.__setattr__(self, "_keys", self.exponents @ w)
@@ -152,7 +148,7 @@ class MultiIndexSet:
             raise ValueError(f"queries must have {self.dim} columns")
         self._build_lookup()
         if self._keys is not None:
-            inside = (q >= 0).all(axis=1) & (q <= self._bounds).all(axis=1)
+            inside = (q >= 0).all(axis=1) & (q <= self.tops).all(axis=1)
             qkeys = np.where(inside, q @ self._key_weights, -1)
             pos = np.searchsorted(self._keys, qkeys)
             pos = np.minimum(pos, len(self) - 1)
@@ -172,24 +168,11 @@ class MultiIndexSet:
     def position(self, alpha) -> int:
         return int(self.positions(np.asarray(alpha, dtype=np.int64)[None, :])[0])
 
-    def layout(self) -> Layout:
-        """The grid-line tables of every axis, the evaluation fold plan and
-        the basis-value plan.
-
-        Built on first use and cached.  Raises ``ValueError`` when the set is
-        not downward closed (nothing is cached then).
-        """
-        if self._layout is None:
-            # build completely, then publish: a concurrent reader sees either
-            # no layout or the whole of one
-            object.__setattr__(self, "_layout", _build_layout(self.exponents))
-        return self._layout
-
     def max_exponent(self, axis: int) -> int:
         """Largest exponent appearing along ``axis`` (0-based)."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
-        return int(self._axis_bounds()[axis])
+        return self.tops[axis]
 
 
 def _max_feasible(residual: np.ndarray, p, n: int) -> np.ndarray:
@@ -350,7 +333,7 @@ def _axis_lines(exponents: np.ndarray, axis: int) -> AxisLines:
     by_length = np.argsort(-lengths, kind="stable")
     column = np.empty_like(by_length)
     column[by_length] = np.arange(by_length.size)
-    # ``cell`` is the bulk of a cached layout, so it is int32 unless the
+    # ``cell`` is the bulk of a stored layout, so it is int32 unless the
     # padded table is too tall for that
     size = int(lengths.max()) * lengths.size
     cell = np.empty(count, dtype=np.int32 if size <= 2**31 else np.intp)
@@ -436,16 +419,3 @@ def _build_layout(exponents: np.ndarray) -> Layout:
     lines = tuple(_axis_lines(exponents, axis) for axis in range(exponents.shape[1]))
     return Layout(lines, _fold_plan(exponents, lines[0]), _basis_plan(exponents, lines))
 
-
-def is_downward_closed(index_set: MultiIndexSet) -> bool:
-    """True iff every componentwise-smaller neighbour of a member is a member.
-
-    It suffices that along every axis each grid line holds the levels
-    ``0, 1, ..., len - 1``, which is what building the set's
-    :meth:`~MultiIndexSet.layout` checks.
-    """
-    try:
-        index_set.layout()
-    except ValueError:
-        return False
-    return True

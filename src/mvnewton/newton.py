@@ -17,10 +17,9 @@ larger for ``p < 1``, whose long thin arms leave most of a table as padding.
 
 Where each index lands in those tables, the walk of the evaluation fold
 and the build order of the basis values are the index set's layout
-(:meth:`MultiIndexSet.layout <mvnewton.multi_index.MultiIndexSet.layout>`):
-it is built once per index set, by the downward-closure check of grid
-construction or by the first transform or evaluation, and every later
-call reads it.
+(:attr:`MultiIndexSet.layout <mvnewton.multi_index.MultiIndexSet.layout>`):
+the set's constructor builds it once, as its downward-closure check, and
+every transform and evaluation reads it.
 """
 from __future__ import annotations
 
@@ -74,6 +73,19 @@ class NonFiniteSampleError(ValueError):
     """A sample value is NaN or infinite."""
 
 
+def _read_only_vector(vector, grid: UnisolventGrid, name: str, non_finite: Exception):
+    """A read-only float copy of ``vector``, one entry per grid node; a wrong
+    length raises ``ValueError`` naming the ``name`` vector, and a NaN or
+    infinite entry raises ``non_finite``."""
+    arr = np.array(vector, dtype=np.float64, copy=True)
+    if arr.shape != (len(grid),):
+        raise ValueError(f"{name} vector must have length {len(grid)}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise non_finite
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class NewtonPolynomial:
     """A polynomial in the Newton basis of ``grid``: ``sum_a c_a * N_a``."""
@@ -82,15 +94,9 @@ class NewtonPolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.float64, copy=True)
-        if arr.shape != (len(self.grid),):
-            raise ValueError(
-                f"coefficient vector must have length {len(self.grid)}, got {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError("coefficients must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        error = ValueError("coefficients must be finite")
+        coeffs = _read_only_vector(self.coeffs, self.grid, "coefficient", error)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, x):
         return eval_iterative(self, x)
@@ -104,15 +110,9 @@ class LagrangeCoefficients:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.shape != (len(self.grid),):
-            raise ValueError(
-                f"value vector must have length {len(self.grid)}, got {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise NonFiniteSampleError("sample values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        error = NonFiniteSampleError("sample values must be finite")
+        values = _read_only_vector(self.values, self.grid, "value", error)
+        object.__setattr__(self, "values", values)
 
 
 def _axis_sweep(lines: AxisLines, axis: int, points: np.ndarray, values, inverse):
@@ -187,7 +187,7 @@ def _aligned_empty(shape) -> np.ndarray:
 
 
 def _transform(grid: UnisolventGrid, values: np.ndarray, inverse: bool = False):
-    lines = grid.index_set.layout().lines
+    lines = grid.index_set.layout.lines
     axis_order = range(grid.dim) if inverse else range(grid.dim - 1, -1, -1)
     for axis in axis_order:
         _axis_sweep(lines[axis], axis, grid.axes[axis].points, values, inverse)
@@ -337,7 +337,7 @@ def newton_basis_values(grid: UnisolventGrid, x, order=None) -> np.ndarray:
     ``(|A|,)`` for a single point ``(m,)``.
 
     The result is the transpose of a C-contiguous ``(|A|, k)`` array, built
-    one axis at a time along the index set's cached
+    one axis at a time along the index set's
     :class:`~mvnewton.multi_index.BasisPlan`: axis 0 writes its table (see
     :func:`_axis_table`) into the leading rows, and each later axis fills
     its level-``l`` rows with already built rows times row ``l`` of its
@@ -348,12 +348,11 @@ def newton_basis_values(grid: UnisolventGrid, x, order=None) -> np.ndarray:
     """
     pts, single = _as_points(x, grid.dim)
     order = _check_order((0,) * grid.dim if order is None else order, grid.dim)
-    layout = grid.index_set.layout()
-    tops = [len(lines.reach) - 1 for lines in layout.lines]
+    tops = grid.index_set.tops
     columns = np.ascontiguousarray(pts.T)
     out = np.empty((len(grid), pts.shape[0]))
     out[: tops[0] + 1] = _axis_table(grid.axes[0].points, tops[0], columns[0], order[0])
-    plan = layout.basis
+    plan = grid.index_set.layout.basis
     for i, levels in enumerate(plan.levels, 1):
         table = _axis_table(grid.axes[i].points, tops[i], columns[i], order[i])
         for level, (rows, source) in enumerate(levels, 1):
@@ -375,15 +374,15 @@ def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
     ``i``: level by level, the members at level ``l`` are scaled by row
     ``l`` of the axis-``i`` table and added to their group's sum.  Points
     stay on the last, contiguous axis.  The walk follows the index set's
-    cached :class:`~mvnewton.multi_index.FoldPlan`: the runs are listed
+    :class:`~mvnewton.multi_index.FoldPlan`: the runs are listed
     level-major in ``a_2``, so the largest sums, those of axis 2, read
     contiguous slices of the GEMM output.
     """
     pts, single = _as_points(x, poly.grid.dim)
-    layout = poly.grid.index_set.layout()
+    layout = poly.grid.index_set.layout
     plan = layout.fold
     axes = poly.grid.axes
-    tops = [len(lines.reach) - 1 for lines in layout.lines]
+    tops = poly.grid.index_set.tops
     # lay the coefficients out in the axis-0 line table, then list its
     # columns (the runs) as the plan does
     padded = np.zeros((tops[0] + 1) * plan.runs.size)
@@ -415,7 +414,7 @@ def eval_iterative(poly: NewtonPolynomial, x):
     (see :func:`_fold`): one ``(runs x (n_1 + 1)) . ((n_1 + 1) x k)`` GEMM
     plus ``O(k * runs)`` segmented work for the later axes, where ``runs``
     counts the blocks of indices sharing ``a_2..a_m``.  The walk is read
-    from the index set's layout, built once per index set.
+    from the index set's layout.
     """
     return _fold(poly, x, (0,) * poly.grid.dim)
 
@@ -435,15 +434,13 @@ def eval_recursive(poly: NewtonPolynomial, x) -> float:
     """Evaluate one point by the recursive splitting ``Q = Q1 + (x_i - p) Q2``.
 
     A nested Horner walk over the canonical layout: contiguous runs sharing
-    all trailing exponents are collapsed one dimension at a time.  O(|A|)
-    arithmetic operations.
+    all trailing exponents are collapsed one dimension at a time, every level
+    below a block's top being present because the set is downward closed.
+    O(|A|) arithmetic operations.
     """
     pts, single = _as_points(x, poly.grid.dim)
     if not single:
         raise ValueError("eval_recursive evaluates a single point")
-    # the walk takes every level below a block's top as present; the layout
-    # raises for a set where that fails
-    poly.grid.index_set.layout()
     point = pts[0]
     exps = poly.grid.index_set.exponents
     coeffs = poly.coeffs
@@ -489,6 +486,8 @@ def save_bundle(poly: NewtonPolynomial, directory) -> None:
 
 
 def load_bundle(directory) -> NewtonPolynomial:
+    """Read a :func:`save_bundle` directory.  ``coefficients.csv`` must list
+    the indices of ``grid.csv`` in canonical order, as the writer does."""
     directory = Path(directory)
     with open(directory / "header.json") as fh:
         header = json.load(fh)
@@ -505,16 +504,12 @@ def load_bundle(directory) -> NewtonPolynomial:
         )
     row_dtype = [("a", np.int64, (grid.dim,)), ("c", np.float64)]
     rows = _read_table(directory / "coefficients.csv", lambda names: row_dtype)
-    if len(rows) != len(grid):
+    if not np.array_equal(rows["a"], grid.index_set.exponents):
         raise ValueError(
-            f"coefficient file has {len(rows)} rows, grid has {len(grid)} nodes"
+            f"coefficient file does not list the {len(grid)} indices of the grid "
+            "in canonical order"
         )
-    pos = grid.index_set.positions(rows["a"])
-    if np.unique(pos).size != len(grid):
-        raise ValueError("coefficient file does not cover every index exactly once")
-    ordered = np.empty(len(grid))
-    ordered[pos] = rows["c"]
-    return NewtonPolynomial(grid, ordered)
+    return NewtonPolynomial(grid, rows["c"])
 
 
 def _provenance_json(tag):

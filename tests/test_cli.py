@@ -325,6 +325,24 @@ def test_eval_rejects_grid_rows_disagreeing_about_an_axis_point(tmp_path, capsys
     assert "axis 2 at level 1" in capsys.readouterr().err
 
 
+def test_eval_rejects_coefficient_rows_out_of_canonical_order(tmp_path, capsys):
+    _xy_bundle(tmp_path / "b")
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,-0.25\n")
+    out = tmp_path / "v.csv"
+    argv = ["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]
+    assert run(argv) == 0
+    out.unlink()
+    coeff_file = tmp_path / "b" / "coefficients.csv"
+    lines = coeff_file.read_text().splitlines()
+    assert lines[0] == "a1,a2,c" and lines[2].startswith("1,0,")
+    lines[2], lines[3] = lines[3], lines[2]  # the same indices, two rows swapped
+    coeff_file.write_text("\n".join(lines) + "\n")
+    assert run(argv) == 2
+    assert not out.exists()
+    assert "canonical order" in capsys.readouterr().err
+
+
 def test_eval_rejects_non_finite_points(tmp_path, capsys):
     _xy_bundle(tmp_path / "b")
     pts = tmp_path / "pts.csv"

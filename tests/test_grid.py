@@ -168,9 +168,9 @@ def test_axes_for_builds_each_length_once(monkeypatch):
 
 
 def test_build_grid_requires_downward_closed():
-    broken = MultiIndexSet([(0, 0), (1, 1)])
-    with pytest.raises(ValueError):
-        build_grid(broken, [Nodes1D(np.array([1.0, -1.0]))] * 2)
+    # the index set of a grid cannot be anything but downward closed
+    with pytest.raises(ValueError, match="^the index set is not downward closed$"):
+        build_grid(MultiIndexSet([(0, 0), (1, 1)]), [Nodes1D(np.array([1.0, -1.0]))] * 2)
 
 
 def test_max_degree_grid_is_tensor_product():
@@ -240,7 +240,8 @@ def test_grid_csv_rejects_inconsistent_rows(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="axis 2 at level 1"):
         UnisolventGrid.from_csv(path)
-    # a level far beyond the row count is a missing level, not an allocation
+    # a level far beyond the row count leaves the set not downward closed,
+    # which is found before anything is allocated per level
     path.write_text("a1,x1\n0,1\n1000000000000000,-1\n")
-    with pytest.raises(ValueError, match="misses axis levels"):
+    with pytest.raises(ValueError, match="^the index set is not downward closed$"):
         UnisolventGrid.from_csv(path)

@@ -9,16 +9,24 @@ from hypothesis import strategies as st
 from conftest import random_axes, random_downward_closed
 from mvnewton import multi_index
 from mvnewton.grid import UnisolventGrid
-from mvnewton.multi_index import MultiIndexSet, is_downward_closed, make_lp_set
+from mvnewton.multi_index import MultiIndexSet, make_lp_set
 from mvnewton.newton import (
     LagrangeCoefficients,
-    NewtonPolynomial,
     divided_differences,
     eval_iterative,
     newton_to_lagrange,
 )
 
 INF = math.inf
+
+NOT_CLOSED = "^the index set is not downward closed$"
+
+
+def lower_set(tops) -> list[tuple[int, ...]]:
+    """Every index componentwise below one of ``tops``: the smallest
+    downward-closed set that holds them, in no particular order."""
+    boxes = (itertools.product(*(range(t + 1) for t in top)) for top in tops)
+    return list(set(itertools.chain.from_iterable(boxes)))
 
 
 def test_lp_cardinalities_known_values():
@@ -99,14 +107,15 @@ def test_tiny_p_gives_the_cross_and_other_p_are_unchanged():
 
 def test_lex_order_compares_last_entry_first():
     # (5,3,1) < (1,0,3) < (1,1,3): compare from the last entry to the first
-    s = MultiIndexSet([(1, 1, 3), (5, 3, 1), (1, 0, 3)])
-    assert list(s) == [(5, 3, 1), (1, 0, 3), (1, 1, 3)]
+    members = lower_set([(1, 1, 3), (5, 3, 1), (1, 0, 3)])
+    listed = list(MultiIndexSet(members))
+    assert listed.index((5, 3, 1)) < listed.index((1, 0, 3)) < listed.index((1, 1, 3))
+    assert listed == sorted(members, key=lambda a: a[::-1])
 
 
 def test_sorting_is_idempotent_and_canonical():
     rng = np.random.default_rng(5)
-    rows = rng.integers(0, 4, size=(30, 3))
-    rows = np.unique(rows, axis=0)
+    rows = np.array(lower_set(rng.integers(0, 4, size=(6, 3)).tolist()))
     shuffled = rows[rng.permutation(len(rows))]
     a = MultiIndexSet(rows)
     b = MultiIndexSet(shuffled)
@@ -126,9 +135,11 @@ def test_duplicates_and_negatives_rejected():
 
 
 def test_is_downward_closed():
-    assert is_downward_closed(make_lp_set(3, 4, 2))
-    assert not is_downward_closed(MultiIndexSet([(0, 0), (1, 1)]))
-    assert is_downward_closed(MultiIndexSet([(0, 0), (1, 0), (0, 1)]))
+    # only a downward-closed set can be constructed
+    assert make_lp_set(3, 4, 2).tops == (4, 4, 4)
+    with pytest.raises(ValueError, match=NOT_CLOSED):
+        MultiIndexSet([(0, 0), (1, 1)])
+    assert MultiIndexSet([(0, 1), (0, 0), (1, 0)]).tops == (1, 1)
 
 
 def brute_force_closed(members) -> bool:
@@ -164,18 +175,18 @@ def test_closure_check_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 4))
     if rng.integers(2):
-        index_set = random_downward_closed(rng, dim, int(rng.integers(1, 40)), 4)
+        rows = list(random_downward_closed(rng, dim, int(rng.integers(1, 40)), 4))
     else:
         # a random subset of a box: mostly not closed, sometimes closed
         box = rng.integers(0, 4, size=(int(rng.integers(1, 20)), dim))
-        index_set = MultiIndexSet(np.unique(box, axis=0))
-    closed = brute_force_closed(list(index_set))
-    assert is_downward_closed(index_set) == closed
-    if not closed:
-        with pytest.raises(ValueError, match="not downward closed"):
-            index_set.layout()
+        rows = [tuple(row) for row in np.unique(box, axis=0).tolist()]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    if not brute_force_closed(rows):
+        with pytest.raises(ValueError, match=NOT_CLOSED):
+            MultiIndexSet(rows)
         return
-    assert_layouts_equal(index_set.layout(), multi_index._build_layout(index_set.exponents))
+    index_set = MultiIndexSet(rows)
+    assert_layouts_equal(index_set.layout, multi_index._build_layout(index_set.exponents))
     # the same transforms and evaluation from a cold copy of the set, twice
     axes = random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
     values = rng.standard_normal(len(index_set))
@@ -198,8 +209,12 @@ def test_closure_check_matches_brute_force(seed):
 def test_canonical_input_skips_sorting_but_keeps_checks(monkeypatch):
     calls = []
     lexsort = np.lexsort
+    # a row sort takes every column as a key; the layout's line sorts, run
+    # by every construction, take one key fewer
     monkeypatch.setattr(
-        multi_index.np, "lexsort", lambda keys: calls.append(1) or lexsort(keys)
+        multi_index.np,
+        "lexsort",
+        lambda keys: len(keys) == 2 and calls.append(1) or lexsort(keys),
     )
     rows = make_lp_set(2, 3, 1).exponents
     MultiIndexSet(rows)
@@ -224,17 +239,15 @@ def test_positions_and_contains():
 def test_positions_match_a_brute_force_index(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 5))
-    # any set of distinct indices, closed or not
-    rows = np.unique(rng.integers(0, 5, size=(int(rng.integers(1, 40)), dim)), axis=0)
-    index_set = MultiIndexSet(rows[rng.permutation(len(rows))])
+    # the lower set of a few random indices: boxes, crosses and staircases
+    rows = lower_set(rng.integers(0, 5, size=(int(rng.integers(1, 6)), dim)).tolist())
+    index_set = MultiIndexSet(rows)
     bounds = [int(index_set.exponents[:, i].max()) for i in range(dim)]
     assert [index_set.max_exponent(i) for i in range(dim)] == bounds
-    cached = index_set._bounds  # computed once, by the first query
-    assert cached is not None and cached.tolist() == bounds
+    assert index_set.tops == tuple(bounds)
     index = {alpha: i for i, alpha in enumerate(index_set)}
     members = index_set.exponents[rng.permutation(len(index_set))]
     assert index_set.positions(members).tolist() == [index[tuple(a)] for a in members.tolist()]
-    assert index_set._bounds is cached
     for q in rng.integers(0, 6, size=(20, dim)):
         if tuple(q.tolist()) not in index:
             with pytest.raises(KeyError):
@@ -284,7 +297,7 @@ def test_lp_ball_nesting(m, n):
     st.sampled_from([1, 2, INF, 1.5, 3.7]),
 )
 def test_generated_sets_downward_closed(m, n, p):
-    assert is_downward_closed(make_lp_set(m, n, p))
+    assert brute_force_closed(list(make_lp_set(m, n, p)))
 
 
 def test_general_p_includes_boundary():

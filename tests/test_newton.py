@@ -25,7 +25,7 @@ from mvnewton.grid import (
     chebyshev_lobatto,
     leja_order,
 )
-from mvnewton.multi_index import MultiIndexSet, is_downward_closed, make_lp_set
+from mvnewton.multi_index import MultiIndexSet, make_lp_set
 from mvnewton.newton import (
     DegenerateNodesError,
     LagrangeCoefficients,
@@ -230,16 +230,16 @@ def test_fold_edge_cases():
     pts = np.random.default_rng(6).uniform(-1, 1, (7, 2))
     assert np.array_equal(eval_iterative(constant, pts), np.full(7, 2.5))
     assert not eval_derivative(constant, (0, 1), pts).any()
-    plan = make_lp_set(1, 6, 1).layout().fold
+    plan = make_lp_set(1, 6, 1).layout.fold
     assert plan.runs.tolist() == [0] and plan.steps == ()
     # runs of l_1 (2, 2): a_2 = 0 holds a_1 = 0..2, a_2 = 1 holds 0..1, a_2 = 2 holds 0
-    plan = make_lp_set(2, 2, 1).layout().fold
+    plan = make_lp_set(2, 2, 1).layout.fold
     assert plan.runs.tolist() == [0, 1, 2]
     assert plan.steps == ([slice(0, 1), slice(1, 2), slice(2, 3)],)
     # l_1 (1, 1, 1): runs (a_2, a_3) = (0, 0), (1, 0), (0, 1); the groups of
     # axis 2 are a_3 = 0 (levels 0..1) and a_3 = 1 (level 0), so level 0 of
     # both comes first, then level 1 of the first
-    plan = make_lp_set(3, 1, 1).layout().fold
+    plan = make_lp_set(3, 1, 1).layout.fold
     assert plan.runs.tolist() == [0, 2, 1]
     assert plan.steps[0] == [slice(0, 2), slice(2, 3)]
     assert [rows.tolist() for rows in plan.steps[1]] == [[0], [1]]
@@ -467,29 +467,13 @@ def test_sweep_rejects_line_missing_level_zero():
     # lacks level 0 (no (0, 0, 1)); it must not merge into the line before it
     exps = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0),
             (1, 1, 0), (0, 2, 0), (0, 3, 0), (0, 1, 1), (0, 2, 1)]
-    axis = Nodes1D(np.array([1.0, -1.0, 0.0, 0.5]))
     # {(0, 0), (0, 1), (1, 1)} lacks (1, 0): every axis-1 run and axis-2
     # group starts at level 0, so only the line check along axis 2 sees it;
-    # on {(0, 0), (2, 0)} the recursive walk would use c_(2,0) at level 1
-    for index_set in (
-        MultiIndexSet(exps),
-        MultiIndexSet([(0, 0), (0, 1), (1, 1)]),
-        MultiIndexSet([(0, 0), (2, 0)]),
-    ):
-        grid = UnisolventGrid(index_set=index_set, axes=(axis,) * index_set.dim)
-        poly = NewtonPolynomial(grid, np.ones(len(grid)))
-        x = np.full(index_set.dim, 0.1)
-        assert not is_downward_closed(index_set)
-        for call in (
-            lambda: divided_differences(LagrangeCoefficients(grid, np.ones(len(grid)))),
-            lambda: newton_to_lagrange(poly),
-            lambda: lagrange_newton_matrix(grid),
-            lambda: eval_iterative(poly, x),
-            lambda: eval_derivative(poly, (1,) * index_set.dim, x),
-            lambda: eval_recursive(poly, x),
-        ):
-            with pytest.raises(ValueError, match="^the index set is not downward closed$"):
-                call()
+    # on {(0, 0), (2, 0)} the recursive walk would use c_(2,0) at level 1.
+    # No such set can be constructed, so no sweep or walk ever sees one.
+    for rows in (exps, [(0, 0), (0, 1), (1, 1)], [(0, 0), (2, 0)]):
+        with pytest.raises(ValueError, match="^the index set is not downward closed$"):
+            MultiIndexSet(rows)
 
 
 def test_sample_length_validation():
@@ -628,8 +612,8 @@ def test_layout_is_built_once_and_read_safely_from_threads(monkeypatch):
     newton_to_lagrange(poly)
     assert len(builds) == 1
 
-    # threads on one fresh set, more than the cores, switching often: several
-    # may build, and each must publish a whole layout
+    # threads on one fresh set, more than the cores, switching often: each
+    # reads the layout its constructor built and gets the same bits
     fresh = UnisolventGrid(index_set=make_lp_set(3, 6, 2), axes=grid.axes)
     values = np.cos(grid.node_coordinates.sum(axis=1))
     pts = np.random.default_rng(9).uniform(-1, 1, (2000, 3))
