@@ -13,8 +13,6 @@ from .grid import (
     chebyshev_lobatto,
     leja_order,
     leja_points,
-    monomial_vandermonde,
-    vandermonde_unisolvence_check,
 )
 from .newton import (
     DegenerateNodesError,
@@ -58,8 +56,6 @@ __all__ = [
     "chebyshev_lobatto",
     "leja_order",
     "leja_points",
-    "monomial_vandermonde",
-    "vandermonde_unisolvence_check",
     "DegenerateNodesError",
     "LagrangeCoefficients",
     "NewtonPolynomial",

@@ -31,7 +31,7 @@ from .analysis import (
     optimal_rho,
 )
 from .grid import GRID_FAMILIES, _loadtxt, _table_text, axes_for, build_grid
-from .multi_index import make_lp_set
+from .multi_index import MultiIndexSet, _lp_table, make_lp_set
 from .newton import (
     DegenerateNodesError,
     LagrangeCoefficients,
@@ -301,14 +301,16 @@ def cmd_lebesgue(args) -> int:
     rows: list[tuple] = []
     for p in args.p:
         for n in args.degrees:
-            index_set = make_lp_set(args.dim, n, p)
-            if len(index_set) > args.cap:
+            # a row above the cap is skipped before any set is built
+            exponents, provenance = _lp_table(args.dim, n, p)
+            if len(exponents) > args.cap:
                 print(
                     f"warning: skipping m={args.dim} p={_p_text(p)} n={n}: "
-                    f"|A|={len(index_set)} exceeds cap {args.cap}",
+                    f"|A|={len(exponents)} exceeds cap {args.cap}",
                     file=sys.stderr,
                 )
                 continue
+            index_set = MultiIndexSet(exponents, provenance)
             lam = lebesgue_estimate(
                 _grid_for(args, index_set),
                 num_samples=args.samples,

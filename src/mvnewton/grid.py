@@ -26,8 +26,6 @@ __all__ = [
     "leja_points",
     "build_grid",
     "axes_for",
-    "monomial_vandermonde",
-    "vandermonde_unisolvence_check",
 ]
 
 NODE_FAMILIES = ("chebyshev_lobatto", "leja_ordered_chebyshev_lobatto", "leja", "custom")
@@ -36,11 +34,6 @@ NODE_FAMILIES = ("chebyshev_lobatto", "leja_ordered_chebyshev_lobatto", "leja", 
 GRID_FAMILIES = ("lcl", "leja")
 
 DEFAULT_LEJA_RESOLUTION = 100_000
-
-# Relative smallest-singular-value threshold separating "singular" from
-# "merely ill-conditioned" at desk scale.
-UNISOLVENCE_RTOL = 1e-10
-UNISOLVENCE_SIZE_CAP = 600
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -289,7 +282,7 @@ class UnisolventGrid:
         axes = []
         for i in range(index_set.dim):
             # a downward-closed set holds every level up to its axis top
-            pts = np.empty(index_set.max_exponent(i) + 1)
+            pts = np.empty(index_set.tops[i] + 1)
             pts[exps[:, i]] = coords[:, i]
             clash = np.flatnonzero(pts[exps[:, i]] != coords[:, i])
             if clash.size:
@@ -337,7 +330,7 @@ def _loadtxt(source, ndmin: int = 1, **options) -> np.ndarray:
 def build_grid(index_set: MultiIndexSet, axes) -> UnisolventGrid:
     """Assemble the node set ``{(p[a_1,1], ..., p[a_m,m]) : alpha in A}``.
 
-    Requires, per dimension ``i``, at least ``max_exponent(A, i) + 1``
+    Requires, per dimension ``i``, at least ``index_set.tops[i] + 1``
     pairwise-distinct axis points.  Distinct axis points make all ``|A|``
     grid nodes distinct, and since every index set is downward closed, the
     resulting grid is unisolvent for the polynomial space spanned by ``A``.
@@ -351,7 +344,7 @@ def build_grid(index_set: MultiIndexSet, axes) -> UnisolventGrid:
             f"need {index_set.dim} axes for dimension {index_set.dim}, got {len(axes)}"
         )
     for i, ax in enumerate(axes):
-        needed = index_set.max_exponent(i) + 1
+        needed = index_set.tops[i] + 1
         if len(ax) < needed:
             raise ValueError(
                 f"axis {i + 1} has {len(ax)} points but the index set needs {needed}"
@@ -377,45 +370,3 @@ def axes_for(index_set: MultiIndexSet, family: str) -> tuple[Nodes1D, ...]:
         else:
             made[n_i] = leja_points(n_i)
     return tuple(made[n_i] for n_i in index_set.tops)
-
-
-def monomial_vandermonde(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Generalized Vandermonde matrix ``V[a, b] = points[a] ** exponents[b]``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    exps = np.asarray(exponents, dtype=np.int64)
-    if pts.shape[1] != exps.shape[1]:
-        raise ValueError("points and exponents disagree on dimension")
-    out = np.ones((pts.shape[0], exps.shape[0]))
-    for i in range(pts.shape[1]):
-        out *= pts[:, i, None] ** exps[None, :, i]
-    return out
-
-
-def vandermonde_unisolvence_check(nodes, exponents=None) -> bool:
-    """Numerically decide unisolvence of a node set (desk-scale oracle).
-
-    Builds the ``|A| x |A|`` monomial Vandermonde matrix and reports whether
-    the smallest singular value exceeds ``UNISOLVENCE_RTOL`` times the
-    largest.  Accepts an :class:`UnisolventGrid`, or raw ``(nodes,
-    exponents)`` arrays so degenerate inputs that the constructors forbid
-    can still be probed.  The O(|A|^3) cost is capped at
-    ``UNISOLVENCE_SIZE_CAP`` rows.
-    """
-    if isinstance(nodes, UnisolventGrid):
-        coords = nodes.node_coordinates
-        exps = nodes.index_set.exponents
-    else:
-        coords = np.atleast_2d(np.asarray(nodes, dtype=np.float64))
-        if exponents is None:
-            raise ValueError("raw node input requires the exponents argument")
-        exps = np.asarray(exponents, dtype=np.int64)
-    if coords.shape[0] != exps.shape[0]:
-        raise ValueError("node count must match index count")
-    if coords.shape[0] > UNISOLVENCE_SIZE_CAP:
-        raise ValueError(
-            f"instance size {coords.shape[0]} exceeds the oracle cap "
-            f"{UNISOLVENCE_SIZE_CAP}"
-        )
-    vmat = monomial_vandermonde(coords, exps)
-    singular = np.linalg.svd(vmat, compute_uv=False)
-    return bool(singular[-1] > UNISOLVENCE_RTOL * singular[0])

@@ -7,7 +7,8 @@ so there is exactly one storage layout to get wrong.
 
 A :class:`MultiIndexSet` is downward closed by construction: the
 constructor builds the set's :class:`Layout`, which is also the one
-closure check, so every set that exists has one.
+closure check, so every set that exists has one.  It also builds one sort
+key per row, the only lookup path of :meth:`MultiIndexSet.positions`.
 """
 from __future__ import annotations
 
@@ -24,9 +25,6 @@ __all__ = [
 # Inclusion slack for non-integer p, where membership is decided in floats.
 GENERAL_P_TOLERANCE = 1e-10
 
-# Largest mixed-radix key we are willing to encode in int64.
-_KEY_LIMIT = 2**62
-
 
 def _strictly_ascending(rows: np.ndarray) -> bool:
     """True iff every row comes strictly after the one before it in canonical
@@ -40,6 +38,25 @@ def _strictly_ascending(rows: np.ndarray) -> bool:
     return bool(ascending.all())
 
 
+def _integral(values) -> np.ndarray:
+    """``values`` as int64, with -1 in place of every entry that is not an
+    integer: non-finite, fractional, or beyond the int64 range."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64)
+    real = arr.astype(np.float64)
+    whole = (np.floor(real) == real) & (np.abs(real) < 2.0**63)
+    return np.where(whole, real, -1).astype(np.int64)
+
+
+def _sort_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row of a 2-d int64 array: the big-endian bytes of the
+    reversed row as a single ``V{8m}`` item.  For non-negative rows, byte
+    order is canonical order in any key space; a row with a negative entry
+    equals no such key."""
+    return np.ascontiguousarray(rows[:, ::-1], dtype=">i8").view(f"V{8 * rows.shape[1]}")[:, 0]
+
+
 class MultiIndexSet:
     """A non-empty downward-closed set of exponent vectors in ``N^m``,
     canonically ordered.
@@ -47,26 +64,26 @@ class MultiIndexSet:
     Parameters
     ----------
     exponents : array-like of shape (k, m)
-        Non-negative integer exponent vectors; duplicates are rejected.
-        Rows are sorted into canonical order on construction.
+        Non-negative integer exponent vectors (integral floats are
+        accepted); duplicates are rejected.  Rows are sorted into canonical
+        order on construction.
     provenance : tuple, optional
         ``(m, n, p)`` tag attached by :func:`make_lp_set`.
 
     Construction raises ``ValueError("the index set is not downward
     closed")`` unless every member's componentwise-smaller neighbours are
-    members.  It builds :attr:`layout`, the grid-line tables of every axis,
-    the evaluation fold plan and the basis-value plan, and :attr:`tops`, the
-    largest exponent along each axis.  The instance is immutable and safe
-    for concurrent reads: only the lookup keys of :meth:`positions` are
-    built on first use, and the key array is published after its weights.
+    members.  It builds everything the set holds: :attr:`layout`, the
+    grid-line tables of every axis, the evaluation fold plan and the
+    basis-value plan; :attr:`tops`, the largest exponent along each axis;
+    and the sort keys that :meth:`positions` searches.  Nothing is set
+    after construction, so the instance is immutable and safe for
+    concurrent reads.
     """
 
-    __slots__ = (
-        "dim", "exponents", "provenance", "layout", "tops", "_keys", "_key_weights", "_lookup",
-    )
+    __slots__ = ("dim", "exponents", "provenance", "layout", "tops", "_keys")
 
     def __init__(self, exponents, provenance: tuple | None = None):
-        arr = np.array(exponents, dtype=np.int64, copy=True)
+        arr = np.asarray(exponents)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array of exponents, got ndim={arr.ndim}")
         count, dim = arr.shape
@@ -74,8 +91,9 @@ class MultiIndexSet:
             raise ValueError("ambient dimension must be at least 1")
         if count == 0:
             raise ValueError("multi-index set must be non-empty")
+        arr = _integral(arr)  # a copy, which the set owns
         if (arr < 0).any():
-            raise ValueError("exponents must be non-negative")
+            raise ValueError("exponents must be non-negative integers")
         if not _strictly_ascending(arr):
             # np.lexsort treats its last key as primary, so feeding the
             # columns in natural order makes the final column the dominant one
@@ -89,9 +107,7 @@ class MultiIndexSet:
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "tops", tuple(len(lines.reach) - 1 for lines in layout.lines))
-        object.__setattr__(self, "_keys", None)
-        object.__setattr__(self, "_key_weights", None)
-        object.__setattr__(self, "_lookup", None)
+        object.__setattr__(self, "_keys", _sort_keys(arr))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiIndexSet is immutable")
@@ -123,56 +139,24 @@ class MultiIndexSet:
 
     # -- positional lookup ------------------------------------------------
 
-    def _build_lookup(self) -> None:
-        if self._keys is not None or self._lookup is not None:
-            return
-        weights = [1]
-        for top in self.tops[:-1]:
-            weights.append(weights[-1] * (top + 1))
-        if weights[-1] * (self.tops[-1] + 1) < _KEY_LIMIT:
-            w = np.asarray(weights, dtype=np.int64)
-            object.__setattr__(self, "_key_weights", w)
-            object.__setattr__(self, "_keys", self.exponents @ w)
-        else:
-            # Key space too large for int64; fall back to a hash table.
-            table = {tuple(map(int, row)): i for i, row in enumerate(self.exponents)}
-            object.__setattr__(self, "_lookup", table)
-
     def positions(self, queries: np.ndarray) -> np.ndarray:
         """Row positions of ``queries`` in the canonical array; a missing
-        index raises ``KeyError``."""
-        q = np.asarray(queries, dtype=np.int64)
+        index, or one with a non-integral entry, raises ``KeyError``."""
+        q = np.asarray(queries)
         if q.ndim == 1:
             q = q[None, :]
         if q.shape[1] != self.dim:
             raise ValueError(f"queries must have {self.dim} columns")
-        self._build_lookup()
-        if self._keys is not None:
-            inside = (q >= 0).all(axis=1) & (q <= self.tops).all(axis=1)
-            qkeys = np.where(inside, q @ self._key_weights, -1)
-            pos = np.searchsorted(self._keys, qkeys)
-            pos = np.minimum(pos, len(self) - 1)
-            found = inside & (self._keys[pos] == qkeys)
-        else:
-            pos = np.fromiter(
-                (self._lookup.get(tuple(map(int, row)), -1) for row in q),
-                dtype=np.int64,
-                count=len(q),
-            )
-            found = pos >= 0
+        keys = _sort_keys(_integral(q))
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
+        found = self._keys[pos] == keys
         if not found.all():
             missing = q[~found][0]
-            raise KeyError(f"multi-index {tuple(int(v) for v in missing)} not in set")
+            raise KeyError(f"multi-index {tuple(missing.tolist())} not in set")
         return pos
 
     def position(self, alpha) -> int:
-        return int(self.positions(np.asarray(alpha, dtype=np.int64)[None, :])[0])
-
-    def max_exponent(self, axis: int) -> int:
-        """Largest exponent appearing along ``axis`` (0-based)."""
-        if not 0 <= axis < self.dim:
-            raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
-        return self.tops[axis]
+        return int(self.positions(np.asarray(alpha)[None, :])[0])
 
 
 def _max_feasible(residual: np.ndarray, p, n: int) -> np.ndarray:
@@ -203,6 +187,13 @@ def make_lp_set(m: int, n: int, p) -> MultiIndexSet:
     inclusion slack of ``GENERAL_P_TOLERANCE`` so borderline indices are
     kept.
     """
+    exponents, provenance = _lp_table(m, n, p)
+    return MultiIndexSet(exponents, provenance)
+
+
+def _lp_table(m: int, n: int, p) -> tuple[np.ndarray, tuple]:
+    """The canonical exponent table of :func:`make_lp_set`'s set, built
+    without the set, and its ``(m, n, p)`` provenance tag."""
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"dimension m must be a positive integer, got {m!r}")
     if not isinstance(n, (int, np.integer)) or n < 0:
@@ -244,8 +235,7 @@ def make_lp_set(m: int, n: int, p) -> MultiIndexSet:
             else:
                 residual = residual[rep] - np.power(new_col.astype(np.float64), p_exact)
 
-    exponents = block[:, ::-1]  # columns were built last-to-first
-    return MultiIndexSet(exponents, provenance=(m, n, p_exact))
+    return block[:, ::-1], (m, n, p_exact)  # columns were built last-to-first
 
 
 class AxisLines(NamedTuple):

@@ -2,13 +2,18 @@ import hypothesis
 import numpy as np
 import pytest
 
-from mvnewton.grid import Nodes1D
+from mvnewton.grid import Nodes1D, UnisolventGrid
 from mvnewton.multi_index import MultiIndexSet
 
 hypothesis.settings.register_profile(
     "ci", deadline=None, max_examples=40, derandomize=True
 )
 hypothesis.settings.load_profile("ci")
+
+# Relative smallest-singular-value threshold separating "singular" from
+# "merely ill-conditioned" at desk scale.
+UNISOLVENCE_RTOL = 1e-10
+UNISOLVENCE_SIZE_CAP = 600
 
 
 def random_downward_closed(
@@ -96,6 +101,48 @@ def newton_collocation_matrix(grid) -> np.ndarray:
     """Oracle collocation matrix ``N_beta(p_alpha)`` from the basis product
     formula; lower triangular in canonical order."""
     return newton_basis_oracle(grid, grid.node_coordinates)
+
+
+def monomial_vandermonde(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Generalized Vandermonde matrix ``V[a, b] = points[a] ** exponents[b]``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    exps = np.asarray(exponents, dtype=np.int64)
+    if pts.shape[1] != exps.shape[1]:
+        raise ValueError("points and exponents disagree on dimension")
+    out = np.ones((pts.shape[0], exps.shape[0]))
+    for i in range(pts.shape[1]):
+        out *= pts[:, i, None] ** exps[None, :, i]
+    return out
+
+
+def vandermonde_unisolvence_check(nodes, exponents=None) -> bool:
+    """Numerically decide unisolvence of a node set (desk-scale oracle).
+
+    Builds the ``|A| x |A|`` monomial Vandermonde matrix and reports whether
+    the smallest singular value exceeds ``UNISOLVENCE_RTOL`` times the
+    largest.  Accepts an :class:`UnisolventGrid`, or raw ``(nodes,
+    exponents)`` arrays so degenerate inputs that the constructors forbid
+    can still be probed.  The O(|A|^3) cost is capped at
+    ``UNISOLVENCE_SIZE_CAP`` rows.
+    """
+    if isinstance(nodes, UnisolventGrid):
+        coords = nodes.node_coordinates
+        exps = nodes.index_set.exponents
+    else:
+        coords = np.atleast_2d(np.asarray(nodes, dtype=np.float64))
+        if exponents is None:
+            raise ValueError("raw node input requires the exponents argument")
+        exps = np.asarray(exponents, dtype=np.int64)
+    if coords.shape[0] != exps.shape[0]:
+        raise ValueError("node count must match index count")
+    if coords.shape[0] > UNISOLVENCE_SIZE_CAP:
+        raise ValueError(
+            f"instance size {coords.shape[0]} exceeds the oracle cap "
+            f"{UNISOLVENCE_SIZE_CAP}"
+        )
+    vmat = monomial_vandermonde(coords, exps)
+    singular = np.linalg.svd(vmat, compute_uv=False)
+    return bool(singular[-1] > UNISOLVENCE_RTOL * singular[0])
 
 
 @pytest.fixture

@@ -9,7 +9,12 @@ import time
 
 import numpy as np
 
-from conftest import newton_collocation_matrix, random_axes, random_downward_closed
+from conftest import (
+    newton_collocation_matrix,
+    random_axes,
+    random_downward_closed,
+    vandermonde_unisolvence_check,
+)
 from mvnewton.analysis import (
     chebyshev_lobatto_lebesgue_reference,
     convergence_run,
@@ -17,12 +22,7 @@ from mvnewton.analysis import (
     lebesgue_estimate,
     make_benchmark,
 )
-from mvnewton.grid import (
-    build_grid,
-    chebyshev_lobatto,
-    leja_order,
-    vandermonde_unisolvence_check,
-)
+from mvnewton.grid import build_grid, chebyshev_lobatto, leja_order
 from mvnewton.multi_index import make_lp_set
 from mvnewton.newton import (
     LagrangeCoefficients,
@@ -95,7 +95,7 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(30):
         dim = int(rng.integers(1, 4))
         index_set = random_downward_closed(rng, dim, int(rng.integers(2, 61)), 8)
-        axes = random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+        axes = random_axes(rng, [top + 1 for top in index_set.tops])
         grid = build_grid(index_set, axes)
         values = rng.standard_normal(len(grid))
         fast = divided_differences(LagrangeCoefficients(grid, values)).coeffs
@@ -120,7 +120,7 @@ def test_criterion_3_unisolvence_randomized():
     for _ in range(30):
         dim = int(rng.integers(2, 5))
         index_set = random_downward_closed(rng, dim, int(rng.integers(20, 401)), 5)
-        axes = random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+        axes = random_axes(rng, [top + 1 for top in index_set.tops])
         grid = build_grid(index_set, axes)
         sizes.append(len(grid))
         if not vandermonde_unisolvence_check(grid):
@@ -263,7 +263,7 @@ def test_criterion_9_derivative_and_evaluator_invariants():
     for _ in range(100):
         dim = int(rng.integers(1, 4))
         index_set = random_downward_closed(rng, dim, int(rng.integers(2, 50)), 6)
-        axes = random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+        axes = random_axes(rng, [top + 1 for top in index_set.tops])
         grid = build_grid(index_set, axes)
         poly = NewtonPolynomial(grid, rng.standard_normal(len(grid)))
         x = rng.uniform(-1, 1, dim)

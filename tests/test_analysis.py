@@ -202,7 +202,7 @@ def test_lebesgue_estimate_matches_the_inverse_collocation_oracle(seed):
     dim = int(rng.integers(1, 5))
     index_set = random_downward_closed(rng, dim, int(rng.integers(1, 40)), 5)
     grid = build_grid(
-        index_set, random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+        index_set, random_axes(rng, [top + 1 for top in index_set.tops])
     )
     k, samples, draw = int(rng.integers(0, 2)), int(rng.integers(1, 300)), int(rng.integers(100))
     # column alpha: Newton coefficients of L_alpha

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mvnewton import cli
+from mvnewton import cli, multi_index
 from mvnewton.cli import main, parse_degrees, parse_p
 from mvnewton.grid import Nodes1D, build_grid
 from mvnewton.multi_index import make_lp_set
@@ -248,7 +248,13 @@ def test_lebesgue_sweep(tmp_path, capsys):
     assert float(first["lambda"]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_lebesgue_cap_skips_rows(tmp_path, capsys):
+def test_lebesgue_cap_skips_rows(tmp_path, capsys, monkeypatch):
+    # every MultiIndexSet builds its layout, so counting layouts counts sets
+    builds = []
+    build = multi_index._build_layout
+    monkeypatch.setattr(
+        multi_index, "_build_layout", lambda exps: builds.append(len(exps)) or build(exps)
+    )
     out = tmp_path / "leb.csv"
     code = run(
         ["lebesgue", "-m", 2, "-p", "1,inf", "--degrees", "2,8", "--samples", 200,
@@ -261,6 +267,8 @@ def test_lebesgue_cap_skips_rows(tmp_path, capsys):
     assert len(lines) - 1 == 2  # n=8 rows exceed the cap for both p values
     kept = {(row.split(",")[1], row.split(",")[2]) for row in lines[1:]}
     assert kept == {("1", "2"), ("inf", "2")}
+    # a row above the cap is skipped before its set is built
+    assert sorted(builds) == sorted(int(row.split(",")[3]) for row in lines[1:]) == [6, 9]
 
 
 @pytest.mark.parametrize("cap", [0, -3])

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_axes, random_downward_closed
+from conftest import (
+    UNISOLVENCE_SIZE_CAP,
+    monomial_vandermonde,
+    random_axes,
+    random_downward_closed,
+    vandermonde_unisolvence_check,
+)
 from mvnewton import grid as grid_module
 from mvnewton.grid import (
     Nodes1D,
@@ -15,8 +21,6 @@ from mvnewton.grid import (
     chebyshev_lobatto,
     leja_order,
     leja_points,
-    monomial_vandermonde,
-    vandermonde_unisolvence_check,
 )
 from mvnewton.multi_index import MultiIndexSet, make_lp_set
 
@@ -198,7 +202,7 @@ def test_unisolvence_check_duplicate_nodes_fails():
 def test_unisolvence_check_size_cap():
     a = make_lp_set(2, 40, 1)
     grid = build_grid(a, [leja_order(chebyshev_lobatto(40))] * 2)
-    assert len(grid) == 861 > grid_module.UNISOLVENCE_SIZE_CAP
+    assert len(grid) == 861 > UNISOLVENCE_SIZE_CAP
     with pytest.raises(ValueError, match="oracle cap"):
         vandermonde_unisolvence_check(grid)
 
@@ -215,7 +219,7 @@ def test_random_downward_closed_grids_unisolvent(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 4))
     index_set = random_downward_closed(rng, dim, int(rng.integers(2, 80)), max_degree=5)
-    axes = random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+    axes = random_axes(rng, [top + 1 for top in index_set.tops])
     grid = build_grid(index_set, axes)
     assert vandermonde_unisolvence_check(grid)
 

@@ -125,6 +125,7 @@ def test_sorting_is_idempotent_and_canonical():
     assert keys == sorted(keys)
 
 
+@pytest.mark.filterwarnings("error")
 def test_duplicates_and_negatives_rejected():
     with pytest.raises(ValueError):
         MultiIndexSet([(0, 0), (0, 0)])
@@ -132,6 +133,14 @@ def test_duplicates_and_negatives_rejected():
         MultiIndexSet([(0, -1)])
     with pytest.raises(ValueError):
         MultiIndexSet(np.zeros((0, 2), dtype=int))
+    # nothing is truncated onto an integer: {(0,0),(1.7,0),(0,1.2)} is no set
+    for bad in (1.7, 0.999, -0.5, math.nan, INF, -INF, 1e300):
+        with pytest.raises(ValueError, match="^exponents must be non-negative integers$"):
+            MultiIndexSet([(0, 0), (bad, 0), (0, 1)])
+    # integral floats and other integer types are exponents
+    exact = MultiIndexSet([(0, 0), (1, 0), (0, 1)])
+    assert MultiIndexSet([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]) == exact
+    assert MultiIndexSet(exact.exponents.astype(np.uint8)) == exact
 
 
 def test_is_downward_closed():
@@ -188,7 +197,7 @@ def test_closure_check_matches_brute_force(seed):
     index_set = MultiIndexSet(rows)
     assert_layouts_equal(index_set.layout, multi_index._build_layout(index_set.exponents))
     # the same transforms and evaluation from a cold copy of the set, twice
-    axes = random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+    axes = random_axes(rng, [top + 1 for top in index_set.tops])
     values = rng.standard_normal(len(index_set))
     pts = rng.uniform(-1, 1, (5, dim))
     results = []
@@ -233,18 +242,35 @@ def test_positions_and_contains():
     assert (9, 9, 9) not in s
     with pytest.raises(KeyError):
         s.position((9, 9, 9))
+    # a query with a non-integral entry is not a member, however close
+    assert (1.0, 2.0, 0.0) in s and s.position((1.0, 2.0, 0.0)) == s.position((1, 2, 0))
+    for q in [(0.999, 0, 0), (1, 2.5, 0), (0, 0, math.nan), (INF, 0, 0), (0, -INF, 0)]:
+        assert q not in s
+        with pytest.raises(KeyError):
+            s.position(q)
+        with pytest.raises(KeyError):
+            s.positions(np.vstack([s.exponents, q]))
 
 
 @given(st.integers(min_value=0, max_value=10**6))
 def test_positions_match_a_brute_force_index(seed):
     rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, 5))
-    # the lower set of a few random indices: boxes, crosses and staircases
-    rows = lower_set(rng.integers(0, 5, size=(int(rng.integers(1, 6)), dim)).tolist())
-    index_set = MultiIndexSet(rows)
+    if rng.integers(2):
+        # the lower set of a few random indices: boxes, crosses and staircases
+        dim = int(rng.integers(1, 5))
+        corners = rng.integers(0, 5, size=(int(rng.integers(1, 6)), dim))
+    else:
+        # a cross with arms of 2..4 along 40..48 axes and a few sparse
+        # corners: the bounding box holds more than 2**63 indices
+        dim = int(rng.integers(40, 49))
+        sparse = np.zeros((int(rng.integers(0, 4)), dim), dtype=np.int64)
+        for row in sparse:
+            row[rng.choice(dim, 3, replace=False)] = rng.integers(1, 3, 3)
+        corners = np.vstack([np.diag(rng.integers(2, 5, dim)), sparse])
+    index_set = MultiIndexSet(lower_set(corners.tolist()))
     bounds = [int(index_set.exponents[:, i].max()) for i in range(dim)]
-    assert [index_set.max_exponent(i) for i in range(dim)] == bounds
     assert index_set.tops == tuple(bounds)
+    assert dim < 40 or math.prod(top + 1 for top in bounds) > 2**63
     index = {alpha: i for i, alpha in enumerate(index_set)}
     members = index_set.exponents[rng.permutation(len(index_set))]
     assert index_set.positions(members).tolist() == [index[tuple(a)] for a in members.tolist()]
@@ -252,6 +278,14 @@ def test_positions_match_a_brute_force_index(seed):
         if tuple(q.tolist()) not in index:
             with pytest.raises(KeyError):
                 index_set.positions(q)
+            assert tuple(q) not in index_set
+    # one step up from a member: a member or not, as the index says
+    for alpha in members[:20]:
+        q = alpha.copy()
+        q[int(rng.integers(dim))] += 1
+        if tuple(q.tolist()) in index:
+            assert index_set.position(q) == index[tuple(q.tolist())]
+        else:
             assert tuple(q) not in index_set
     for axis in range(dim):
         for value in (-1, bounds[axis] + 1):

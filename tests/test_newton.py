@@ -123,7 +123,7 @@ def test_recursive_iterative_agree(rng):
     for _ in range(25):
         dim = int(rng.integers(1, 4))
         index_set = random_downward_closed(rng, dim, int(rng.integers(2, 60)), 6)
-        axes = random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+        axes = random_axes(rng, [top + 1 for top in index_set.tops])
         grid = build_grid(index_set, axes)
         poly = NewtonPolynomial(grid, rng.standard_normal(len(grid)))
         x = rng.uniform(-1, 1, dim)
@@ -138,7 +138,7 @@ def test_fold_matches_basis_matrix_oracle(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 5))
     index_set = random_downward_closed(rng, dim, int(rng.integers(1, 120)), 7)
-    tops = [index_set.max_exponent(i) for i in range(dim)]
+    tops = index_set.tops
     grid = build_grid(index_set, random_axes(rng, [top + 1 for top in tops]))
     coeffs = rng.standard_normal(len(grid))
     poly = NewtonPolynomial(grid, coeffs)
@@ -168,7 +168,7 @@ def test_newton_basis_values_is_the_product_formula_bitwise(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 6))
     index_set = random_downward_closed(rng, dim, int(rng.integers(1, 90)), 6)
-    tops = [index_set.max_exponent(i) for i in range(dim)]
+    tops = index_set.tops
     grid = build_grid(index_set, random_axes(rng, [top + 1 for top in tops]))
     pts = rng.uniform(-1, 1, (int(rng.integers(1, 25)), dim))
     # up to two above an axis's top degree, where the factor is exactly zero
@@ -249,7 +249,7 @@ def test_divided_differences_matches_collocation_solve(rng):
     for _ in range(10):
         dim = int(rng.integers(1, 4))
         index_set = random_downward_closed(rng, dim, int(rng.integers(2, 50)), 8)
-        axes = random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+        axes = random_axes(rng, [top + 1 for top in index_set.tops])
         grid = build_grid(index_set, axes)
         values = rng.standard_normal(len(grid))
         fast = divided_differences(LagrangeCoefficients(grid, values)).coeffs
@@ -396,6 +396,9 @@ def test_lagrange_basis_rejects_foreign_index():
     grid = lcl_grid(2, 2, 1)
     with pytest.raises(ValueError):
         lagrange_basis_in_newton(grid, (5, 5))
+    # a fractional entry is not rounded onto a member
+    with pytest.raises(ValueError):
+        lagrange_basis_in_newton(grid, (0.5, 0))
 
 
 def test_lagrange_partition_of_unity(rng):
@@ -490,7 +493,7 @@ def test_interpolation_condition_random_sets(rng):
     for _ in range(10):
         dim = int(rng.integers(1, 4))
         index_set = random_downward_closed(rng, dim, int(rng.integers(2, 120)), 7)
-        axes = random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+        axes = random_axes(rng, [top + 1 for top in index_set.tops])
         grid = build_grid(index_set, axes)
 
         def f(pts):
@@ -510,7 +513,7 @@ def test_dds_and_transform_property(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 4))
     index_set = random_downward_closed(rng, dim, int(rng.integers(2, 40)), 6)
-    axes = random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+    axes = random_axes(rng, [top + 1 for top in index_set.tops])
     grid = build_grid(index_set, axes)
     values = rng.standard_normal(len(grid))
     poly = divided_differences(LagrangeCoefficients(grid, values))
@@ -534,7 +537,7 @@ def test_bundle_round_trip(seed):
     dim = int(rng.integers(1, 5))
     index_set = random_downward_closed(rng, dim, int(rng.integers(1, 120)), max_degree=7)
     grid = build_grid(
-        index_set, random_axes(rng, [index_set.max_exponent(i) + 1 for i in range(dim)])
+        index_set, random_axes(rng, [top + 1 for top in index_set.tops])
     )
     coeffs = rng.standard_normal(len(grid)) * 10.0 ** rng.integers(-300, 300, len(grid))
     coeffs[: min(3, len(grid))] = [-0.0, 5e-324, 1.7976931348623157e308][: len(grid)]
@@ -574,15 +577,17 @@ def test_bundle_files_pin_the_on_disk_format(tmp_path):
     )
 
 
-def test_key_space_beyond_int64_uses_the_dict_lookup(tmp_path):
-    # 3**40 keys do not fit int64, so positions go through the dict path
+def test_set_with_a_key_space_beyond_int64_looks_up_evaluates_and_round_trips(tmp_path):
+    # the bounding box holds 3**40 > 2**63 indices, too many for an int64 key
     index_set = make_lp_set(40, 2, 1)
-    assert len(index_set) == 861
+    assert len(index_set) == 861 and math.prod(top + 1 for top in index_set.tops) > 2**63
     grid = build_grid(index_set, axes_for(index_set, "lcl"))
     weights = np.linspace(-1.0, 1.0, 40)
     poly = interpolate(lambda pts: np.cos(pts @ weights), grid)
     assert index_set.position((0,) * 39 + (2,)) == len(index_set) - 1
-    assert index_set._keys is None and index_set._lookup is not None
+    members = index_set.exponents[::-1]
+    assert index_set.positions(members).tolist() == list(range(len(index_set)))[::-1]
+    assert (0,) * 38 + (1, 2) not in index_set and (2,) + (0,) * 38 + (-1,) not in index_set
     pts = np.random.default_rng(7).uniform(-1, 1, (3, 40))
     values = eval_iterative(poly, pts)
     for x, value in zip(pts, values):
