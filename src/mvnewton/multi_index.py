@@ -119,8 +119,16 @@ class MultiIndexSet:
         return (tuple(int(v) for v in row) for row in self.exponents)
 
     def __contains__(self, alpha) -> bool:
+        """Membership of ``alpha``; anything but a length-``m`` numeric
+        vector is not a member."""
         try:
-            self.position(alpha)
+            query = np.asarray(alpha)
+        except ValueError:  # a ragged sequence
+            return False
+        if query.shape != (self.dim,) or query.dtype.kind not in "biuf":
+            return False
+        try:
+            self.position(query)
         except KeyError:
             return False
         return True
@@ -257,17 +265,29 @@ class FoldPlan(NamedTuple):
     """How the evaluation fold walks the canonical layout.
 
     A group of axis ``i`` is a maximal block of canonical rows sharing the
-    coordinates after ``i``; the groups of axis 0 are the axis-1 runs, the
-    lines of axis 0.  The fold lists the runs level-major in ``a_2``: its
-    run ``r`` is column ``runs[r]`` of the axis-0 line table.  For each
-    later axis ``i`` the groups of axis ``i`` are listed longest first, and
-    ``steps[i - 1][l]`` selects, in the previous step's listing, the
+    coordinates after ``i``.  The fold contracts the first ``split`` axes in
+    one GEMM of a ``(groups x |P|)`` coefficient matrix, where ``groups``
+    counts the groups of axis ``split - 1`` and ``P``, the projection of the
+    set onto axes ``0..split - 1``, is the first
+    ``BasisPlan.stops[split - 1]`` canonical rows.  ``cell[k]`` is the cell
+    (``row * |P| + column``) of the index at canonical position ``k``: its
+    group's GEMM row, and the position in ``P`` of its projection.  The
+    GEMM rows are listed level-major in ``a_{split}``.  For each later axis
+    ``i`` the groups of axis ``i`` are listed longest first, and
+    ``steps[i - split][l]`` selects, in the previous step's listing, the
     level-``l`` members of the groups that reach level ``l``; those groups
     form a prefix.  Every selection of the first step is therefore a slice;
     later selections are index arrays.
+
+    ``split`` is the largest ``j`` with ``|P_j|`` at most the number of
+    groups of axis ``j - 1`` (and 1 if there is none), which makes the GEMM
+    most nearly square; for an ``l_p`` ball with ``m = 3`` that is 1, the
+    GEMM of one row per grid line of axis 0 and one column per level.
     """
 
-    runs: np.ndarray
+    split: int
+    groups: int
+    cell: np.ndarray
     steps: tuple[list, ...]
 
 
@@ -333,43 +353,61 @@ def _axis_lines(exponents: np.ndarray, axis: int) -> AxisLines:
     return AxisLines(cell, tuple(reach.tolist()))
 
 
-def _fold_plan(exponents: np.ndarray, lines0: AxisLines) -> FoldPlan:
-    """The :class:`FoldPlan` of a downward-closed canonical array whose
-    axis-0 line table is ``lines0``."""
+def _fold_plan(
+    exponents: np.ndarray, lines: tuple[AxisLines, ...], stops: tuple[int, ...], split=None
+) -> FoldPlan:
+    """The :class:`FoldPlan` of a downward-closed canonical array with the
+    line tables ``lines`` and the projection sizes ``stops`` of its
+    :class:`BasisPlan`; ``split`` defaults to the rule of the plan."""
     count, dim = exponents.shape
     # heads[r, i]: row r opens a group of axis i (row 0 opens all of them)
     heads = np.ones((count, dim), dtype=bool)
     changed = exponents[1:] != exponents[:-1]
     heads[1:, :-1] = np.logical_or.accumulate(changed[:, :0:-1], axis=1)[:, ::-1]
     heads[1:, -1] = False
-    firsts = np.flatnonzero(heads[:, 0])  # first canonical row of each run
-    rows = firsts  # first canonical row of each group of axis i - 1
-    slot = np.arange(rows.size)  # listing of the runs
+    if split is None:
+        groups = np.count_nonzero(heads, axis=0)
+        split = max([1] + [j + 1 for j in range(dim) if stops[j] <= groups[j]])
+    # the position of each row's projection onto axes 0..split - 1: step
+    # down to level 0 along the lines of every later axis
+    projection = np.arange(count)
+    for i in range(dim - 1, split - 1, -1):
+        level = exponents[:, i]
+        width = lines[i].reach[0]
+        line = lines[i].cell - level * width
+        base = np.flatnonzero(level == 0)
+        bottom = np.empty(width, dtype=np.intp)
+        bottom[line[base]] = base
+        projection = bottom[line[projection]]
+    group = np.cumsum(heads[:, split - 1]) - 1
+    rows = np.flatnonzero(heads[:, split - 1])  # first canonical row of each group
+    slot = np.arange(rows.size)  # listing of the GEMM rows
     steps = []
-    for i in range(1, dim):
+    for i in range(split, dim):
         opens = heads[rows, i]
-        group = np.cumsum(opens) - 1
+        member = np.cumsum(opens) - 1
         starts = np.flatnonzero(opens)
         lengths = np.diff(starts, append=rows.size)
         by_length = np.argsort(-lengths, kind="stable")
         rank = np.empty_like(by_length)
         rank[by_length] = np.arange(by_length.size)
         reach = np.searchsorted(-lengths[by_length], -np.arange(lengths.max()))
-        if i == 1:
-            # level-major listing: run at level l of group g goes to
-            # offset[l] + rank[g], so each level is one contiguous slice
+        if i == split:
+            # level-major listing: the GEMM row at level l of group g goes
+            # to offset[l] + rank[g], so each level is one contiguous slice
             offset = np.cumsum(reach) - reach
-            slot = offset[np.arange(rows.size) - starts[group]] + rank[group]
+            slot = offset[np.arange(rows.size) - starts[member]] + rank[member]
             steps.append([slice(lo, lo + w) for lo, w in zip(offset.tolist(), reach.tolist())])
         else:
             first = starts[by_length]
             steps.append([where[first[:w] + level] for level, w in enumerate(reach)])
         where = rank
         rows = rows[starts]
-    # a run's level-0 cell is its column in the axis-0 line table
-    listed = np.empty_like(slot)
-    listed[slot] = lines0.cell[firsts]
-    return FoldPlan(listed, tuple(steps))
+    cell = slot[group] * stops[split - 1] + projection
+    # int32, as for ``AxisLines.cell``, unless the GEMM matrix is too large
+    if slot.size * stops[split - 1] <= 2**31:
+        cell = cell.astype(np.int32)
+    return FoldPlan(split, slot.size, cell, tuple(steps))
 
 
 def _basis_plan(exponents: np.ndarray, lines: tuple[AxisLines, ...]) -> BasisPlan:
@@ -407,5 +445,6 @@ def _build_layout(exponents: np.ndarray) -> Layout:
     """The :class:`Layout` of a canonical exponent array; ``ValueError`` if
     the set is not downward closed."""
     lines = tuple(_axis_lines(exponents, axis) for axis in range(exponents.shape[1]))
-    return Layout(lines, _fold_plan(exponents, lines[0]), _basis_plan(exponents, lines))
+    basis = _basis_plan(exponents, lines)
+    return Layout(lines, _fold_plan(exponents, lines, basis.stops), basis)
 

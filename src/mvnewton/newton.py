@@ -15,6 +15,13 @@ up to two zero-padded tables of (longest line) x (number of lines) entries
 per column: under ``m * |A|`` for the ``l_p`` sets with ``p >= 1``, and
 larger for ``p < 1``, whose long thin arms leave most of a table as padding.
 
+Evaluation at ``k`` points (see :func:`_fold`) contracts the first ``j``
+axes in one ``(G_j x |P_j|) . (|P_j| x k)`` GEMM, where ``P_j`` is the
+projection of the set onto those axes and ``G_j`` counts the groups of
+indices sharing ``a_{j+1}..a_m``, then sums over axes ``j+1..m`` level by
+level.  Per point that is ``G_j * |P_j|`` multiply-adds in the GEMM plus
+one per group in the sums.
+
 Where each index lands in those tables, the walk of the evaluation fold
 and the build order of the basis values are the index set's layout
 (:attr:`MultiIndexSet.layout <mvnewton.multi_index.MultiIndexSet.layout>`):
@@ -58,10 +65,13 @@ _log = logging.getLogger(__name__)
 MIN_NODE_SEPARATION = 1e-14
 
 # Soft bound on the floats held by the largest evaluation intermediate: the
-# fold evaluates points in chunks so that (runs x chunk), and each axis table
-# of (n_i + 1) x chunk, stay below it.  Without it the perfbench ``cli``
-# workload peaked at 255 MB instead of 120 MB, and ``sweep`` at 130 MB
-# instead of 80 MB (2-core x86 machine, OpenBLAS with 2 threads).
+# fold evaluates points in chunks so that its GEMM output (G_j x chunk) and
+# basis block (|P_j| x chunk), and with them each axis table of
+# (n_i + 1) x chunk, stay below it.  Without it the perfbench ``sweep``
+# workload peaked at 131 MB instead of 81 MB, and its median repetition took
+# 0.42 s instead of 0.39 s; ``cli``, whose folds fit in one chunk, did not
+# move (3 alternating pairs each at seed 5, 2-core x86 machine, OpenBLAS
+# with 2 threads).
 _CHUNK_BUDGET = 4_000_000
 
 
@@ -336,24 +346,35 @@ def newton_basis_values(grid: UnisolventGrid, x, order=None) -> np.ndarray:
     Returns ``(k, |A|)`` for ``(k, m)`` input, aligned to canonical order;
     ``(|A|,)`` for a single point ``(m,)``.
 
-    The result is the transpose of a C-contiguous ``(|A|, k)`` array, built
-    one axis at a time along the index set's
-    :class:`~mvnewton.multi_index.BasisPlan`: axis 0 writes its table (see
-    :func:`_axis_table`) into the leading rows, and each later axis fills
-    its level-``l`` rows with already built rows times row ``l`` of its
-    table.  Besides the output, memory is the axis tables of
-    ``(n_i + 1) x k`` floats and one gathered block of rows.  Every value
-    is multiplied in axis order, as in the product formula
+    The result is the transpose of the C-contiguous ``(|A|, k)`` array of
+    :func:`_basis_rows` over every axis.  Besides the output, memory is the
+    axis tables of ``(n_i + 1) x k`` floats and one gathered block of rows.
+    Every value is multiplied in axis order, as in the product formula
     ``prod_i N_i(x_i)``, so it is bitwise equal to that formula.
     """
     pts, single = _as_points(x, grid.dim)
     order = _check_order((0,) * grid.dim if order is None else order, grid.dim)
+    out = _basis_rows(grid, np.ascontiguousarray(pts.T), order, grid.dim)
+    return out[:, 0] if single else out.T
+
+
+def _basis_rows(grid: UnisolventGrid, columns: np.ndarray, order, leading: int) -> np.ndarray:
+    """Points-last basis values of the projection of the index set onto its
+    first ``leading`` axes, with only the factors of those axes.
+
+    The projection is the first ``stops[leading - 1]`` canonical rows of the
+    set's :class:`~mvnewton.multi_index.BasisPlan`, and the result is a
+    C-contiguous ``(stops[leading - 1], k)`` array for the ``(m, k)`` point
+    coordinates ``columns``.  It is built one axis at a time along that
+    plan: axis 0 writes its table (see :func:`_axis_table`) into the leading
+    rows, and each later axis fills its level-``l`` rows with already built
+    rows times row ``l`` of its table.
+    """
     tops = grid.index_set.tops
-    columns = np.ascontiguousarray(pts.T)
-    out = np.empty((len(grid), pts.shape[0]))
-    out[: tops[0] + 1] = _axis_table(grid.axes[0].points, tops[0], columns[0], order[0])
     plan = grid.index_set.layout.basis
-    for i, levels in enumerate(plan.levels, 1):
+    out = np.empty((plan.stops[leading - 1], columns.shape[1]))
+    out[: tops[0] + 1] = _axis_table(grid.axes[0].points, tops[0], columns[0], order[0])
+    for i, levels in enumerate(plan.levels[: leading - 1], 1):
         table = _axis_table(grid.axes[i].points, tops[i], columns[i], order[i])
         for level, (rows, source) in enumerate(levels, 1):
             np.multiply(out[source], table[level], out=out[rows])
@@ -361,40 +382,42 @@ def newton_basis_values(grid: UnisolventGrid, x, order=None) -> np.ndarray:
             # a differentiated axis has row 0 zero, not one: scale the
             # level-0 rows last, after every level has read them
             out[: plan.stops[i - 1]] *= table[0]
-    return out[:, 0] if single else out.T
+    return out
 
 
 def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
     """Batched recursive splitting ``Q = Q1 + (x_i - p) Q2`` over all points.
 
-    The coefficients are scattered into a zero-padded ``(runs, n_1 + 1)``
-    matrix, one row per axis-1 run and one column per level, and one GEMM
-    with the axis-1 table collapses every run at every point.  Each later
-    axis ``i`` then collapses the groups sharing the coordinates after
-    ``i``: level by level, the members at level ``l`` are scaled by row
-    ``l`` of the axis-``i`` table and added to their group's sum.  Points
-    stay on the last, contiguous axis.  The walk follows the index set's
-    :class:`~mvnewton.multi_index.FoldPlan`: the runs are listed
-    level-major in ``a_2``, so the largest sums, those of axis 2, read
-    contiguous slices of the GEMM output.
+    The index set's :class:`~mvnewton.multi_index.FoldPlan` splits the axes
+    after its first ``j = split``.  The coefficients are scattered into a
+    zero-padded ``(G_j, |P_j|)`` matrix, one row per group of indices
+    sharing ``a_{j+1}..a_m`` and one column per index of the projection
+    ``P_j`` of the set onto axes ``1..j``.  One GEMM with the basis values
+    of ``P_j`` over those axes (see :func:`_basis_rows`) collapses every
+    group at every point.  Each later axis ``i`` then collapses the groups
+    sharing the coordinates after ``i``: level by level, the members at
+    level ``l`` are scaled by row ``l`` of the axis-``i`` table and added to
+    their group's sum.  Points stay on the last, contiguous axis.  The GEMM
+    rows are listed level-major in ``a_{j+1}``, so the largest sums, the
+    first, read contiguous slices of the GEMM output.  With ``j = 1`` the
+    GEMM rows are the grid lines of axis 1 and its columns their levels.
     """
     pts, single = _as_points(x, poly.grid.dim)
-    layout = poly.grid.index_set.layout
-    plan = layout.fold
+    index_set = poly.grid.index_set
+    plan = index_set.layout.fold
+    width = index_set.layout.basis.stops[plan.split - 1]
+    scattered = np.zeros(plan.groups * width)
+    scattered[plan.cell] = poly.coeffs
+    scattered = scattered.reshape(plan.groups, width)
     axes = poly.grid.axes
-    tops = poly.grid.index_set.tops
-    # lay the coefficients out in the axis-0 line table, then list its
-    # columns (the runs) as the plan does
-    padded = np.zeros((tops[0] + 1) * plan.runs.size)
-    padded[layout.lines[0].cell] = poly.coeffs
-    scattered = padded.reshape(tops[0] + 1, -1).T[plan.runs]
+    tops = index_set.tops
     columns = np.ascontiguousarray(pts.T)
     out = np.empty(pts.shape[0])
-    step = max(1, _CHUNK_BUDGET // max(plan.runs.size, max(tops) + 1))
+    step = max(1, _CHUNK_BUDGET // max(plan.groups, width))
     for start in range(0, pts.shape[0], step):
         chunk = columns[:, start : start + step]
-        acc = scattered @ _axis_table(axes[0].points, tops[0], chunk[0], order[0])
-        for i, members in enumerate(plan.steps, 1):
+        acc = scattered @ _basis_rows(poly.grid, chunk, order, plan.split)
+        for i, members in enumerate(plan.steps, plan.split):
             table = _axis_table(axes[i].points, tops[i], chunk[i], order[i])
             total = acc[members[0]] * table[0]
             product = np.empty_like(total)
@@ -411,10 +434,11 @@ def eval_iterative(poly: NewtonPolynomial, x):
     """Evaluate at a single point ``(m,)`` or a batch ``(k, m)``.
 
     The batched form of the recursive splitting of :func:`eval_recursive`
-    (see :func:`_fold`): one ``(runs x (n_1 + 1)) . ((n_1 + 1) x k)`` GEMM
-    plus ``O(k * runs)`` segmented work for the later axes, where ``runs``
-    counts the blocks of indices sharing ``a_2..a_m``.  The walk is read
-    from the index set's layout.
+    (see :func:`_fold`): per point, one ``G_j x |P_j|`` GEMM over the first
+    ``j`` axes, where ``G_j`` counts the groups of indices sharing
+    ``a_{j+1}..a_m`` and ``P_j`` is the projection of the set onto axes
+    ``1..j``, plus level-by-level sums over axes ``j+1..m``.  The walk and
+    ``j`` are read from the index set's layout.
     """
     return _fold(poly, x, (0,) * poly.grid.dim)
 

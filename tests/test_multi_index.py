@@ -166,7 +166,8 @@ def assert_layouts_equal(a, b):
     for x, y in zip(a.lines, b.lines, strict=True):
         assert x.reach == y.reach
         assert x.cell.dtype == y.cell.dtype and np.array_equal(x.cell, y.cell)
-    assert np.array_equal(a.fold.runs, b.fold.runs)
+    assert (a.fold.split, a.fold.groups) == (b.fold.split, b.fold.groups)
+    assert np.array_equal(a.fold.cell, b.fold.cell)
     for x, y in zip(a.fold.steps, b.fold.steps, strict=True):
         assert len(x) == len(y)
         for u, v in zip(x, y):
@@ -250,6 +251,17 @@ def test_positions_and_contains():
             s.position(q)
         with pytest.raises(KeyError):
             s.positions(np.vstack([s.exponents, q]))
+    # anything but a length-m numeric vector is not a member
+    for q in [(1, 0), (0, 0, 0, 0), (), 0, "ab", "abc", ("0", "0", "0"), None, [[0, 0, 0]],
+              [(0, 1), 0, 0], (0j, 0, 0), {"a": 1}]:
+        assert q not in s
+    assert (1, 0) in make_lp_set(2, 2, 1) and np.array([0, 1, 1]) in s
+    # position and positions still reject a wrong width
+    for q in [(1, 0), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="3 columns"):
+            s.position(q)
+        with pytest.raises(ValueError, match="3 columns"):
+            s.positions(np.array([q]))
 
 
 @given(st.integers(min_value=0, max_value=10**6))

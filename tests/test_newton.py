@@ -193,27 +193,86 @@ def test_newton_basis_values_edge_shapes():
             assert same_bits(basis, newton_basis_oracle(grid, pts, order))
 
 
+def with_fold_split(index_set: MultiIndexSet, split: int) -> MultiIndexSet:
+    """A fresh copy of ``index_set`` whose fold contracts its first ``split``
+    axes in the GEMM, whatever the rule of the plan would choose."""
+    fresh = MultiIndexSet(index_set.exponents)
+    layout = fresh.layout
+    plan = multi_index._fold_plan(fresh.exponents, layout.lines, layout.basis.stops, split)
+    # the constructor sets its slots the same way, past the immutability guard
+    object.__setattr__(fresh, "layout", layout._replace(fold=plan))
+    return fresh
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40)
+def test_fold_matches_basis_matrix_oracle_at_every_split(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 7))
+    index_set = random_downward_closed(rng, dim, int(rng.integers(1, 120)), 6)
+    exps, tops = index_set.exponents, index_set.tops
+    # the rule: the most axes j whose projection P_j has no more indices
+    # than there are groups sharing a_{j+1}..a_m, and at least one
+    sizes = [int((exps[:, j:] == 0).all(axis=1).sum()) for j in range(1, dim + 1)]
+    groups = [np.unique(exps[:, j:], axis=0).shape[0] for j in range(1, dim + 1)]
+    fits = [j for j in range(1, dim + 1) if sizes[j - 1] <= groups[j - 1]]
+    assert index_set.layout.fold.split == max([1] + fits)
+    axes = random_axes(rng, [top + 1 for top in tops])
+    grid = build_grid(index_set, axes)
+    coeffs = rng.standard_normal(len(grid))
+    pts = rng.uniform(-1, 1, (int(rng.integers(1, 30)), dim))
+    # up to two above an axis's top degree, where the derivative vanishes
+    order = tuple(int(rng.integers(0, top + 3)) for top in tops)
+    oracles = [newton_basis_values(grid, pts), newton_basis_values(grid, pts, order)]
+    for split in range(1, dim + 1):
+        poly = NewtonPolynomial(build_grid(with_fold_split(index_set, split), axes), coeffs)
+        plan = poly.grid.index_set.layout.fold
+        assert (plan.split, plan.groups) == (split, groups[split - 1])
+        evaluated = (eval_iterative(poly, pts), eval_derivative(poly, order, pts))
+        for got, basis in zip(evaluated, oracles):
+            scale = 1.0 + np.abs(basis).dot(np.abs(coeffs)).max()
+            assert np.abs(got - basis @ coeffs).max() <= 1e-13 * scale
+
+
+def test_fold_split_rule():
+    def split(m, n, p):
+        return make_lp_set(m, n, p).layout.fold.split
+
+    assert {split(3, n, 2) for n in range(6, 41)} == {1}
+    assert {split(6, n, 1) for n in range(2, 11)} == {3}
+    assert split(4, 28, 2) == 2 and split(8, 6, 2) == 4
+    assert split(2, 100, 2) == 1 and split(3, 60, 0.5) == 1
+
+
 def test_fold_chunks_agree_with_one_chunk(monkeypatch):
-    grid = lcl_grid(3, 8, 2)
-    rng = np.random.default_rng(3)
-    poly = NewtonPolynomial(grid, rng.standard_normal(len(grid)))
-    pts = rng.uniform(-1, 1, (103, 3))
-    whole = [eval_iterative(poly, pts), eval_derivative(poly, (1, 0, 2), pts)]
-    runs = np.unique(grid.index_set.exponents[:, 1:], axis=0).shape[0]
-    monkeypatch.setattr(newton, "_CHUNK_BUDGET", runs * 10)
-    widths = []
-    table = newton._axis_table
+    # (3, 8, 2) contracts one axis in its GEMM, (6, 4, 1) three
+    for (m, n, p), split in (((3, 8, 2), 1), ((6, 4, 1), 3)):
+        grid = lcl_grid(m, n, p)
+        plan = grid.index_set.layout.fold
+        assert plan.split == split
+        rng = np.random.default_rng(3)
+        poly = NewtonPolynomial(grid, rng.standard_normal(len(grid)))
+        pts = rng.uniform(-1, 1, (103, m))
+        order = (1,) + (0,) * (m - 2) + (2,)
+        whole = [eval_iterative(poly, pts), eval_derivative(poly, order, pts)]
+        width = grid.index_set.layout.basis.stops[split - 1]
+        assert plan.groups == np.unique(grid.index_set.exponents[:, split:], axis=0).shape[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(newton, "_CHUNK_BUDGET", max(plan.groups, width) * 10)
+            widths = []
+            table = newton._axis_table
 
-    def spy(points, top, x, order):
-        widths.append(x.size)
-        return table(points, top, x, order)
+            def spy(points, top, x, order):
+                widths.append(x.size)
+                return table(points, top, x, order)
 
-    monkeypatch.setattr(newton, "_axis_table", spy)
-    chunked = [eval_iterative(poly, pts), eval_derivative(poly, (1, 0, 2), pts)]
-    assert widths == 2 * ([10] * 3 * 10 + [3] * 3)  # ten full chunks, one ragged
-    # not bitwise: BLAS may split a narrower GEMM differently
-    for a, b in zip(whole, chunked):
-        assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
+            patch.setattr(newton, "_axis_table", spy)
+            chunked = [eval_iterative(poly, pts), eval_derivative(poly, order, pts)]
+        # ten full chunks and one ragged, with one table per axis each
+        assert widths == 2 * ([10] * m * 10 + [3] * m)
+        # not bitwise: BLAS may split a narrower GEMM differently
+        for a, b in zip(whole, chunked):
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
 
 
 def test_fold_edge_cases():
@@ -231,18 +290,30 @@ def test_fold_edge_cases():
     assert np.array_equal(eval_iterative(constant, pts), np.full(7, 2.5))
     assert not eval_derivative(constant, (0, 1), pts).any()
     plan = make_lp_set(1, 6, 1).layout.fold
-    assert plan.runs.tolist() == [0] and plan.steps == ()
-    # runs of l_1 (2, 2): a_2 = 0 holds a_1 = 0..2, a_2 = 1 holds 0..1, a_2 = 2 holds 0
+    assert (plan.split, plan.groups, plan.steps) == (1, 1, ())
+    assert plan.cell.tolist() == list(range(7))
+    # runs of l_1 (2, 2): a_2 = 0 holds a_1 = 0..2, a_2 = 1 holds 0..1, a_2 = 2
+    # holds 0; each run is a GEMM row, listed by a_2, and a_1 is its column
     plan = make_lp_set(2, 2, 1).layout.fold
-    assert plan.runs.tolist() == [0, 1, 2]
+    assert (plan.split, plan.groups) == (1, 3)
+    assert plan.cell.tolist() == [0, 1, 2, 3, 4, 6]
     assert plan.steps == ([slice(0, 1), slice(1, 2), slice(2, 3)],)
     # l_1 (1, 1, 1): runs (a_2, a_3) = (0, 0), (1, 0), (0, 1); the groups of
     # axis 2 are a_3 = 0 (levels 0..1) and a_3 = 1 (level 0), so level 0 of
     # both comes first, then level 1 of the first
     plan = make_lp_set(3, 1, 1).layout.fold
-    assert plan.runs.tolist() == [0, 2, 1]
+    assert (plan.split, plan.groups) == (1, 3)
+    assert plan.cell.tolist() == [0, 1, 4, 2]
     assert plan.steps[0] == [slice(0, 2), slice(2, 3)]
     assert [rows.tolist() for rows in plan.steps[1]] == [[0], [1]]
+    # l_1 (6, 1): P_3 = {0, e_1, e_2, e_3} and the 4 groups, one per value
+    # of (a_4, a_5, a_6), make the GEMM square; P_4 would outnumber the 3
+    # groups of (a_5, a_6).  The group a_4 = 1 is level 1 of (a_5, a_6) = 0, so it
+    # is listed last, and e_4 is column 0 of its row
+    plan = make_lp_set(6, 1, 1).layout.fold
+    assert (plan.split, plan.groups) == (3, 4)
+    assert plan.cell.tolist() == [0, 1, 2, 3, 12, 4, 8]
+    assert plan.steps[0] == [slice(0, 3), slice(3, 4)]
 
 
 def test_divided_differences_matches_collocation_solve(rng):
