@@ -173,7 +173,9 @@ def _grid_for(args, index_set):
 
 def cmd_nodes(args) -> int:
     the_grid = _grid_for(args, make_lp_set(args.dim, args.degree, args.p))
-    _atomic_write_text(args.out, _rows_text(*the_grid._table(), args.format))
+    as_csv = args.format == "csv"
+    text = the_grid.to_csv_text() if as_csv else _rows_text(*the_grid._table(), args.format)
+    _atomic_write_text(args.out, text)
     print(f"num_indices={len(the_grid)}")
     for i, axis in enumerate(the_grid.axes):
         print(f"axis{i + 1}: " + " ".join(_fmt(v) for v in axis.points))

@@ -161,17 +161,19 @@ def leja_points(n: int, resolution: int | None = None) -> Nodes1D:
         resolution = max(DEFAULT_LEJA_RESOLUTION, 10 * (n + 1))
     if resolution < 10 * (n + 1):
         raise ValueError(f"resolution must be at least 10*(n+1) = {10 * (n + 1)}")
-    chosen = [1.0]
+    chosen = np.ones(n + 1)  # entry 0 is the first point, 1
     if n == 0:
-        return Nodes1D(np.array(chosen), family="leja")
+        return Nodes1D(chosen, family="leja")
 
     grid = np.cos(np.pi * np.arange(resolution) / (resolution - 1))  # 1 down to -1
-    with np.errstate(divide="ignore"):
-        logprod = np.log(np.abs(grid - 1.0))
+    # the scan and the objective write into these buffers, not temporaries
+    scan = np.empty(resolution)
+    near_top = np.empty(resolution, dtype=bool)
+    gaps = np.empty(n + 1)
 
-    def objective(p: float) -> float:
-        with np.errstate(divide="ignore"):
-            return float(np.log(np.abs(p - np.asarray(chosen))).sum())
+    def objective(p: float) -> float:  # over the ``step`` points chosen so far
+        gap = np.subtract(p, chosen[:step], out=gaps[:step])
+        return float(np.log(np.abs(gap, out=gap), out=gap).sum())
 
     # The distance product often has exactly tied maxima (e.g. +-1/sqrt(3)
     # after {1, -1, 0}), so every near-tied local peak is refined and the
@@ -181,41 +183,43 @@ def leja_points(n: int, resolution: int | None = None) -> Nodes1D:
     # regions; the decision band only the float noise of the log objective.
     preselect_tol = 1e-4
     decide_tol = 1e-12
-    for _ in range(n):
-        top = logprod.max()
-        tied = np.flatnonzero(logprod >= top - preselect_tol)
-        peaks = [
-            int(k)
-            for k in tied
-            if (k == 0 or logprod[k] >= logprod[k - 1])
-            and (k == resolution - 1 or logprod[k] >= logprod[k + 1])
-        ]
-        candidates = []
-        for k in peaks:
-            lo = grid[min(k + 1, resolution - 1)]
-            hi = grid[max(k - 1, 0)]
-            refined = _golden_section_max(objective, lo, hi)
-            for q in (grid[k], refined, lo, hi):
-                candidates.append((objective(q), float(q)))
-        best_val = max(v for v, _ in candidates)
-        tie = [(v, q) for v, q in candidates if v >= best_val - decide_tol]
-        # Largest tied abscissa wins, but within its cluster the best
-        # objective value is kept, so a refinement point a few ulps inside
-        # an interval end cannot shadow the exact endpoint.
-        q_max = max(q for _, q in tie)
-        best = max(
-            (v, q) for v, q in tie if abs(q - q_max) <= 1e-9 * (1.0 + abs(q_max))
-        )[1]
-        # The distance product is flat to float precision around a maximum,
-        # so a winner this close to zero is the symmetric step whose true
-        # maximizer is exactly 0 (same snap rationale as the Lobatto
-        # midpoint); leaving the offset in would flip later tie-breaks.
-        if abs(best) < 1e-7:
-            best = 0.0
-        chosen.append(best)
-        with np.errstate(divide="ignore"):
-            logprod += np.log(np.abs(grid - best))
-    return Nodes1D(np.array(chosen), family="leja")
+    with np.errstate(divide="ignore"):
+        logprod = np.log(np.abs(grid - 1.0))
+        for step in range(1, n + 1):
+            top = logprod.max()
+            tied = np.flatnonzero(np.greater_equal(logprod, top - preselect_tol, out=near_top))
+            peaks = [
+                int(k)
+                for k in tied
+                if (k == 0 or logprod[k] >= logprod[k - 1])
+                and (k == resolution - 1 or logprod[k] >= logprod[k + 1])
+            ]
+            candidates = []
+            for k in peaks:
+                lo = grid[min(k + 1, resolution - 1)]
+                hi = grid[max(k - 1, 0)]
+                refined = _golden_section_max(objective, lo, hi)
+                for q in (grid[k], refined, lo, hi):
+                    candidates.append((objective(q), float(q)))
+            best_val = max(v for v, _ in candidates)
+            tie = [(v, q) for v, q in candidates if v >= best_val - decide_tol]
+            # Largest tied abscissa wins, but within its cluster the best
+            # objective value is kept, so a refinement point a few ulps inside
+            # an interval end cannot shadow the exact endpoint.
+            q_max = max(q for _, q in tie)
+            best = max(
+                (v, q) for v, q in tie if abs(q - q_max) <= 1e-9 * (1.0 + abs(q_max))
+            )[1]
+            # The distance product is flat to float precision around a maximum,
+            # so a winner this close to zero is the symmetric step whose true
+            # maximizer is exactly 0 (same snap rationale as the Lobatto
+            # midpoint); leaving the offset in would flip later tie-breaks.
+            if abs(best) < 1e-7:
+                best = 0.0
+            chosen[step] = best
+            gap = np.subtract(grid, best, out=scan)
+            logprod += np.log(np.abs(gap, out=gap), out=gap)
+    return Nodes1D(chosen, family="leja")
 
 
 @dataclass(frozen=True)
@@ -250,48 +254,21 @@ class UnisolventGrid:
     def _table(self) -> tuple[list[str], list[np.ndarray]]:
         """The header ``a1..am, x1..xm`` and the columns (index then
         coordinates) of the grid table, rows in canonical order."""
-        dim = self.dim
-        header = [f"a{i + 1}" for i in range(dim)] + [f"x{i + 1}" for i in range(dim)]
+        header = [f"{name}{i + 1}" for name in "ax" for i in range(self.dim)]
         return header, [*self.index_set.exponents.T, *self.node_coordinates.T]
 
-    def to_csv(self, path) -> None:
-        """The grid table as CSV: columns ``a1..am, x1..xm``, canonical order."""
-        with open(path, "w", newline="") as fh:
-            fh.write(_table_text(*self._table()))
-
-    @classmethod
-    def from_csv(cls, path, family: str = "custom") -> "UnisolventGrid":
-        """Rebuild a grid from :meth:`to_csv` output.
-
-        Axis points beyond the largest exponent used per dimension are not
-        recoverable from the file; the reconstructed axes are exactly as
-        long as the index set requires.  Rows that give one axis level two
-        different coordinates, or indices that are not downward closed, are
-        rejected.
-        """
-
-        def row_dtype(header):
-            if len(header) % 2 != 0:
-                raise ValueError(f"malformed grid file {path}")
-            dim = len(header) // 2
-            return [("a", np.int64, (dim,)), ("x", np.float64, (dim,))]
-
-        rows = _read_table(path, row_dtype)
-        exps, coords = rows["a"], rows["x"]
-        index_set = MultiIndexSet(exps)
-        axes = []
-        for i in range(index_set.dim):
-            # a downward-closed set holds every level up to its axis top
-            pts = np.empty(index_set.tops[i] + 1)
-            pts[exps[:, i]] = coords[:, i]
-            clash = np.flatnonzero(pts[exps[:, i]] != coords[:, i])
-            if clash.size:
-                raise ValueError(
-                    f"grid file {path} rows disagree about the point of axis "
-                    f"{i + 1} at level {exps[clash[0], i]}"
-                )
-            axes.append(Nodes1D(pts, family=family))
-        return build_grid(index_set, axes)
+    def to_csv_text(self) -> str:
+        """``_table_text(*self._table())``, from each axis's levels and points
+        formatted once (``%d``, ``%.17g``) and gathered by exponent."""
+        exps = self.index_set.exponents
+        tops = self.index_set.tops
+        levels = np.array(["%d" % level for level in range(max(tops) + 1)], dtype=object)
+        columns = [levels[exps[:, i]] for i in range(self.dim)]
+        for i, top in enumerate(tops):
+            points = self.axes[i].points[: top + 1].tolist()
+            columns.append(np.array(["%.17g" % v for v in points], dtype=object)[exps[:, i]])
+        header = ",".join(f"{name}{i + 1}" for name in "ax" for i in range(self.dim))
+        return "\r\n".join([header, *map(",".join, zip(*columns)), ""])
 
 
 def _table_text(header, columns) -> str:

@@ -368,17 +368,21 @@ def _fold_plan(
     if split is None:
         groups = np.count_nonzero(heads, axis=0)
         split = max([1] + [j + 1 for j in range(dim) if stops[j] <= groups[j]])
-    # the position of each row's projection onto axes 0..split - 1: step
-    # down to level 0 along the lines of every later axis
-    projection = np.arange(count)
+    # the position of each row's projection onto axes 0..split - 1.  A line
+    # of axis 0 and its projection are runs from level 0, so only level-0
+    # rows (heads) step down along each later axis, whose lines keep a_0.
+    heads_0 = np.flatnonzero(heads[:, 0])
+    head_exponents = exponents[heads_0]
+    projection = np.arange(heads_0.size)  # in the listing of the heads
     for i in range(dim - 1, split - 1, -1):
-        level = exponents[:, i]
+        level = head_exponents[:, i]
         width = lines[i].reach[0]
-        line = lines[i].cell - level * width
+        line = lines[i].cell[heads_0] - level * width
         base = np.flatnonzero(level == 0)
         bottom = np.empty(width, dtype=np.intp)
         bottom[line[base]] = base
         projection = bottom[line[projection]]
+    projection = heads_0[projection][np.cumsum(heads[:, 0]) - 1] + exponents[:, 0]
     group = np.cumsum(heads[:, split - 1]) - 1
     rows = np.flatnonzero(heads[:, split - 1])  # first canonical row of each group
     slot = np.arange(rows.size)  # listing of the GEMM rows

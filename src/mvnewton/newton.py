@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import NODE_FAMILIES, UnisolventGrid, _read_table, _table_text
-from .multi_index import AxisLines
+from .grid import NODE_FAMILIES, Nodes1D, UnisolventGrid, _read_table, _table_text, build_grid
+from .multi_index import AxisLines, MultiIndexSet
 
 __all__ = [
     "NewtonPolynomial",
@@ -490,7 +490,10 @@ def eval_recursive(poly: NewtonPolynomial, x) -> float:
 
 
 def save_bundle(poly: NewtonPolynomial, directory) -> None:
-    """Write ``header.json``, ``grid.csv`` and ``coefficients.csv``."""
+    """Write ``header.json``: ``{m, num_coeffs, node_family, provenance,
+    axes}``, with every point of every axis as a JSON number (the shortest
+    repr that round-trips); ``coefficients.csv``: ``a1..am, c`` in canonical
+    order; and ``grid.csv``, the node table, for reference only."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     grid = poly.grid
@@ -499,41 +502,55 @@ def save_bundle(poly: NewtonPolynomial, directory) -> None:
         "num_coeffs": len(grid),
         "node_family": grid.node_family,
         "provenance": _provenance_json(grid.index_set.provenance),
+        "axes": [axis.points.tolist() for axis in grid.axes],
     }
     with open(directory / "header.json", "w") as fh:
         json.dump(header, fh, indent=2)
         fh.write("\n")
-    grid.to_csv(directory / "grid.csv")
+    with open(directory / "grid.csv", "w", newline="") as fh:
+        fh.write(grid.to_csv_text())
     names = [f"a{i + 1}" for i in range(grid.dim)] + ["c"]
     with open(directory / "coefficients.csv", "w", newline="") as fh:
         fh.write(_table_text(names, [*grid.index_set.exponents.T, poly.coeffs]))
 
 
 def load_bundle(directory) -> NewtonPolynomial:
-    """Read a :func:`save_bundle` directory.  ``coefficients.csv`` must list
-    the indices of ``grid.csv`` in canonical order, as the writer does."""
+    """Read a :func:`save_bundle` directory from ``header.json`` and
+    ``coefficients.csv``; ``grid.csv`` is not read.  ``ValueError`` for a
+    v1 bundle (no ``axes``), counts that are not JSON integers or disagree
+    with the axes and the table, rows out of canonical order, and axes
+    that are malformed or shorter than the exponents need."""
     directory = Path(directory)
-    with open(directory / "header.json") as fh:
+    path, table = directory / "header.json", directory / "coefficients.csv"
+    with open(path) as fh:
         header = json.load(fh)
     if not isinstance(header, dict):
-        raise ValueError(f"{directory / 'header.json'} does not hold a JSON object")
-    family = header.get("node_family", "custom")
-    if family not in NODE_FAMILIES:
-        family = "custom"
-    grid = UnisolventGrid.from_csv(directory / "grid.csv", family=family)
-    if header.get("m") != grid.dim or header.get("num_coeffs") != len(grid):
+        raise ValueError(f"{path} does not hold a JSON object")
+    if "axes" not in header:
+        raise ValueError(f"{path} is a v1 bundle header, without axes, which is no "
+                         "longer read; re-run `mvnewton interpolate` to write it again")
+    m, count, axes = header.get("m"), header.get("num_coeffs"), header["axes"]
+    if type(m) is not int or type(count) is not int:  # so neither true nor 2.0
+        raise ValueError(f"{path}: m={m!r} and num_coeffs={count!r} must be JSON integers")
+    if not isinstance(axes, list) or not all(
+        isinstance(axis, list) and all(type(v) in (int, float) for v in axis) for axis in axes
+    ):
+        raise ValueError(f"{path}: axes must be a list of lists of JSON numbers")
+    rows = _read_table(table, lambda names: [("a", np.int64, (len(names) - 1,)), ("c", float)])
+    if (m, count) != (len(axes), len(rows)) or m != rows["a"].shape[1]:
         raise ValueError(
-            f"header says m={header.get('m')}, num_coeffs={header.get('num_coeffs')}; "
-            f"grid file has m={grid.dim}, {len(grid)} nodes"
+            f"header says m={m}, num_coeffs={count}; it lists {len(axes)} axes, and "
+            f"{table} has {rows['a'].shape[1]} exponent columns and {len(rows)} rows"
         )
-    row_dtype = [("a", np.int64, (grid.dim,)), ("c", np.float64)]
-    rows = _read_table(directory / "coefficients.csv", lambda names: row_dtype)
-    if not np.array_equal(rows["a"], grid.index_set.exponents):
-        raise ValueError(
-            f"coefficient file does not list the {len(grid)} indices of the grid "
-            "in canonical order"
-        )
-    return NewtonPolynomial(grid, rows["c"])
+    index_set = MultiIndexSet(rows["a"])
+    if not np.array_equal(index_set.exponents, rows["a"]):
+        raise ValueError(f"{table} does not list its indices in canonical order")
+    family = header.get("node_family")
+    try:
+        axes = [Nodes1D(axis, family if family in NODE_FAMILIES else "custom") for axis in axes]
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{path}: an axis point is out of range") from None
+    return NewtonPolynomial(build_grid(index_set, axes), rows["c"])
 
 
 def _provenance_json(tag):

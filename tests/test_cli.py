@@ -1,15 +1,21 @@
 import argparse
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvnewton import cli, multi_index
 from mvnewton.cli import main, parse_degrees, parse_p
 from mvnewton.grid import Nodes1D, build_grid
 from mvnewton.multi_index import make_lp_set
-from mvnewton.newton import interpolate, save_bundle
+from mvnewton.newton import NewtonPolynomial, interpolate, save_bundle
 
 
 def run(argv):
@@ -132,22 +138,26 @@ def test_eval_malformed_points(tmp_path):
                 "--out", tmp_path / "v.csv"]) == 2
 
 
-def test_eval_rejects_header_contradicting_grid(tmp_path, capsys):
+def test_eval_rejects_header_contradicting_coefficients(tmp_path, capsys):
     a = make_lp_set(2, 3, 2)
     grid = build_grid(a, [Nodes1D(np.array([1.0, -1.0, 0.0, 0.5]))] * 2)
     save_bundle(interpolate(lambda p: p[:, 0] * p[:, 1], grid), tmp_path / "b")
     header_file = tmp_path / "b" / "header.json"
     header = json.loads(header_file.read_text())
     assert (header["m"], header["num_coeffs"]) == (2, 11)
-    header.update(m=5, num_coeffs=999)
-    header_file.write_text(json.dumps(header))
     pts = tmp_path / "pts.csv"
     pts.write_text("0.5,-0.25\n")
     out = tmp_path / "v.csv"
-    assert run(["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]) == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert "m=5" in err and "num_coeffs=999" in err
+    # three axes and m=3 agree with each other, not with the a1,a2,c columns
+    for update, words in (
+        ({"num_coeffs": 999}, ("num_coeffs=999", "11 rows")),
+        ({"m": 3, "axes": [*header["axes"], header["axes"][0]]}, ("m=3", "2 exponent columns")),
+    ):
+        header_file.write_text(json.dumps({**header, **update}))
+        assert run(["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert all(word in err for word in words), err
 
 
 def test_interpolate_constant_values_file(tmp_path):
@@ -318,19 +328,121 @@ def test_eval_rejects_header_that_is_not_an_object(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
-def test_eval_rejects_grid_rows_disagreeing_about_an_axis_point(tmp_path, capsys):
+def test_eval_rejects_header_axis_repeating_a_point(tmp_path, capsys):
     _xy_bundle(tmp_path / "b")
-    grid_file = tmp_path / "b" / "grid.csv"
-    lines = grid_file.read_text().splitlines()
-    assert lines[5] == "1,1,-1,-1"
-    lines[5] = "1,1,-1,-0.75"
-    grid_file.write_text("\n".join(lines) + "\n")
+    header_file = tmp_path / "b" / "header.json"
+    header = json.loads(header_file.read_text())
+    assert header["axes"][1] == [1.0, -1.0, 0.5]
+    header["axes"][1][1] = 0.5
+    header_file.write_text(json.dumps(header))
     pts = tmp_path / "pts.csv"
     pts.write_text("0.5,-0.25\n")
     out = tmp_path / "v.csv"
     assert run(["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]) == 2
     assert not out.exists()
-    assert "axis 2 at level 1" in capsys.readouterr().err
+    assert "pairwise distinct" in capsys.readouterr().err
+
+
+def test_eval_names_a_v1_bundle_and_how_to_rewrite_it(tmp_path, capsys):
+    _xy_bundle(tmp_path / "b")
+    header_file = tmp_path / "b" / "header.json"
+    header = json.loads(header_file.read_text())
+    del header["axes"]  # what a v1 writer left: the axes only in grid.csv
+    header_file.write_text(json.dumps(header))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,-0.25\n")
+    out = tmp_path / "v.csv"
+    assert run(["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "v1 bundle" in err and "mvnewton interpolate" in err
+
+
+@pytest.mark.parametrize("key", ["m", "num_coeffs"])
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_eval_rejects_counts_that_are_not_json_integers(tmp_path, capsys, key, value):
+    # a one-node bundle, where both counts are 1: true and 1.0 equal 1
+    grid = build_grid(make_lp_set(1, 0, 1), [Nodes1D(np.array([0.5]))])
+    save_bundle(NewtonPolynomial(grid, [0.25]), tmp_path / "b")
+    header_file = tmp_path / "b" / "header.json"
+    header = json.loads(header_file.read_text())
+    assert header[key] == 1
+    header[key] = value
+    header_file.write_text(json.dumps(header))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5\n")
+    out = tmp_path / "v.csv"
+    assert run(["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"{key}={value!r}" in err and "must be JSON integers" in err
+
+
+_JSON_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.just("0.5"),
+    st.just(10**400),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.floats(-1.0, 1.0), max_size=2),
+)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_eval_exits_2_on_every_broken_header(data):
+    kind = data.draw(st.sampled_from([
+        "no axes", "axes not a list", "axis not a list", "junk point", "short axis",
+        "repeated point", "point outside", "m against axes", "m against columns",
+        "num_coeffs against rows", "count not an integer",
+    ]))
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp) / "b"
+        _xy_bundle(bundle)
+        header_file = bundle / "header.json"
+        header = json.loads(header_file.read_text())
+        axes = header["axes"]
+        i = data.draw(st.integers(0, 1))
+        j, k = data.draw(st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True))
+        if kind == "no axes":
+            del header["axes"]
+        elif kind == "axes not a list":
+            header["axes"] = data.draw(_JSON_JUNK.filter(lambda v: not isinstance(v, list)))
+        elif kind == "axis not a list":
+            axes[i] = data.draw(_JSON_JUNK.filter(lambda v: not isinstance(v, list)))
+        elif kind == "junk point":
+            axes[i][j] = data.draw(_JSON_JUNK)
+        elif kind == "short axis":  # the set needs 3 points per axis
+            axes[i] = axes[i][: data.draw(st.integers(0, 2))]
+        elif kind == "repeated point":
+            axes[i][j] = axes[i][k]
+        elif kind == "point outside":
+            axes[i][j] = data.draw(st.one_of(
+                st.floats(min_value=1.0, exclude_min=True),
+                st.floats(max_value=-1.0, exclude_max=True),
+                st.just(math.nan),
+            ))
+        elif kind == "m against axes":
+            header["m"] = data.draw(st.integers().filter(lambda v: v != 2))
+        elif kind == "m against columns":
+            count = data.draw(st.sampled_from([0, 1, 3, 4]))
+            header["m"], header["axes"] = count, (axes * 2)[:count]
+        elif kind == "num_coeffs against rows":
+            header["num_coeffs"] = data.draw(st.integers().filter(lambda v: v != 6))
+        else:
+            key = data.draw(st.sampled_from(["m", "num_coeffs"]))
+            value = data.draw(st.one_of(_JSON_JUNK, st.just(float(header[key]))))
+            header[key] = value
+        header_file.write_text(json.dumps(header))
+        pts = Path(tmp) / "pts.csv"
+        pts.write_text("0.5,-0.25\n")
+        out = Path(tmp) / "v.csv"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run(["eval", "--bundle", bundle, "--points", pts, "--out", out])
+        assert code == 2, (kind, header)
+        assert err.getvalue().startswith("error: "), err.getvalue()
+        assert not out.exists()
 
 
 def test_eval_rejects_coefficient_rows_out_of_canonical_order(tmp_path, capsys):

@@ -15,12 +15,12 @@ from conftest import (
 from mvnewton import grid as grid_module
 from mvnewton.grid import (
     Nodes1D,
-    UnisolventGrid,
     axes_for,
     build_grid,
     chebyshev_lobatto,
     leja_order,
     leja_points,
+    _table_text,
 )
 from mvnewton.multi_index import MultiIndexSet, make_lp_set
 
@@ -98,6 +98,49 @@ def test_leja_points_stable_under_resolution_doubling():
             continue
         scale = max(abs(x), abs(y))
         assert abs(x - y) <= 1e-4 * scale + 1e-7  # 4 significant digits
+
+
+def _leja_points_reference(n: int, resolution: int = 100_000) -> np.ndarray:
+    """The Leja search with a fresh temporary per step and per objective
+    call: the same operations, in the same order, as ``leja_points``."""
+    chosen = [1.0]
+    grid = np.cos(np.pi * np.arange(resolution) / (resolution - 1))
+    with np.errstate(divide="ignore"):
+        logprod = np.log(np.abs(grid - 1.0))
+
+    def objective(p):
+        with np.errstate(divide="ignore"):
+            return float(np.log(np.abs(p - np.asarray(chosen))).sum())
+
+    for _ in range(n):
+        tied = np.flatnonzero(logprod >= logprod.max() - 1e-4)
+        peaks = [
+            int(k)
+            for k in tied
+            if (k == 0 or logprod[k] >= logprod[k - 1])
+            and (k == resolution - 1 or logprod[k] >= logprod[k + 1])
+        ]
+        candidates = []
+        for k in peaks:
+            lo, hi = grid[min(k + 1, resolution - 1)], grid[max(k - 1, 0)]
+            refined = grid_module._golden_section_max(objective, lo, hi)
+            candidates += [(objective(q), float(q)) for q in (grid[k], refined, lo, hi)]
+        best_val = max(v for v, _ in candidates)
+        tie = [(v, q) for v, q in candidates if v >= best_val - 1e-12]
+        q_max = max(q for _, q in tie)
+        best = max((v, q) for v, q in tie if abs(q - q_max) <= 1e-9 * (1.0 + abs(q_max)))[1]
+        best = 0.0 if abs(best) < 1e-7 else best
+        chosen.append(best)
+        with np.errstate(divide="ignore"):
+            logprod += np.log(np.abs(grid - best))
+    return np.array(chosen)
+
+
+@pytest.mark.parametrize("n, resolution", [(1, None), (2, None), (7, None), (20, 500), (60, None)])
+def test_leja_points_bitwise_equal_the_reference_search(n, resolution):
+    points = leja_points(n, resolution).points
+    reference = _leja_points_reference(n, *([resolution] if resolution else []))
+    assert np.array_equal(points.view(np.int64), reference.view(np.int64))
 
 
 def test_leja_points_nested():
@@ -224,28 +267,12 @@ def test_random_downward_closed_grids_unisolvent(seed):
     assert vandermonde_unisolvence_check(grid)
 
 
-def test_grid_csv_round_trip(tmp_path):
-    a = make_lp_set(2, 3, 2)
-    grid = build_grid(a, [leja_order(chebyshev_lobatto(3))] * 2)
-    path = tmp_path / "grid.csv"
-    grid.to_csv(path)
-    back = UnisolventGrid.from_csv(path)
-    assert back.index_set == grid.index_set
-    assert np.array_equal(back.node_coordinates, grid.node_coordinates)
-
-
-def test_grid_csv_rejects_inconsistent_rows(tmp_path):
-    grid = build_grid(make_lp_set(2, 2, 1), [Nodes1D([1.0, -1.0, 0.5])] * 2)
-    path = tmp_path / "grid.csv"
-    grid.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[5] == "1,1,-1,-1"  # the second row that puts x2 at level 1
-    lines[5] = "1,1,-1,-0.75"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="axis 2 at level 1"):
-        UnisolventGrid.from_csv(path)
-    # a level far beyond the row count leaves the set not downward closed,
-    # which is found before anything is allocated per level
-    path.write_text("a1,x1\n0,1\n1000000000000000,-1\n")
-    with pytest.raises(ValueError, match="^the index set is not downward closed$"):
-        UnisolventGrid.from_csv(path)
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30)
+def test_grid_csv_text_is_the_cell_by_cell_table(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    index_set = random_downward_closed(rng, dim, int(rng.integers(1, 150)), max_degree=12)
+    sizes = [top + 1 + int(rng.integers(0, 3)) for top in index_set.tops]
+    grid = build_grid(index_set, random_axes(rng, sizes))
+    assert grid.to_csv_text() == _table_text(*grid._table())

@@ -216,6 +216,39 @@ def test_closure_check_matches_brute_force(seed):
             assert np.array_equal(got, first)
 
 
+def _stepped_projection(index_set: MultiIndexSet, split: int) -> np.ndarray:
+    """The position of each row's projection onto axes ``0..split - 1``, by
+    stepping every row down to level 0 along the lines of each later axis."""
+    exponents, lines = index_set.exponents, index_set.layout.lines
+    projection = np.arange(len(index_set))
+    for i in range(index_set.dim - 1, split - 1, -1):
+        level = exponents[:, i]
+        width = lines[i].reach[0]
+        line = lines[i].cell - level * width
+        base = np.flatnonzero(level == 0)
+        bottom = np.empty(width, dtype=np.intp)
+        bottom[line[base]] = base
+        projection = bottom[line[projection]]
+    return projection
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_fold_plan_cells_match_stepping_every_row(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 6))
+    index_set = random_downward_closed(rng, dim, int(rng.integers(1, 200)), max_degree=6)
+    exponents, layout = index_set.exponents, index_set.layout
+    for split in range(1, dim + 1):
+        plan = multi_index._fold_plan(exponents, layout.lines, layout.basis.stops, split)
+        row, column = np.divmod(plan.cell, layout.basis.stops[split - 1])
+        assert np.array_equal(column, _stepped_projection(index_set, split))
+        # one GEMM row per group of rows sharing the coordinates after split
+        tails = np.unique(exponents[:, split:], axis=0, return_inverse=True)[1].ravel()
+        first = np.unique(tails, return_index=True)[1]
+        assert np.array_equal(row, row[first][tails])
+        assert np.array_equal(np.unique(row), np.arange(first.size)) and plan.groups == first.size
+
+
 def test_canonical_input_skips_sorting_but_keeps_checks(monkeypatch):
     calls = []
     lexsort = np.lexsort

@@ -607,20 +607,26 @@ def test_bundle_round_trip(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 5))
     index_set = random_downward_closed(rng, dim, int(rng.integers(1, 120)), max_degree=7)
-    grid = build_grid(
-        index_set, random_axes(rng, [top + 1 for top in index_set.tops])
-    )
+    # axes may run past the largest exponent; those points round-trip too
+    sizes = [top + 1 + int(rng.integers(0, 4)) for top in index_set.tops]
+    axes = [
+        Nodes1D(np.where(ax.points == 0.0, rng.choice([-0.0, 5e-324]), ax.points))
+        for ax in random_axes(rng, sizes)
+    ]
+    grid = build_grid(index_set, axes)
     coeffs = rng.standard_normal(len(grid)) * 10.0 ** rng.integers(-300, 300, len(grid))
     coeffs[: min(3, len(grid))] = [-0.0, 5e-324, 1.7976931348623157e308][: len(grid)]
     poly = NewtonPolynomial(grid, coeffs)
     with tempfile.TemporaryDirectory() as tmp:
         save_bundle(poly, Path(tmp) / "bundle")
+        (Path(tmp) / "bundle" / "grid.csv").unlink()  # the loader does not read it
         back = load_bundle(Path(tmp) / "bundle")
     assert back.grid.index_set == poly.grid.index_set
     assert np.array_equal(back.coeffs.view(np.int64), poly.coeffs.view(np.int64))
-    assert np.array_equal(
-        back.grid.node_coordinates.view(np.int64), grid.node_coordinates.view(np.int64)
-    )
+    assert len(back.grid.axes) == dim
+    for ours, theirs in zip(back.grid.axes, grid.axes):
+        assert np.array_equal(ours.points.view(np.int64), theirs.points.view(np.int64))
+        assert ours.family == theirs.family
 
 
 def test_bundle_files_pin_the_on_disk_format(tmp_path):
@@ -628,6 +634,12 @@ def test_bundle_files_pin_the_on_disk_format(tmp_path):
     grid = build_grid(make_lp_set(2, 2, 1), axes)
     poly = NewtonPolynomial(grid, [1.0, 0.1, -2.5, 1.0 / 3.0, -0.0, 5e-324])
     save_bundle(poly, tmp_path)
+    assert (tmp_path / "header.json").read_bytes() == (
+        b'{\n  "m": 2,\n  "num_coeffs": 6,\n  "node_family": "custom",\n'
+        b'  "provenance": {\n    "m": 2,\n    "n": 2,\n    "p": 1\n  },\n'
+        b'  "axes": [\n    [\n      1.0,\n      -1.0,\n      0.1\n    ],\n'
+        b'    [\n      -0.3333333333333333,\n      1.0,\n      0.0\n    ]\n  ]\n}\n'
+    )
     assert (tmp_path / "grid.csv").read_bytes() == (
         b"a1,a2,x1,x2\r\n"
         b"0,0,1,-0.33333333333333331\r\n"
@@ -646,6 +658,18 @@ def test_bundle_files_pin_the_on_disk_format(tmp_path):
         b"1,1,-0\r\n"
         b"0,2,4.9406564584124654e-324\r\n"
     )
+
+
+def test_load_bundle_rejects_a_level_far_beyond_the_rows(tmp_path):
+    save_bundle(NewtonPolynomial(xy_grid(), [1.0, 2.0, 3.0, 4.0]), tmp_path)
+    table = tmp_path / "coefficients.csv"
+    lines = table.read_text().splitlines()
+    assert lines[2] == "1,0,2"
+    # still canonical, not downward closed: found before anything is sized by level
+    lines[2] = "1000000000000000,0,2"
+    table.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^the index set is not downward closed$"):
+        load_bundle(tmp_path)
 
 
 def test_set_with_a_key_space_beyond_int64_looks_up_evaluates_and_round_trips(tmp_path):
