@@ -25,6 +25,7 @@ from .grid import (
 )
 from .multi_index import make_lp_set
 from .newton import (
+    _LEBESGUE_BUDGET,
     _as_points,
     eval_derivative,
     interpolate,
@@ -68,18 +69,13 @@ SATURATION_FLOOR = 1e-13
 LEBESGUE_SIZE_CAP = 5000
 LEBESGUE_MAX_ORDER = 2
 
-# Soft bound on the floats of one chunk's (|A| x points) blocks, the Newton
-# basis values and their products with the Lagrange-Newton matrix.  With
-# all points in one chunk the perfbench ``lagrange`` workload peaked at
-# 149 MB instead of 94 MB, and ``cli``, whose peak lies elsewhere, at 115 MB
-# instead of 114 MB (2-core x86 machine, OpenBLAS with 2 threads).
-_LEBESGUE_BUDGET = 2_000_000
-
 # Row blocks of the triangular Lagrange-Newton product; a block needs the
 # basis rows from its own first row on, so 3 blocks do 2/3 of the work of
-# one product.  Per 2,000,000-float chunk at |A| = 216/325/625 (2-core x86,
-# OpenBLAS 2 threads), 1 block took 8.8/13.0/27.2 ms, 2 blocks
-# 7.3/10.4/21.6, 3 blocks 6.8/9.8/19.9 and 4 blocks 7.6/9.9/19.0.
+# one product.  A whole estimate over 10,000 points at |A| = 216/325/473/625
+# in 500,000-float chunks took 25/49/101/167 ms with 1 block, 18/37/67/122
+# with 2, 15/34/63/117 with 3 and 14/33/60/112 with 4; a second pass read
+# 18/40/81/121 with 3 and 19/39/79/120 with 4 (min of 7 each, 2-core x86,
+# OpenBLAS 2 threads).
 _TRIANGLE_BLOCKS = 3
 
 
@@ -306,17 +302,25 @@ def lebesgue_estimate(
     Draws ``num_samples`` i.i.d. uniform points on the cube (for ``m = 1`` a
     dense equispaced grid is used instead) and returns the largest observed
     value of ``sum_{|b| <= k} sum_a |d^b L_a(x)|``; ``k = 0`` is the plain
-    Lebesgue function max.  Needs all ``|A|`` Lagrange basis polynomials,
-    hence O(|A|^2) memory, capped at ``size_cap``.
+    Lebesgue function max.  ``num_samples`` and ``k`` must be integers (not
+    booleans).  Needs all ``|A|`` Lagrange basis polynomials, hence the
+    ``8 |A|^2``-byte Lagrange-Newton matrix, capped at ``size_cap``.
 
-    Points go in chunks of ``_LEBESGUE_BUDGET // |A|``.  Per chunk and
-    derivative order, the transposed Lagrange-Newton matrix times the
-    points-last ``(|A|, k)`` Newton basis values gives every ``d^b L_a`` at
-    every point.  That matrix is lower triangular, so the product runs in
-    row blocks that skip its zero part.  Absolute values are taken in place
-    and summed down the columns: a chunk holds two ``(|A|, k)`` blocks, 16
-    MB each at the budget, besides the ``8 |A|^2``-byte matrix.
+    Points go in chunks of ``_LEBESGUE_BUDGET // |A|`` (see
+    :mod:`mvnewton.newton`).  Per chunk and derivative order, the transposed
+    Lagrange-Newton matrix times the points-last ``(|A|, chunk)`` Newton
+    basis values, the one array of that size, gives every ``d^b L_a`` at
+    every point.  The matrix is lower triangular, so the product runs in
+    ``_TRIANGLE_BLOCKS`` row blocks that skip its zero part.  Each block
+    goes into rows ``1..h`` of a ``(block + 1, chunk)`` work array, takes
+    its absolute value in place and is summed down the columns into row 0,
+    which carries the running sums.  Besides the matrix, scratch is the
+    budget, a third of it for the work array, and the ``(n_i + 1, chunk)``
+    axis tables (for ``m = 1`` as large as the budget).
     """
+    for name, value in (("num_samples", num_samples), ("k", k)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     size = len(grid)
     if size > size_cap:
         raise ValueError(f"index set size {size} exceeds the Lebesgue cap {size_cap}")
@@ -344,13 +348,19 @@ def lebesgue_estimate(
     for start in range(0, num_samples, step):
         chunk = points[start : start + step]
         totals = np.zeros(chunk.shape[0])
-        values = np.empty((size, chunk.shape[0]))
+        work = np.empty((block + 1, chunk.shape[0]))
         for order in orders:
             newton = newton_basis_values(grid, chunk, order).T
+            # per order, row 0 adds the |A| rows in turn from zero, as one
+            # sum down all of them would
+            work[0] = 0.0
             for lo in range(0, size, block):
-                hi = lo + block
-                np.matmul(lagrange[lo:hi, lo:], newton[lo:], out=values[lo:hi])
-            totals += np.abs(values, out=values).sum(axis=0)
+                rows = work[1 : min(block, size - lo) + 1]
+                np.matmul(lagrange[lo : lo + block, lo:], newton[lo:], out=rows)
+                np.abs(rows, out=rows)
+                work[: rows.shape[0] + 1].sum(axis=0, out=work[0])
+            totals += work[0]
+            del newton  # before the next order's array is built
         best = max(best, float(totals.max()))
     return best
 

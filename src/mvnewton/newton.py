@@ -14,6 +14,9 @@ is bounded by ``C * |A|**2`` arithmetic operations.  Auxiliary storage is
 up to two zero-padded tables of (longest line) x (number of lines) entries
 per column: under ``m * |A|`` for the ``l_p`` sets with ``p >= 1``, and
 larger for ``p < 1``, whose long thin arms leave most of a table as padding.
+:func:`lagrange_newton_matrix`, the one sweep over ``|A|`` columns, runs
+on blocks of identity columns whose tables fit a fixed budget, so for any
+downward-closed set it holds the ``|A|**2`` matrix plus O(budget) scratch.
 
 Evaluation at ``k`` points (see :func:`_fold`) contracts the first ``j``
 axes in one ``(G_j x |P_j|) . (|P_j| x k)`` GEMM, where ``P_j`` is the
@@ -73,6 +76,16 @@ MIN_NODE_SEPARATION = 1e-14
 # move (3 alternating pairs each at seed 5, 2-core x86 machine, OpenBLAS
 # with 2 threads).
 _CHUNK_BUDGET = 4_000_000
+
+# Soft bound on the floats of the Lebesgue path's scratch: the padded line
+# table of one column block of :func:`lagrange_newton_matrix`, and the
+# (|A| x points) Newton basis values of one point chunk of
+# ``analysis.lebesgue_estimate``.  At 250k/500k/1M/2M floats the perfbench
+# ``lagrange`` workload, whose Lebesgue matrices fit one column block, peaked
+# at 52.6/55.2/68.5/89.4 MB, with no order in its median wall time over 3
+# runs each (0.61-0.76 s), and ``cli``, whose peak lies elsewhere, at 73 MB
+# (2-core x86 machine, OpenBLAS with 2 threads).
+_LEBESGUE_BUDGET = 500_000
 
 
 class DegenerateNodesError(RuntimeError):
@@ -288,12 +301,26 @@ def lagrange_basis_in_newton(grid: UnisolventGrid, alpha) -> NewtonPolynomial:
 
 def lagrange_newton_matrix(grid: UnisolventGrid) -> np.ndarray:
     """Matrix whose column at position(alpha) holds Newton coefficients of
-    ``L_alpha``; one batched divided-difference run on the identity.
+    ``L_alpha``: batched divided-difference runs on blocks of identity
+    columns.
 
-    Storage is O(|A|^2); callers enforcing desk-scale caps do so themselves.
+    Each column is swept independently of the others, so the result does
+    not depend on the blocking.  A block holds as many columns as keep the
+    largest zero-padded line table within ``_LEBESGUE_BUDGET`` floats; when
+    one block covers every column, the identity is swept in place.  Storage
+    is the ``8 |A|^2``-byte matrix plus O(budget) scratch: the block, its
+    line table and the sweep's work buffer.  Callers enforcing desk-scale
+    caps do so themselves.
     """
-    mat = np.eye(len(grid))
-    _transform(grid, mat, inverse=False)
+    size = len(grid)
+    cells = max(len(lines.reach) * lines.reach[0] for lines in grid.index_set.layout.lines)
+    width = max(1, _LEBESGUE_BUDGET // cells)
+    if width >= size:
+        return _transform(grid, np.eye(size))
+    mat = np.empty((size, size))
+    for lo in range(0, size, width):
+        block = np.eye(size, min(width, size - lo), -lo)
+        mat[:, lo : lo + width] = _transform(grid, block)
     return mat
 
 

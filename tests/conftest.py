@@ -1,3 +1,5 @@
+import math
+
 import hypothesis
 import numpy as np
 import pytest
@@ -50,6 +52,12 @@ def random_downward_closed(
             members.add(candidate)
             frontier.append(candidate)
     return MultiIndexSet(sorted(members, key=lambda a: tuple(reversed(a))))
+
+
+def hyperbolic_cross(m: int, limit: int) -> MultiIndexSet:
+    """``{a : prod(a_i + 1) <= limit}``: long thin arms, as for ``p < 1``."""
+    rows = [a for a in np.ndindex(*(limit,) * m) if math.prod(v + 1 for v in a) <= limit]
+    return MultiIndexSet(rows)
 
 
 def random_axes(rng: np.random.Generator, sizes) -> list[Nodes1D]:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    hyperbolic_cross,
     newton_basis_oracle,
     newton_collocation_matrix,
     random_axes,
     random_downward_closed,
 )
-from mvnewton import analysis
+from mvnewton import analysis, newton
 from mvnewton.analysis import (
     ConvergenceRecord,
     RateFit,
@@ -27,7 +29,7 @@ from mvnewton.analysis import (
 )
 from mvnewton.grid import axes_for, build_grid
 from mvnewton.multi_index import make_lp_set
-from mvnewton.newton import eval_derivative, interpolate
+from mvnewton.newton import eval_derivative, interpolate, lagrange_newton_matrix
 
 INF = math.inf
 
@@ -230,6 +232,45 @@ def test_lebesgue_size_cap():
         lebesgue_estimate(grid, 100, 0, 0, size_cap=5)
     with pytest.raises(ValueError):
         lebesgue_estimate(grid, 100, 0, 3)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"k": True}, "k"),  # was taken as order 1
+        ({"k": 1.5}, "k"),  # failed inside make_lp_set, naming the degree n
+        ({"num_samples": True}, "num_samples"),  # raised a bare TypeError
+        ({"num_samples": 100.0}, "num_samples"),
+    ],
+)
+def test_lebesgue_rejects_bool_and_non_integer_counts(kwargs, name):
+    grid = lcl_grid(2, 4, 2)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        lebesgue_estimate(grid, **{"num_samples": 100, **kwargs})
+    # numpy integers are integers
+    assert lebesgue_estimate(grid, np.int64(100), 0, np.int32(1)) >= 1.0
+
+
+@pytest.mark.parametrize(
+    "index_set",
+    [make_lp_set(3, 30, 0.5), hyperbolic_cross(3, 40)],
+    ids=["p0.5", "hyperbolic-cross"],
+)
+def test_lebesgue_path_holds_the_matrix_plus_bounded_scratch(index_set):
+    # Counted by tracemalloc, which sees every numpy buffer: besides the
+    # matrix, the column sweep holds one identity block, its line table and
+    # a work buffer, each within the budget, and a point chunk holds less.
+    # One sweep over all columns would take 63 and 43 MB here.
+    grid = build_grid(index_set, axes_for(index_set, "lcl"))
+    bound = 8 * len(grid) ** 2 + 3 * 8 * newton._LEBESGUE_BUDGET
+    for run in (lambda: lagrange_newton_matrix(grid), lambda: lebesgue_estimate(grid, 1000)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_lebesgue_max_degree_log_growth():

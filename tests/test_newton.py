@@ -4,6 +4,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    hyperbolic_cross,
     newton_basis_oracle,
     newton_collocation_matrix,
     random_axes,
@@ -599,6 +601,69 @@ def test_dds_and_transform_property(seed):
     assert np.abs(lagrange_newton_matrix(grid) - solved).max() <= 1e-9 * (
         1.0 + np.abs(solved).max()
     )
+
+
+def assert_blocked_matrix_is_bitwise(grid):
+    """``lagrange_newton_matrix`` in at least 3 column blocks equals the
+    one-block sweep and ``lagrange_basis_in_newton``, bitwise."""
+    size = len(grid)
+    cells = max(len(lines.reach) * lines.reach[0] for lines in grid.index_set.layout.lines)
+    with mock.patch.multiple(newton, _LEBESGUE_BUDGET=cells * size):
+        whole = lagrange_newton_matrix(grid)
+    width = max(1, size // 3)
+    assert -(-size // width) >= 3
+    with mock.patch.multiple(newton, _LEBESGUE_BUDGET=cells * width + cells - 1):
+        blocked = lagrange_newton_matrix(grid)
+    assert np.array_equal(blocked, whole)
+    for j, alpha in enumerate(grid.index_set.exponents):
+        assert np.array_equal(blocked[:, j], lagrange_basis_in_newton(grid, alpha).coeffs)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=20)
+def test_lagrange_newton_matrix_in_column_blocks(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    index_set = random_downward_closed(rng, dim, int(rng.integers(3, 60)), 8)
+    axes = random_axes(rng, [top + 1 for top in index_set.tops])
+    assert_blocked_matrix_is_bitwise(build_grid(index_set, axes))
+
+
+@pytest.mark.parametrize(
+    "index_set",
+    [make_lp_set(1, 30, 1), make_lp_set(2, 12, 0.5), hyperbolic_cross(3, 12)],
+    ids=["m1", "p0.5", "hyperbolic-cross"],
+)
+def test_lagrange_newton_matrix_in_column_blocks_on_thin_sets(index_set):
+    assert_blocked_matrix_is_bitwise(build_grid(index_set, axes_for(index_set, "lcl")))
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=25)
+def test_coefficients_are_hierarchical(seed):
+    # Each coefficient reads only the values at indices below it, in the
+    # same order of operations, so a downward-closed subset on the same
+    # axes has, bitwise, the superset's coefficients on its rows.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    top = (400, 120, 30, 12)[dim - 1]
+
+    def draw():
+        if rng.random() < 0.3:
+            return random_downward_closed(rng, dim, int(rng.integers(1, 300)), 12)
+        return make_lp_set(dim, int(rng.integers(0, top + 1)), rng.choice([0.5, 1, 2, INF]))
+
+    first, second = ({tuple(row) for row in draw().exponents.tolist()} for _ in range(2))
+    superset = MultiIndexSet(list(first | second))
+    subset = MultiIndexSet(list(first & second))
+    grid = build_grid(superset, axes_for(superset, "lcl"))
+    values = rng.standard_normal(len(grid))
+    rows = superset.positions(subset.exponents)
+    whole = divided_differences(LagrangeCoefficients(grid, values)).coeffs
+    part = divided_differences(
+        LagrangeCoefficients(build_grid(subset, grid.axes), values[rows])
+    ).coeffs
+    assert np.array_equal(part, whole[rows])
 
 
 @given(st.integers(min_value=0, max_value=10**6))
