@@ -23,9 +23,9 @@ from .grid import (
     build_grid,
     leja_points,
 )
+from . import newton as _newton
 from .multi_index import make_lp_set
 from .newton import (
-    _LEBESGUE_BUDGET,
     _as_points,
     eval_derivative,
     interpolate,
@@ -307,14 +307,15 @@ def lebesgue_estimate(
     ``8 |A|^2``-byte Lagrange-Newton matrix, capped at ``size_cap``.
 
     Points go in chunks of ``_LEBESGUE_BUDGET // |A|`` (see
-    :mod:`mvnewton.newton`).  Per chunk and derivative order, the transposed
-    Lagrange-Newton matrix times the points-last ``(|A|, chunk)`` Newton
-    basis values, the one array of that size, gives every ``d^b L_a`` at
-    every point.  The matrix is lower triangular, so the product runs in
-    ``_TRIANGLE_BLOCKS`` row blocks that skip its zero part.  Each block
-    goes into rows ``1..h`` of a ``(block + 1, chunk)`` work array, takes
-    its absolute value in place and is summed down the columns into row 0,
-    which carries the running sums.  Besides the matrix, scratch is the
+    :mod:`mvnewton.newton`), a lone last point doubled, so every sum runs in
+    the same order whatever the chunk width.  Per chunk and derivative
+    order, the transposed Lagrange-Newton matrix times the points-last
+    ``(|A|, chunk)`` Newton basis values, the one array of that size, gives
+    every ``d^b L_a`` at every point.  The matrix is lower triangular, so
+    the product runs in ``_TRIANGLE_BLOCKS`` row blocks that skip its zero
+    part.  Each block goes into rows ``1..h`` of a ``(block + 1, chunk)``
+    work array, takes its absolute value in place and is summed down the
+    columns into row 0, which carries the running sums.  Besides the matrix, scratch is the
     budget, a third of it for the work array, and the ``(n_i + 1, chunk)``
     axis tables (for ``m = 1`` as large as the budget).
     """
@@ -343,10 +344,14 @@ def lebesgue_estimate(
     )
 
     best = 0.0
-    step = max(1, _LEBESGUE_BUDGET // size)
+    step = max(1, _newton._LEBESGUE_BUDGET // size)
     block = -(-size // _TRIANGLE_BLOCKS)
     for start in range(0, num_samples, step):
         chunk = points[start : start + step]
+        if chunk.shape[0] == 1:
+            # numpy sums a single column pairwise, not row by row, so a
+            # lone point goes in twice
+            chunk = np.repeat(chunk, 2, axis=0)
         totals = np.zeros(chunk.shape[0])
         work = np.empty((block + 1, chunk.shape[0]))
         for order in orders:

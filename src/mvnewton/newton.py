@@ -304,22 +304,24 @@ def lagrange_newton_matrix(grid: UnisolventGrid) -> np.ndarray:
     ``L_alpha``: batched divided-difference runs on blocks of identity
     columns.
 
-    Each column is swept independently of the others, so the result does
-    not depend on the blocking.  A block holds as many columns as keep the
-    largest zero-padded line table within ``_LEBESGUE_BUDGET`` floats; when
-    one block covers every column, the identity is swept in place.  Storage
-    is the ``8 |A|^2``-byte matrix plus O(budget) scratch: the block, its
-    line table and the sweep's work buffer.  Callers enforcing desk-scale
-    caps do so themselves.
+    The identity is swept one block of columns at a time.  Each column is
+    swept independently of the others, so the result does not depend on the
+    blocking.  A block holds as many columns as keep the largest
+    zero-padded line table within ``_LEBESGUE_BUDGET`` floats.  Storage is
+    the ``8 |A|^2``-byte matrix plus O(budget) scratch: the block's line
+    table, the sweep's work buffer and, when the block is not the whole
+    matrix, a contiguous copy of it.  Callers enforcing desk-scale caps do
+    so themselves.
     """
     size = len(grid)
     cells = max(len(lines.reach) * lines.reach[0] for lines in grid.index_set.layout.lines)
     width = max(1, _LEBESGUE_BUDGET // cells)
-    if width >= size:
-        return _transform(grid, np.eye(size))
-    mat = np.empty((size, size))
+    mat = np.eye(size)
     for lo in range(0, size, width):
-        block = np.eye(size, min(width, size - lo), -lo)
+        # a copy only when the block is narrower than the matrix: sweeping
+        # the strided view in place took 1.65 s against 1.18 s at
+        # (3, 18, 2) and 4.4 s against 2.0 s at (4, 8, inf) (2-core x86)
+        block = np.ascontiguousarray(mat[:, lo : lo + width])
         mat[:, lo : lo + width] = _transform(grid, block)
     return mat
 

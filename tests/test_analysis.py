@@ -219,11 +219,34 @@ def test_lebesgue_estimate_matches_the_inverse_collocation_oracle(seed):
         for order in orders
     ).max()
     # chunks of a few points, and row blocks of the triangular product
-    budget = int(rng.choice([analysis._LEBESGUE_BUDGET, len(grid) * int(rng.integers(1, 8))]))
+    budget = int(rng.choice([newton._LEBESGUE_BUDGET, len(grid) * int(rng.integers(1, 8))]))
     blocks = int(rng.choice([1, 2, analysis._TRIANGLE_BLOCKS, 7]))
-    with mock.patch.multiple(analysis, _LEBESGUE_BUDGET=budget, _TRIANGLE_BLOCKS=blocks):
+    with mock.patch.multiple(newton, _LEBESGUE_BUDGET=budget), mock.patch.multiple(
+        analysis, _TRIANGLE_BLOCKS=blocks
+    ):
         lam = lebesgue_estimate(grid, samples, draw, k)
     assert abs(lam - oracle) <= 1e-12 * oracle
+
+
+@pytest.mark.parametrize(
+    "m, n, p, samples, budget",
+    [
+        # |A| = 150 in chunks of 3333, 3333, 3333 and one point
+        (1, 149, 2.0, 10_000, None),
+        # every chunk one point
+        (2, 12, 2.0, 300, 1),
+        (3, 10, 0.5, 300, 1),
+    ],
+)
+def test_lebesgue_estimate_does_not_depend_on_the_chunking(m, n, p, samples, budget):
+    index_set = make_lp_set(m, n, p)
+    grid = build_grid(index_set, axes_for(index_set, "lcl"))
+    budget = newton._LEBESGUE_BUDGET if budget is None else budget * len(grid)
+    for k in (0, 1):
+        with mock.patch.multiple(newton, _LEBESGUE_BUDGET=samples * len(grid)):
+            whole = lebesgue_estimate(grid, samples, 0, k)
+        with mock.patch.multiple(newton, _LEBESGUE_BUDGET=budget):
+            assert lebesgue_estimate(grid, samples, 0, k) == whole
 
 
 def test_lebesgue_size_cap():
