@@ -24,7 +24,7 @@ from .grid import (
     leja_points,
 )
 from . import newton as _newton
-from .multi_index import make_lp_set
+from .multi_index import _lp_table, make_lp_set
 from .newton import (
     _as_points,
     eval_derivative,
@@ -44,16 +44,18 @@ __all__ = [
     "convergence_run",
     "RateFit",
     "fit_rate",
-    "GRID_FAMILIES",
 ]
 
-BENCHMARK_IDS = (
-    "runge",
-    "f1_shifted_pole",
-    "f3_perturbed_runge",
-    "f4_shifted_runge_m",
-    "f5_trig",
-)
+# Every parameter of each built-in function, with its default.
+_DEFAULTS = {
+    "runge": {"r": 1.0, "s": 1.0},
+    "f1_shifted_pole": {"r": 5.0 / 4.0},
+    "f3_perturbed_runge": {},
+    "f4_shifted_runge_m": {"a": 5.0 / 4.0},
+    "f5_trig": {"k1": 1.0, "k2": 1.0},
+}
+
+BENCHMARK_IDS = tuple(_DEFAULTS)
 
 _ALIASES = {
     "f1": "f1_shifted_pole",
@@ -83,13 +85,16 @@ _TRIANGLE_BLOCKS = 3
 class BenchmarkFunction:
     """One of the built-in test functions on ``[-1, 1]^m``.
 
-    kind:
-      * ``runge``: ``1 / (s**2 + r**2 * |x|**2)``
+    kind (defaults in brackets):
+      * ``runge``: ``1 / (s**2 + r**2 * |x|**2)`` [``r = s = 1``]
       * ``f1_shifted_pole`` (2D): ``1 / ((x1 - r)**2 + x2**2)``, ``r > 1``
+        [``r = 5/4``]
       * ``f3_perturbed_runge``: ``1 / (1 + (sum_i r_i x_i)**2)``, ``r_i = 5/i**3``
-      * ``f4_shifted_runge_m``: ``1 / sum_i (x_i - a)**2``, ``a > 1``
-      * ``f5_trig``: ``cos(pi*k1*sum(x)) + sin(pi*k2*sum(x))``
+      * ``f4_shifted_runge_m``: ``1 / sum_i (x_i - a)**2``, ``a > 1`` [``a = 5/4``]
+      * ``f5_trig``: ``cos(pi*k1*sum(x)) + sin(pi*k2*sum(x))`` [``k1 = k2 = 1``]
 
+    ``params`` are ``(name, value)`` pairs; the constructor fills in the
+    defaults and stores every parameter as a float, sorted by name.
     Closed-form partial derivatives up to total order 2 are available for
     ``runge``, ``f1_shifted_pole`` and ``f5_trig``.
     """
@@ -99,24 +104,29 @@ class BenchmarkFunction:
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in BENCHMARK_IDS:
+        if self.kind not in _DEFAULTS:
             raise ValueError(f"unknown benchmark function {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        p = self.params_dict
+        p = dict(_DEFAULTS[self.kind])
+        unknown = {name for name, _ in self.params} - set(p)
+        if unknown:
+            raise ValueError(f"{self.kind} does not take parameters {sorted(unknown)}")
+        p.update((name, float(value)) for name, value in self.params)
+        object.__setattr__(self, "params", tuple(sorted(p.items())))
         if self.kind == "runge":
-            if p.get("r", 1.0) == 0 or p.get("s", 1.0) == 0:
+            if p["r"] == 0 or p["s"] == 0:
                 raise ValueError("runge requires r != 0 and s != 0")
         elif self.kind == "f1_shifted_pole":
             if self.dim != 2:
                 raise ValueError("f1_shifted_pole is bivariate")
-            if p.get("r", 0.0) <= 1:
+            if p["r"] <= 1:
                 raise ValueError("f1_shifted_pole requires r > 1")
         elif self.kind == "f4_shifted_runge_m":
-            if p.get("a", 0.0) <= 1:
+            if p["a"] <= 1:
                 raise ValueError("f4_shifted_runge_m requires a > 1")
         elif self.kind == "f5_trig":
-            if p.get("k1", 1) < 0 or p.get("k2", 1) < 0:
+            if p["k1"] < 0 or p["k2"] < 0:
                 raise ValueError("f5_trig requires non-negative k1, k2")
 
     @property
@@ -138,23 +148,7 @@ class BenchmarkFunction:
 
 def make_benchmark(kind: str, dim: int, **params) -> BenchmarkFunction:
     """Build a benchmark function; short aliases f1..f5 are accepted."""
-    kind = _ALIASES.get(kind, kind)
-    defaults: dict[str, float]
-    if kind == "runge":
-        defaults = {"r": 1.0, "s": 1.0}
-    elif kind == "f1_shifted_pole":
-        defaults = {"r": 5.0 / 4.0}
-    elif kind == "f4_shifted_runge_m":
-        defaults = {"a": 5.0 / 4.0}
-    elif kind == "f5_trig":
-        defaults = {"k1": 1.0, "k2": 1.0}
-    else:
-        defaults = {}
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ValueError(f"{kind} does not take parameters {sorted(unknown)}")
-    defaults.update({k: float(v) for k, v in params.items()})
-    return BenchmarkFunction(kind, dim, tuple(sorted(defaults.items())))
+    return BenchmarkFunction(_ALIASES.get(kind, kind), dim, tuple(params.items()))
 
 
 def benchmark_eval(f: BenchmarkFunction, x, order=None):
@@ -315,9 +309,9 @@ def lebesgue_estimate(
     the product runs in ``_TRIANGLE_BLOCKS`` row blocks that skip its zero
     part.  Each block goes into rows ``1..h`` of a ``(block + 1, chunk)``
     work array, takes its absolute value in place and is summed down the
-    columns into row 0, which carries the running sums.  Besides the matrix, scratch is the
-    budget, a third of it for the work array, and the ``(n_i + 1, chunk)``
-    axis tables (for ``m = 1`` as large as the budget).
+    columns into row 0, which carries the running sums.  Besides the
+    matrix, scratch is the budget, a third of it for the work array, and the
+    ``(n_i + 1, chunk)`` axis tables.
     """
     for name, value in (("num_samples", num_samples), ("k", k)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -337,11 +331,7 @@ def lebesgue_estimate(
         points = np.linspace(-1.0, 1.0, num_samples)[:, None]
     else:
         points = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(num_samples, m))
-    orders = (
-        [(0,) * m]
-        if k == 0
-        else [tuple(int(v) for v in row) for row in make_lp_set(m, k, 1).exponents]
-    )
+    orders = _lp_table(m, k, 1)[0]
 
     best = 0.0
     step = max(1, _newton._LEBESGUE_BUDGET // size)
@@ -471,7 +461,7 @@ def convergence_run(
 
     meta = {
         "function": f.kind,
-        "params": " ".join(f"{k}={v:g}" for k, v in sorted(f.params_dict.items())),
+        "params": " ".join(f"{k}={v:g}" for k, v in f.params),
         "m": m,
         "p": _p_label(p),
         "family": node_family,

@@ -24,6 +24,7 @@ import numpy as np
 from . import analysis
 from .analysis import (
     BenchmarkFunction,
+    _p_label,
     convergence_run,
     fit_rate,
     lebesgue_estimate,
@@ -44,7 +45,10 @@ from .newton import (
 
 DEFAULT_SAMPLES = 10_000
 
-_FUNCTION_PARAM_FLAGS = ("r", "s", "a", "k1", "k2")
+# one flag per parameter name of the built-in functions: r, s, a, k1, k2
+_FUNCTION_PARAM_FLAGS = tuple(
+    dict.fromkeys(name for params in analysis._DEFAULTS.values() for name in params)
+)
 
 
 class UsageError(ValueError):
@@ -73,14 +77,6 @@ def _parse_p_list(text: str) -> list[float]:
     if not p_values:
         raise ArgumentTypeError("empty p list")
     return p_values
-
-
-def _p_text(p: float) -> str:
-    if p == math.inf:
-        return "inf"
-    if float(p).is_integer():
-        return str(int(p))
-    return format(p, ".17g")
 
 
 def parse_degrees(text: str) -> list[int]:
@@ -307,7 +303,7 @@ def cmd_lebesgue(args) -> int:
             exponents, provenance = _lp_table(args.dim, n, p)
             if len(exponents) > args.cap:
                 print(
-                    f"warning: skipping m={args.dim} p={_p_text(p)} n={n}: "
+                    f"warning: skipping m={args.dim} p={_p_label(p)} n={n}: "
                     f"|A|={len(exponents)} exceeds cap {args.cap}",
                     file=sys.stderr,
                 )
@@ -320,8 +316,8 @@ def cmd_lebesgue(args) -> int:
                 k=args.order,
                 size_cap=args.cap,
             )
-            rows.append((args.dim, _p_text(p), n, len(index_set), float(lam)))
-            print(f"m={args.dim} p={_p_text(p)} n={n} lambda={_fmt(lam)}")
+            rows.append((args.dim, _p_label(p), n, len(index_set), float(lam)))
+            print(f"m={args.dim} p={_p_label(p)} n={n} lambda={_fmt(lam)}")
     _atomic_write_text(args.out, _rows_text(header, list(zip(*rows)), args.format))
     return 0
 

@@ -144,23 +144,20 @@ def _golden_section_max(fun, lo: float, hi: float, tol: float = 1e-13) -> float:
     return 0.5 * (a + b)
 
 
-def leja_points(n: int, resolution: int | None = None) -> Nodes1D:
+def leja_points(n: int) -> Nodes1D:
     """The first ``n + 1`` Leja points of ``[-1, 1]``, starting at ``1``.
 
     Each point maximizes ``prod_j |p - p_j|`` over the interval.  The search
     is deterministic: an exhaustive scan over a Chebyshev-distributed
-    candidate grid of size ``resolution`` (by default
-    ``DEFAULT_LEJA_RESOLUTION``, or ``10 * (n + 1)`` if that is larger)
-    followed by golden-section refinement of the winning candidate's
-    bracketing interval (abscissa tolerance ``1e-13``).  The sequence is
-    nested, so a prefix of the result is itself a valid Leja set.
+    candidate grid of ``DEFAULT_LEJA_RESOLUTION`` points, or
+    ``10 * (n + 1)`` if that is larger, followed by golden-section
+    refinement of the winning candidate's bracketing interval (abscissa
+    tolerance ``1e-13``).  The sequence is nested, so a prefix of the result
+    is itself a valid Leja set.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    if resolution is None:
-        resolution = max(DEFAULT_LEJA_RESOLUTION, 10 * (n + 1))
-    if resolution < 10 * (n + 1):
-        raise ValueError(f"resolution must be at least 10*(n+1) = {10 * (n + 1)}")
+    resolution = max(DEFAULT_LEJA_RESOLUTION, 10 * (n + 1))
     chosen = np.ones(n + 1)  # entry 0 is the first point, 1
     if n == 0:
         return Nodes1D(chosen, family="leja")

@@ -397,12 +397,17 @@ def _basis_rows(grid: UnisolventGrid, columns: np.ndarray, order, leading: int) 
     coordinates ``columns``.  It is built one axis at a time along that
     plan: axis 0 writes its table (see :func:`_axis_table`) into the leading
     rows, and each later axis fills its level-``l`` rows with already built
-    rows times row ``l`` of its table.
+    rows times row ``l`` of its table.  With ``leading == 1`` the result is
+    axis 0's table itself.
     """
     tops = grid.index_set.tops
     plan = grid.index_set.layout.basis
+    table = _axis_table(grid.axes[0].points, tops[0], columns[0], order[0])
+    if leading == 1:
+        return table
     out = np.empty((plan.stops[leading - 1], columns.shape[1]))
-    out[: tops[0] + 1] = _axis_table(grid.axes[0].points, tops[0], columns[0], order[0])
+    out[: tops[0] + 1] = table
+    del table  # before the next axis's table is built
     for i, levels in enumerate(plan.levels[: leading - 1], 1):
         table = _axis_table(grid.axes[i].points, tops[i], columns[i], order[i])
         for level, (rows, source) in enumerate(levels, 1):

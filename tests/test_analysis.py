@@ -17,6 +17,7 @@ from conftest import (
 )
 from mvnewton import analysis, newton
 from mvnewton.analysis import (
+    BenchmarkFunction,
     ConvergenceRecord,
     RateFit,
     benchmark_eval,
@@ -117,6 +118,42 @@ def test_benchmark_validation():
         make_benchmark("runge", 2, r=0.0)
     with pytest.raises(ValueError):
         make_benchmark("nope", 2)
+
+
+@pytest.mark.parametrize(
+    "kind, given, params",
+    [
+        ("runge", {}, (("r", 1.0), ("s", 1.0))),
+        ("f2", {}, (("r", 1.0), ("s", 1.0))),
+        ("runge", {"s": 2}, (("r", 1.0), ("s", 2.0))),
+        ("f1_shifted_pole", {}, (("r", 1.25),)),
+        ("f1", {"r": 3}, (("r", 3.0),)),
+        ("f3_perturbed_runge", {}, ()),
+        ("f3", {}, ()),
+        ("f4_shifted_runge_m", {}, (("a", 1.25),)),
+        ("f4", {"a": 2}, (("a", 2.0),)),
+        ("f5_trig", {}, (("k1", 1.0), ("k2", 1.0))),
+        ("f5", {"k2": 3, "k1": 2}, (("k1", 2.0), ("k2", 3.0))),
+    ],
+)
+def test_make_benchmark_params(kind, given, params):
+    f = make_benchmark(kind, 2, **given)
+    assert f.params == params
+    assert all(type(value) is float for _, value in f.params)
+
+
+@pytest.mark.parametrize("kind", analysis.BENCHMARK_IDS)
+def test_the_class_fills_in_the_defaults(kind):
+    f = BenchmarkFunction(kind, 2)
+    assert f == make_benchmark(kind, 2)
+    assert np.isfinite(f([0.1, -0.2]))
+
+
+def test_the_class_rejects_an_unknown_parameter():
+    with pytest.raises(ValueError, match="does not take parameters"):
+        BenchmarkFunction("runge", 2, (("a", 1.25),))
+    with pytest.raises(ValueError, match="does not take parameters"):
+        make_benchmark("f3", 2, r=1.0)
 
 
 # -- reference rates -----------------------------------------------------------
@@ -275,18 +312,26 @@ def test_lebesgue_rejects_bool_and_non_integer_counts(kwargs, name):
 
 
 @pytest.mark.parametrize(
-    "index_set",
-    [make_lp_set(3, 30, 0.5), hyperbolic_cross(3, 40)],
-    ids=["p0.5", "hyperbolic-cross"],
+    "index_set, num_samples, budgets",
+    [
+        (make_lp_set(3, 30, 0.5), 1000, 3),
+        (hyperbolic_cross(3, 40), 1000, 3),
+        (make_lp_set(1, 200, 1), 10_000, 2),
+    ],
+    ids=["p0.5", "hyperbolic-cross", "m1"],
 )
-def test_lebesgue_path_holds_the_matrix_plus_bounded_scratch(index_set):
+def test_lebesgue_path_holds_the_matrix_plus_bounded_scratch(index_set, num_samples, budgets):
     # Counted by tracemalloc, which sees every numpy buffer: besides the
     # matrix, the column sweep holds one identity block, its line table and
     # a work buffer, each within the budget, and a point chunk holds less.
-    # One sweep over all columns would take 63 and 43 MB here.
+    # One sweep over all columns would take 63 and 43 MB here.  For m = 1
+    # the basis values of a chunk are the axis table itself, not a copy.
     grid = build_grid(index_set, axes_for(index_set, "lcl"))
-    bound = 8 * len(grid) ** 2 + 3 * 8 * newton._LEBESGUE_BUDGET
-    for run in (lambda: lagrange_newton_matrix(grid), lambda: lebesgue_estimate(grid, 1000)):
+    bound = 8 * len(grid) ** 2 + budgets * 8 * newton._LEBESGUE_BUDGET
+    for run in (
+        lambda: lagrange_newton_matrix(grid),
+        lambda: lebesgue_estimate(grid, num_samples),
+    ):
         tracemalloc.start()
         try:
             run()

@@ -281,6 +281,18 @@ def test_lebesgue_cap_skips_rows(tmp_path, capsys, monkeypatch):
     assert sorted(builds) == sorted(int(row.split(",")[3]) for row in lines[1:]) == [6, 9]
 
 
+def test_lebesgue_labels_a_fractional_p_as_convergence_does(tmp_path, capsys):
+    leb = tmp_path / "leb.csv"
+    argv = ["lebesgue", "-m", 2, "-p", "0.3", "--degrees", "2,4", "--samples", 200]
+    assert run([*argv, "--out", leb]) == 0
+    assert [row.split(",")[1] for row in leb.read_text().splitlines()[1:]] == ["0.3"] * 2
+    assert all(" p=0.3 " in line for line in capsys.readouterr().out.splitlines())
+    conv = tmp_path / "conv.csv"
+    argv = ["convergence", "-m", 1, "-p", "0.3", "--function", "runge", "--degrees", "4:16:4"]
+    assert run([*argv, "--samples", 200, "--out", conv]) == 0
+    assert "# p: 0.3\n" in conv.read_text()
+
+
 @pytest.mark.parametrize("cap", [0, -3])
 def test_lebesgue_rejects_cap_below_one(tmp_path, capsys, cap):
     out = tmp_path / "leb.csv"

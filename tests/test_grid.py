@@ -76,23 +76,20 @@ def test_leja_order_idempotent(n, seed):
 
 
 def test_leja_points_small():
-    assert np.array_equal(leja_points(0, 100).points, [1.0])
-    assert np.array_equal(leja_points(1, 100).points, [1.0, -1.0])
-    third = leja_points(2, 1000).points
+    assert np.array_equal(leja_points(0).points, [1.0])
+    assert np.array_equal(leja_points(1).points, [1.0, -1.0])
+    third = leja_points(2).points
     assert np.array_equal(third[:2], [1.0, -1.0])
     # analytic maximum of (1 - p^2) sits at 0; the log objective is flat to
     # float precision there, so the search resolves it only to ~1e-8
     assert abs(third[2]) < 1e-6
 
 
-def test_leja_points_resolution_precondition():
-    with pytest.raises(ValueError):
-        leja_points(20, 100)
-
-
-def test_leja_points_stable_under_resolution_doubling():
-    a = leja_points(12, 100_000).points
-    b = leja_points(12, 200_000).points
+def test_leja_points_stable_under_resolution_doubling(monkeypatch):
+    monkeypatch.setattr(grid_module, "DEFAULT_LEJA_RESOLUTION", 100_000)
+    a = leja_points(12).points
+    monkeypatch.setattr(grid_module, "DEFAULT_LEJA_RESOLUTION", 200_000)
+    b = leja_points(12).points
     for x, y in zip(a, b):
         if x == y == 0.0:
             continue
@@ -137,15 +134,17 @@ def _leja_points_reference(n: int, resolution: int = 100_000) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n, resolution", [(1, None), (2, None), (7, None), (20, 500), (60, None)])
-def test_leja_points_bitwise_equal_the_reference_search(n, resolution):
-    points = leja_points(n, resolution).points
+def test_leja_points_bitwise_equal_the_reference_search(n, resolution, monkeypatch):
+    if resolution:
+        monkeypatch.setattr(grid_module, "DEFAULT_LEJA_RESOLUTION", resolution)
+    points = leja_points(n).points
     reference = _leja_points_reference(n, *([resolution] if resolution else []))
     assert np.array_equal(points.view(np.int64), reference.view(np.int64))
 
 
 def test_leja_points_nested():
-    long = leja_points(8, 5000).points
-    short = leja_points(5, 5000).points
+    long = leja_points(8).points
+    short = leja_points(5).points
     assert np.array_equal(long[:6], short)
 
 
