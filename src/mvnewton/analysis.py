@@ -94,7 +94,8 @@ class BenchmarkFunction:
       * ``f5_trig``: ``cos(pi*k1*sum(x)) + sin(pi*k2*sum(x))`` [``k1 = k2 = 1``]
 
     ``params`` are ``(name, value)`` pairs; the constructor fills in the
-    defaults and stores every parameter as a float, sorted by name.
+    defaults and stores every parameter as a float, sorted by name, and
+    rejects a NaN or infinite one.
     Closed-form partial derivatives up to total order 2 are available for
     ``runge``, ``f1_shifted_pole`` and ``f5_trig``.
     """
@@ -114,6 +115,9 @@ class BenchmarkFunction:
             raise ValueError(f"{self.kind} does not take parameters {sorted(unknown)}")
         p.update((name, float(value)) for name, value in self.params)
         object.__setattr__(self, "params", tuple(sorted(p.items())))
+        for name, value in self.params:
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} parameter {name}={value} must be finite")
         if self.kind == "runge":
             if p["r"] == 0 or p["s"] == 0:
                 raise ValueError("runge requires r != 0 and s != 0")
@@ -311,7 +315,8 @@ def lebesgue_estimate(
     work array, takes its absolute value in place and is summed down the
     columns into row 0, which carries the running sums.  Besides the
     matrix, scratch is the budget, a third of it for the work array, and the
-    ``(n_i + 1, chunk)`` axis tables.
+    ``(n_i + 1, chunk)`` axis tables.  ``FloatingPointError`` if the matrix
+    or a sum overflows, so an estimate is never a silent 0 or NaN.
     """
     for name, value in (("num_samples", num_samples), ("k", k)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -356,7 +361,10 @@ def lebesgue_estimate(
                 work[: rows.shape[0] + 1].sum(axis=0, out=work[0])
             totals += work[0]
             del newton  # before the next order's array is built
-        best = max(best, float(totals.max()))
+        peak = float(totals.max())  # NaN if any sum is
+        if not math.isfinite(peak):
+            raise FloatingPointError("the Lebesgue sums overflowed")
+        best = max(best, peak)
     return best
 
 

@@ -279,10 +279,13 @@ class FoldPlan(NamedTuple):
     form a prefix.  Every selection of the first step is therefore a slice;
     later selections are index arrays.
 
-    ``split`` is the largest ``j`` with ``|P_j|`` at most the number of
-    groups of axis ``j - 1`` (and 1 if there is none), which makes the GEMM
-    most nearly square; for an ``l_p`` ball with ``m = 3`` that is 1, the
-    GEMM of one row per grid line of axis 0 and one column per level.
+    ``split`` is the smallest ``j`` with ``|P_j|`` at least the number of
+    groups of axis ``j - 1``; one exists, as ``|P_m| = |A|`` and axis
+    ``m - 1`` has one group.  So the larger side of the GEMM is its basis
+    block, built with one multiply per row, and its output and the level
+    sums that read it have the fewer rows.  For an ``l_p`` ball of degree
+    ``n >= 1`` that is ``j = ceil(m / 2)``: with ``m = 3``, 2, the GEMM of
+    one row per value of ``a_3`` and one column per index of ``P_2``.
     """
 
     split: int
@@ -366,8 +369,9 @@ def _fold_plan(
     heads[1:, :-1] = np.logical_or.accumulate(changed[:, :0:-1], axis=1)[:, ::-1]
     heads[1:, -1] = False
     if split is None:
+        # |P_j| grows and G_j falls with j, and |P_m| >= G_m = 1
         groups = np.count_nonzero(heads, axis=0)
-        split = max([1] + [j + 1 for j in range(dim) if stops[j] <= groups[j]])
+        split = min(j + 1 for j in range(dim) if stops[j] >= groups[j])
     # the position of each row's projection onto axes 0..split - 1.  A line
     # of axis 0 and its projection are runs from level 0, so only level-0
     # rows (heads) step down along each later axis, whose lines keep a_0.

@@ -23,7 +23,10 @@ axes in one ``(G_j x |P_j|) . (|P_j| x k)`` GEMM, where ``P_j`` is the
 projection of the set onto those axes and ``G_j`` counts the groups of
 indices sharing ``a_{j+1}..a_m``, then sums over axes ``j+1..m`` level by
 level.  Per point that is ``G_j * |P_j|`` multiply-adds in the GEMM plus
-one per group in the sums.
+one per group in the sums.  Each set takes the smallest ``j`` with
+``|P_j| >= G_j``, so the basis block, one multiply per row, is the larger
+operand and the GEMM output the smaller; points go in chunks whose basis
+block holds at most ``_CHUNK_BUDGET`` floats.
 
 Where each index lands in those tables, the walk of the evaluation fold
 and the build order of the basis values are the index set's layout
@@ -67,15 +70,22 @@ _log = logging.getLogger(__name__)
 # is treated as a degenerate (effectively duplicated) node pair.
 MIN_NODE_SEPARATION = 1e-14
 
-# Soft bound on the floats held by the largest evaluation intermediate: the
-# fold evaluates points in chunks so that its GEMM output (G_j x chunk) and
-# basis block (|P_j| x chunk), and with them each axis table of
-# (n_i + 1) x chunk, stay below it.  Without it the perfbench ``sweep``
-# workload peaked at 131 MB instead of 81 MB, and its median repetition took
-# 0.42 s instead of 0.39 s; ``cli``, whose folds fit in one chunk, did not
-# move (3 alternating pairs each at seed 5, 2-core x86 machine, OpenBLAS
-# with 2 threads).
-_CHUNK_BUDGET = 4_000_000
+# Soft bound on the floats of each of the fold's two largest intermediates:
+# points go in chunks whose basis block (|P_j| x chunk) and GEMM output
+# (G_j x chunk, the smaller by the split rule) each hold at most this many,
+# so a chunk's scratch is within twice the budget plus its (n_i + 1) x chunk
+# axis tables.  The perfbench ``sweep`` workload (median of 3 runs at seed 5)
+# and the ``cli_convergence`` op, m = 6, p = 1 (median of 41 runs
+# interleaved in one process), 2-core x86, OpenBLAS with 2 threads:
+#
+#   budget     sweep peak   sweep wall_s   cli_convergence
+#   4,000,000     78.4 MB        0.384 s           92.4 ms
+#   2,000,000     63.2 MB        0.381 s           86.5 ms
+#   1,000,000     53.8 MB        0.365 s           85.5 ms
+#
+# The times do not separate the budgets.  This one keeps every fold of
+# ``cli_convergence``, (6, 2..8, 1) at 10,000 points, in one chunk.
+_CHUNK_BUDGET = 2_000_000
 
 # Soft bound on the floats of the Lebesgue path's scratch: the padded line
 # table of one column block of :func:`lagrange_newton_matrix`, and the
@@ -217,6 +227,22 @@ def _transform(grid: UnisolventGrid, values: np.ndarray, inverse: bool = False):
     return values
 
 
+def _finite_transform(grid: UnisolventGrid, values: np.ndarray, what: str) -> np.ndarray:
+    """The forward transform of ``values``, in place; ``FloatingPointError``
+    naming ``what`` if any entry overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _transform(grid, values)
+    if not np.isfinite(values).all():
+        # on [-1, 1] a Newton coefficient of index alpha grows roughly like
+        # 2**|alpha|_1, so past |alpha|_1 ~ 1000 generic data leaves the
+        # double range no matter how the nodes are ordered
+        raise FloatingPointError(
+            f"{what} overflowed; the total degree |alpha|_1 of the index set is too "
+            "high for floating-point divided differences"
+        )
+    return values
+
+
 def divided_differences(samples: LagrangeCoefficients) -> NewtonPolynomial:
     """Newton coefficients of the unique interpolant of ``samples``.
 
@@ -224,16 +250,7 @@ def divided_differences(samples: LagrangeCoefficients) -> NewtonPolynomial:
     result at every grid node reproduces the input values.
     """
     values = np.array(samples.values, dtype=np.float64, copy=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _transform(samples.grid, values, inverse=False)
-    if not np.isfinite(values).all():
-        # roundoff in a divided-difference triangle is amplified roughly
-        # like 2**depth on [-1, 1]; past depth ~1000 generic data leaves
-        # the double range no matter how the nodes are ordered
-        raise FloatingPointError(
-            "divided differences overflowed; the per-axis degree is too "
-            "high for floating-point interpolation of this data"
-        )
+    _finite_transform(samples.grid, values, "divided differences")
     return NewtonPolynomial(samples.grid, values)
 
 
@@ -311,7 +328,8 @@ def lagrange_newton_matrix(grid: UnisolventGrid) -> np.ndarray:
     the ``8 |A|^2``-byte matrix plus O(budget) scratch: the block's line
     table, the sweep's work buffer and, when the block is not the whole
     matrix, a contiguous copy of it.  Callers enforcing desk-scale caps do
-    so themselves.
+    so themselves.  ``FloatingPointError`` if an entry overflows, as in
+    :func:`divided_differences`.
     """
     size = len(grid)
     cells = max(len(lines.reach) * lines.reach[0] for lines in grid.index_set.layout.lines)
@@ -322,7 +340,7 @@ def lagrange_newton_matrix(grid: UnisolventGrid) -> np.ndarray:
         # the strided view in place took 1.65 s against 1.18 s at
         # (3, 18, 2) and 4.4 s against 2.0 s at (4, 8, inf) (2-core x86)
         block = np.ascontiguousarray(mat[:, lo : lo + width])
-        mat[:, lo : lo + width] = _transform(grid, block)
+        mat[:, lo : lo + width] = _finite_transform(grid, block, "the Lagrange-Newton matrix")
     return mat
 
 

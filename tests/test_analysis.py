@@ -156,6 +156,14 @@ def test_the_class_rejects_an_unknown_parameter():
         make_benchmark("f3", 2, r=1.0)
 
 
+@pytest.mark.parametrize("kind, params", [("runge", {"r": math.nan}), ("f4", {"a": INF})])
+def test_the_class_rejects_a_non_finite_parameter(kind, params):
+    # both passed the range checks and failed later under another name
+    ((name, value),) = params.items()
+    with pytest.raises(ValueError, match=f"parameter {name}={value} must be finite"):
+        make_benchmark(kind, 2, **params)
+
+
 # -- reference rates -----------------------------------------------------------
 
 
@@ -309,6 +317,29 @@ def test_lebesgue_rejects_bool_and_non_integer_counts(kwargs, name):
         lebesgue_estimate(grid, **{"num_samples": 100, **kwargs})
     # numpy integers are integers
     assert lebesgue_estimate(grid, np.int64(100), 0, np.int32(1)) >= 1.0
+
+
+def test_lebesgue_estimate_raises_where_the_matrix_overflows():
+    # on [-1, 1] the Newton coefficients of the Lagrange polynomials grow
+    # like 2**|alpha|_1; at 1D n = 1100 the estimate used to be 0.0
+    grid = lcl_grid(1, 1100, 2)
+    with pytest.raises(FloatingPointError, match=r"Lagrange-Newton matrix .* \|alpha\|_1"):
+        lagrange_newton_matrix(grid)
+    with pytest.raises(FloatingPointError, match="Lagrange-Newton matrix"):
+        lebesgue_estimate(grid, 1000)
+
+
+def test_lebesgue_estimate_raises_on_a_non_finite_sum(monkeypatch):
+    basis = analysis.newton_basis_values
+
+    def overflowed(*args):
+        values = basis(*args)
+        values[:, -1] = INF
+        return values
+
+    monkeypatch.setattr(analysis, "newton_basis_values", overflowed)
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="sums overflowed"):
+        lebesgue_estimate(lcl_grid(2, 4, 2), 100)
 
 
 @pytest.mark.parametrize(

@@ -203,6 +203,24 @@ def test_numerical_failure_exits_1_and_bad_samples_exit_2(tmp_path, monkeypatch,
     assert not bundle.exists()
 
 
+def test_lebesgue_past_the_double_range_exits_1_and_writes_nothing(tmp_path, capsys):
+    # it wrote lambda = 0 and exited 0
+    out = tmp_path / "leb.csv"
+    assert run(["lebesgue", "-m", 1, "-p", 2, "--degrees", 1100, "--out", out]) == 1
+    assert "|alpha|_1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("function, flag, value", [("runge", "r", "nan"), ("f4", "a", "inf")])
+def test_convergence_names_a_non_finite_parameter(tmp_path, capsys, function, flag, value):
+    out = tmp_path / "c.csv"
+    code = run(["convergence", "-m", 2, "--function", function, f"--{flag}", value,
+                "--degrees", "2:6", "--out", out])
+    assert code == 2
+    assert f"parameter {flag}={value} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_interpolate_requires_exactly_one_source(tmp_path):
     assert run(["interpolate", "-m", 1, "-n", 2, "--out", tmp_path / "b"]) == 2
     vals = tmp_path / "v.txt"

@@ -1,8 +1,10 @@
+import itertools
 import logging
 import math
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -213,12 +215,12 @@ def test_fold_matches_basis_matrix_oracle_at_every_split(seed):
     dim = int(rng.integers(1, 7))
     index_set = random_downward_closed(rng, dim, int(rng.integers(1, 120)), 6)
     exps, tops = index_set.exponents, index_set.tops
-    # the rule: the most axes j whose projection P_j has no more indices
-    # than there are groups sharing a_{j+1}..a_m, and at least one
+    # the rule: the fewest axes j whose projection P_j has at least as many
+    # indices as there are groups sharing a_{j+1}..a_m
     sizes = [int((exps[:, j:] == 0).all(axis=1).sum()) for j in range(1, dim + 1)]
     groups = [np.unique(exps[:, j:], axis=0).shape[0] for j in range(1, dim + 1)]
-    fits = [j for j in range(1, dim + 1) if sizes[j - 1] <= groups[j - 1]]
-    assert index_set.layout.fold.split == max([1] + fits)
+    fits = [j for j in range(1, dim + 1) if sizes[j - 1] >= groups[j - 1]]
+    assert index_set.layout.fold.split == min(fits)
     axes = random_axes(rng, [top + 1 for top in tops])
     grid = build_grid(index_set, axes)
     coeffs = rng.standard_normal(len(grid))
@@ -240,15 +242,23 @@ def test_fold_split_rule():
     def split(m, n, p):
         return make_lp_set(m, n, p).layout.fold.split
 
-    assert {split(3, n, 2) for n in range(6, 41)} == {1}
+    assert {split(3, n, 2) for n in range(6, 41)} == {2}
     assert {split(6, n, 1) for n in range(2, 11)} == {3}
     assert split(4, 28, 2) == 2 and split(8, 6, 2) == 4
-    assert split(2, 100, 2) == 1 and split(3, 60, 0.5) == 1
+    assert split(2, 100, 2) == 1 and split(3, 60, 0.5) == 2
+    # every l_p ball of degree n >= 1 splits after ceil(m / 2) axes
+    for m, p in itertools.product(range(1, 9), (1, 2, INF)):
+        for n in range(1, 11):
+            # the balls grow with n, so the first one past the size limit
+            # ends the degrees of (m, p)
+            if len(multi_index._lp_table(m, n, p)[0]) > 20_000:
+                break
+            assert split(m, n, p) == -(-m // 2), (m, n, p)
 
 
 def test_fold_chunks_agree_with_one_chunk(monkeypatch):
-    # (3, 8, 2) contracts one axis in its GEMM, (6, 4, 1) three
-    for (m, n, p), split in (((3, 8, 2), 1), ((6, 4, 1), 3)):
+    # (3, 8, 2) contracts two axes in its GEMM, (6, 4, 1) three
+    for (m, n, p), split in (((3, 8, 2), 2), ((6, 4, 1), 3)):
         grid = lcl_grid(m, n, p)
         plan = grid.index_set.layout.fold
         assert plan.split == split
@@ -277,6 +287,32 @@ def test_fold_chunks_agree_with_one_chunk(monkeypatch):
             assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
 
 
+@pytest.mark.parametrize(
+    "m, n, p, order", [(3, 28, 2, (1, 0, 0)), (6, 8, 1, (0,) * 6)], ids=["m3", "m6"]
+)
+def test_fold_holds_its_chunk_budget(m, n, p, order):
+    # Counted by tracemalloc, which sees every numpy buffer: per chunk the
+    # basis block and the GEMM output, each within the budget, and the axis
+    # tables; besides them, the coefficient matrix, the transposed points
+    # and the output.
+    grid = lcl_grid(m, n, p)
+    rng = np.random.default_rng(7)
+    poly = NewtonPolynomial(grid, rng.standard_normal(len(grid)))
+    pts = rng.uniform(-1, 1, (10_000, m))
+    plan = grid.index_set.layout.fold
+    width = grid.index_set.layout.basis.stops[plan.split - 1]
+    chunk = min(len(pts), newton._CHUNK_BUDGET // max(plan.groups, width))
+    tables = sum(top + 1 for top in grid.index_set.tops) * chunk
+    bound = 8 * (2 * newton._CHUNK_BUDGET + tables + plan.groups * width + (m + 1) * len(pts))
+    tracemalloc.start()
+    try:
+        eval_derivative(poly, order, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 def test_fold_edge_cases():
     grid = lcl_grid(3, 4, 2)
     poly = NewtonPolynomial(grid, np.random.default_rng(5).standard_normal(len(grid)))
@@ -300,18 +336,20 @@ def test_fold_edge_cases():
     assert (plan.split, plan.groups) == (1, 3)
     assert plan.cell.tolist() == [0, 1, 2, 3, 4, 6]
     assert plan.steps == ([slice(0, 1), slice(1, 2), slice(2, 3)],)
-    # l_1 (1, 1, 1): runs (a_2, a_3) = (0, 0), (1, 0), (0, 1); the groups of
-    # axis 2 are a_3 = 0 (levels 0..1) and a_3 = 1 (level 0), so level 0 of
-    # both comes first, then level 1 of the first
-    plan = make_lp_set(3, 1, 1).layout.fold
+    # l_1 (1, 1, 1) contracts two axes by the rule; at one, its runs are
+    # (a_2, a_3) = (0, 0), (1, 0), (0, 1), the groups of axis 2 are a_3 = 0
+    # (levels 0..1) and a_3 = 1 (level 0), so level 0 of both comes first,
+    # then level 1 of the first
+    assert make_lp_set(3, 1, 1).layout.fold.split == 2
+    plan = with_fold_split(make_lp_set(3, 1, 1), 1).layout.fold
     assert (plan.split, plan.groups) == (1, 3)
     assert plan.cell.tolist() == [0, 1, 4, 2]
     assert plan.steps[0] == [slice(0, 2), slice(2, 3)]
     assert [rows.tolist() for rows in plan.steps[1]] == [[0], [1]]
     # l_1 (6, 1): P_3 = {0, e_1, e_2, e_3} and the 4 groups, one per value
-    # of (a_4, a_5, a_6), make the GEMM square; P_4 would outnumber the 3
-    # groups of (a_5, a_6).  The group a_4 = 1 is level 1 of (a_5, a_6) = 0, so it
-    # is listed last, and e_4 is column 0 of its row
+    # of (a_4, a_5, a_6), make the GEMM square; P_2 = {0, e_1, e_2} would be
+    # outnumbered by the 5 groups of (a_3..a_6).  The group a_4 = 1 is level
+    # 1 of (a_5, a_6) = 0, so it is listed last, and e_4 is column 0 of its row
     plan = make_lp_set(6, 1, 1).layout.fold
     assert (plan.split, plan.groups) == (3, 4)
     assert plan.cell.tolist() == [0, 1, 2, 3, 12, 4, 8]
@@ -381,6 +419,12 @@ def test_interpolate_rejects_non_finite():
     with pytest.raises(NonFiniteSampleError) as err:
         interpolate(bad, grid)
     assert "node" in str(err.value)
+
+
+def test_interpolate_overflow_names_the_total_degree():
+    # on [-1, 1] the coefficients grow like 2**|alpha|_1
+    with pytest.raises(FloatingPointError, match=r"overflowed; the total degree \|alpha\|_1"):
+        interpolate(lambda x: 1.0 / (1.0 + 25.0 * x[:, 0] ** 2), lcl_grid(1, 1500, 2))
 
 
 def test_interpolate_accepts_scalar_callable(caplog):
