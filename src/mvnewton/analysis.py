@@ -27,6 +27,7 @@ from . import newton as _newton
 from .multi_index import _lp_table, make_lp_set
 from .newton import (
     _as_points,
+    _check_order,
     eval_derivative,
     interpolate,
     lagrange_newton_matrix,
@@ -141,8 +142,9 @@ class BenchmarkFunction:
         return benchmark_eval(self, x)
 
     def supports_order(self, order) -> bool:
-        order = tuple(int(v) for v in order)
-        if any(v < 0 for v in order) or len(order) != self.dim:
+        try:
+            order = _check_order(order, self.dim)
+        except ValueError:
             return False
         total = sum(order)
         if total == 0:
@@ -162,9 +164,7 @@ def benchmark_eval(f: BenchmarkFunction, x, order=None):
     are rejected for functions without analytic derivatives.
     """
     pts, single = _as_points(x, f.dim)
-    if order is None:
-        order = (0,) * f.dim
-    order = tuple(int(v) for v in order)
+    order = _check_order((0,) * f.dim if order is None else order, f.dim)
     if not f.supports_order(order):
         raise ValueError(f"{f.kind} does not support derivative order {order}")
     out = _benchmark_dispatch(f, pts, order)
@@ -444,7 +444,7 @@ def convergence_run(
     if node_family not in GRID_FAMILIES:
         raise ValueError(f"unknown node family {node_family!r}")
     m = f.dim
-    order = (0,) * m if deriv_order is None else tuple(int(v) for v in deriv_order)
+    order = _check_order((0,) * m if deriv_order is None else deriv_order, m)
     if not f.supports_order(order):
         raise ValueError(f"{f.kind} does not support derivative order {order}")
 

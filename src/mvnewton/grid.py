@@ -38,7 +38,7 @@ DEFAULT_LEJA_RESOLUTION = 100_000
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Nodes1D:
     """An ordered tuple of pairwise-distinct points in ``[-1, 1]``."""
 
@@ -219,7 +219,7 @@ def leja_points(n: int) -> Nodes1D:
     return Nodes1D(chosen, family="leja")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnisolventGrid:
     """A downward-closed index set plus one ordered node tuple per axis."""
 

@@ -269,21 +269,20 @@ class FoldPlan(NamedTuple):
     one GEMM of a ``(groups x |P|)`` coefficient matrix, where ``groups``
     counts the groups of axis ``split - 1`` and ``P``, the projection of the
     set onto axes ``0..split - 1``, is the first
-    ``BasisPlan.stops[split - 1]`` canonical rows.  ``cell[k]`` is the cell
-    (``row * |P| + column``) of the index at canonical position ``k``: its
-    group's GEMM row, and the position in ``P`` of its projection.  The
-    GEMM rows are listed level-major in ``a_{split}``.  For each later axis
-    ``i`` the groups of axis ``i`` are listed longest first, and
-    ``steps[i - split][l]`` selects, in the previous step's listing, the
-    level-``l`` members of the groups that reach level ``l``; those groups
-    form a prefix.  Every selection of the first step is therefore a slice;
-    later selections are index arrays.
+    ``BasisPlan.stops[split - 1]`` canonical rows.  GEMM row ``g`` is the
+    ``g``-th group in canonical order, which lists the groups' tails, the
+    projection ``T`` of the set onto axes ``split..m - 1``, canonically.
+    ``cell[k]``, which ascends, is the cell (``row * |P| + column``) of the
+    index at canonical position ``k``: its group's GEMM row, and the
+    position in ``P`` of its projection.  ``tail`` is the
+    :class:`BasisPlan` of ``T``, which the fold runs in reverse to sum the
+    GEMM rows; ``None`` when ``split == m``.
 
     ``split`` is the smallest ``j`` with ``|P_j|`` at least the number of
     groups of axis ``j - 1``; one exists, as ``|P_m| = |A|`` and axis
     ``m - 1`` has one group.  So the larger side of the GEMM is its basis
-    block, built with one multiply per row, and its output and the level
-    sums that read it have the fewer rows.  For an ``l_p`` ball of degree
+    block, built with one multiply per row, and its output and the sums
+    that read it have the fewer rows.  For an ``l_p`` ball of degree
     ``n >= 1`` that is ``j = ceil(m / 2)``: with ``m = 3``, 2, the GEMM of
     one row per value of ``a_3`` and one column per index of ``P_2``.
     """
@@ -291,7 +290,7 @@ class FoldPlan(NamedTuple):
     split: int
     groups: int
     cell: np.ndarray
-    steps: tuple[list, ...]
+    tail: BasisPlan | None
 
 
 class BasisPlan(NamedTuple):
@@ -387,35 +386,15 @@ def _fold_plan(
         bottom[line[base]] = base
         projection = bottom[line[projection]]
     projection = heads_0[projection][np.cumsum(heads[:, 0]) - 1] + exponents[:, 0]
-    group = np.cumsum(heads[:, split - 1]) - 1
-    rows = np.flatnonzero(heads[:, split - 1])  # first canonical row of each group
-    slot = np.arange(rows.size)  # listing of the GEMM rows
-    steps = []
-    for i in range(split, dim):
-        opens = heads[rows, i]
-        member = np.cumsum(opens) - 1
-        starts = np.flatnonzero(opens)
-        lengths = np.diff(starts, append=rows.size)
-        by_length = np.argsort(-lengths, kind="stable")
-        rank = np.empty_like(by_length)
-        rank[by_length] = np.arange(by_length.size)
-        reach = np.searchsorted(-lengths[by_length], -np.arange(lengths.max()))
-        if i == split:
-            # level-major listing: the GEMM row at level l of group g goes
-            # to offset[l] + rank[g], so each level is one contiguous slice
-            offset = np.cumsum(reach) - reach
-            slot = offset[np.arange(rows.size) - starts[member]] + rank[member]
-            steps.append([slice(lo, lo + w) for lo, w in zip(offset.tolist(), reach.tolist())])
-        else:
-            first = starts[by_length]
-            steps.append([where[first[:w] + level] for level, w in enumerate(reach)])
-        where = rank
-        rows = rows[starts]
-    cell = slot[group] * stops[split - 1] + projection
+    tails = exponents[heads[:, split - 1], split:]  # canonical, as the heads are
+    cell = (np.cumsum(heads[:, split - 1]) - 1) * stops[split - 1] + projection
     # int32, as for ``AxisLines.cell``, unless the GEMM matrix is too large
-    if slot.size * stops[split - 1] <= 2**31:
+    if len(tails) * stops[split - 1] <= 2**31:
         cell = cell.astype(np.int32)
-    return FoldPlan(split, slot.size, cell, tuple(steps))
+    tail = None
+    if split < dim:
+        tail = _basis_plan(tails, tuple(_axis_lines(tails, i) for i in range(dim - split)))
+    return FoldPlan(split, len(tails), cell, tail)
 
 
 def _basis_plan(exponents: np.ndarray, lines: tuple[AxisLines, ...]) -> BasisPlan:

@@ -21,12 +21,13 @@ downward-closed set it holds the ``|A|**2`` matrix plus O(budget) scratch.
 Evaluation at ``k`` points (see :func:`_fold`) contracts the first ``j``
 axes in one ``(G_j x |P_j|) . (|P_j| x k)`` GEMM, where ``P_j`` is the
 projection of the set onto those axes and ``G_j`` counts the groups of
-indices sharing ``a_{j+1}..a_m``, then sums over axes ``j+1..m`` level by
-level.  Per point that is ``G_j * |P_j|`` multiply-adds in the GEMM plus
-one per group in the sums.  Each set takes the smallest ``j`` with
-``|P_j| >= G_j``, so the basis block, one multiply per row, is the larger
-operand and the GEMM output the smaller; points go in chunks whose basis
-block holds at most ``_CHUNK_BUDGET`` floats.
+indices sharing ``a_{j+1}..a_m``, then sums the GEMM rows against the
+Newton basis of those tails by running its build in reverse.  Per point
+that is ``G_j * |P_j|`` multiply-adds in the GEMM plus one per group in the
+sums.  Each set takes the smallest ``j`` with ``|P_j| >= G_j``, so the
+basis block, one multiply per row, is the larger operand and the GEMM
+output the smaller; points go in chunks whose basis block holds at most
+``_CHUNK_BUDGET`` floats.
 
 Where each index lands in those tables, the walk of the evaluation fold
 and the build order of the basis values are the index set's layout
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import NODE_FAMILIES, Nodes1D, UnisolventGrid, _read_table, _table_text, build_grid
-from .multi_index import AxisLines, MultiIndexSet
+from .multi_index import AxisLines, BasisPlan, MultiIndexSet, _integral
 
 __all__ = [
     "NewtonPolynomial",
@@ -119,7 +120,7 @@ def _read_only_vector(vector, grid: UnisolventGrid, name: str, non_finite: Excep
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NewtonPolynomial:
     """A polynomial in the Newton basis of ``grid``: ``sum_a c_a * N_a``."""
 
@@ -135,7 +136,7 @@ class NewtonPolynomial:
         return eval_iterative(self, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangeCoefficients:
     """Function values at the grid nodes, aligned to canonical order."""
 
@@ -358,10 +359,12 @@ def _as_points(x, dim):
 
 
 def _check_order(order, dim: int) -> tuple[int, ...]:
-    order = tuple(int(v) for v in np.atleast_1d(order))
-    if len(order) != dim or any(v < 0 for v in order):
-        raise ValueError("derivative order must be a multi-index of the grid dimension")
-    return order
+    """``order`` as a tuple of ``dim`` ints; ``ValueError`` unless every entry
+    is a non-negative integer by the rule of ``_integral`` (none is truncated)."""
+    whole = _integral(np.atleast_1d(order))
+    if whole.shape != (dim,) or (whole < 0).any():
+        raise ValueError(f"derivative order must be {dim} non-negative integers, got {order!r}")
+    return tuple(whole.tolist())
 
 
 def _axis_table(points: np.ndarray, top: int, x: np.ndarray, order: int) -> np.ndarray:
@@ -401,39 +404,61 @@ def newton_basis_values(grid: UnisolventGrid, x, order=None) -> np.ndarray:
     """
     pts, single = _as_points(x, grid.dim)
     order = _check_order((0,) * grid.dim if order is None else order, grid.dim)
-    out = _basis_rows(grid, np.ascontiguousarray(pts.T), order, grid.dim)
+    plan, tops = grid.index_set.layout.basis, grid.index_set.tops
+    out = _basis_rows(plan, tops, grid.axes, np.ascontiguousarray(pts.T), order, grid.dim)
     return out[:, 0] if single else out.T
 
 
-def _basis_rows(grid: UnisolventGrid, columns: np.ndarray, order, leading: int) -> np.ndarray:
-    """Points-last basis values of the projection of the index set onto its
-    first ``leading`` axes, with only the factors of those axes.
+def _basis_rows(plan: BasisPlan, tops, axes, columns: np.ndarray, order, leading: int):
+    """Points-last basis values of the projection of a set onto its first
+    ``leading`` axes, with only the factors of those axes.
 
-    The projection is the first ``stops[leading - 1]`` canonical rows of the
-    set's :class:`~mvnewton.multi_index.BasisPlan`, and the result is a
+    The set has the :class:`~mvnewton.multi_index.BasisPlan` ``plan``, the
+    top levels ``tops`` and the node tuples ``axes``.  The projection is its
+    first ``stops[leading - 1]`` canonical rows, and the result is a
     C-contiguous ``(stops[leading - 1], k)`` array for the ``(m, k)`` point
-    coordinates ``columns``.  It is built one axis at a time along that
+    coordinates ``columns``.  It is built one axis at a time along the
     plan: axis 0 writes its table (see :func:`_axis_table`) into the leading
     rows, and each later axis fills its level-``l`` rows with already built
     rows times row ``l`` of its table.  With ``leading == 1`` the result is
     axis 0's table itself.
     """
-    tops = grid.index_set.tops
-    plan = grid.index_set.layout.basis
-    table = _axis_table(grid.axes[0].points, tops[0], columns[0], order[0])
+    table = _axis_table(axes[0].points, tops[0], columns[0], order[0])
     if leading == 1:
         return table
     out = np.empty((plan.stops[leading - 1], columns.shape[1]))
     out[: tops[0] + 1] = table
     del table  # before the next axis's table is built
     for i, levels in enumerate(plan.levels[: leading - 1], 1):
-        table = _axis_table(grid.axes[i].points, tops[i], columns[i], order[i])
+        table = _axis_table(axes[i].points, tops[i], columns[i], order[i])
         for level, (rows, source) in enumerate(levels, 1):
             np.multiply(out[source], table[level], out=out[rows])
         if order[i]:
             # a differentiated axis has row 0 zero, not one: scale the
             # level-0 rows last, after every level has read them
             out[: plan.stops[i - 1]] *= table[0]
+    return out
+
+
+def _collapse_rows(plan: BasisPlan, tops, axes, columns: np.ndarray, order, acc) -> np.ndarray:
+    """``(acc * basis).sum(0)``, where ``basis`` is :func:`_basis_rows` over
+    every axis of ``plan``, without building ``basis``; ``acc`` is overwritten.
+    The build runs in reverse: from the last axis down to axis 1, the level-0
+    rows are scaled by row 0 of the axis table where the axis is differentiated,
+    and each level-``l`` row, times row ``l``, is added into the row it was
+    built from; the levels of axis 0 that are left are summed against its table."""
+    for i in range(len(plan.stops) - 1, 0, -1):
+        table = _axis_table(axes[i].points, tops[i], columns[i], order[i])
+        head = acc[: plan.stops[i - 1]]
+        if order[i]:
+            head *= table[0]
+        for level, (rows, source) in enumerate(plan.levels[i - 1], 1):
+            # the sources of one level are distinct, so += drops no term
+            head[source] += np.multiply(acc[rows], table[level], out=acc[rows])
+    table = _axis_table(axes[0].points, tops[0], columns[0], order[0])
+    out = acc[0] * table[0]
+    for level in range(1, tops[0] + 1):
+        out += acc[level] * table[level]
     return out
 
 
@@ -446,18 +471,17 @@ def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
     sharing ``a_{j+1}..a_m`` and one column per index of the projection
     ``P_j`` of the set onto axes ``1..j``.  One GEMM with the basis values
     of ``P_j`` over those axes (see :func:`_basis_rows`) collapses every
-    group at every point.  Each later axis ``i`` then collapses the groups
-    sharing the coordinates after ``i``: level by level, the members at
-    level ``l`` are scaled by row ``l`` of the axis-``i`` table and added to
-    their group's sum.  Points stay on the last, contiguous axis.  The GEMM
-    rows are listed level-major in ``a_{j+1}``, so the largest sums, the
-    first, read contiguous slices of the GEMM output.  With ``j = 1`` the
-    GEMM rows are the grid lines of axis 1 and its columns their levels.
+    group at every point.  The GEMM rows, one per tail ``(a_{j+1}..a_m)``
+    in canonical order, are then summed against the Newton basis of those
+    tails over the later axes (see :func:`_collapse_rows`).  Points stay on
+    the last, contiguous axis.  With ``j = 1`` the GEMM rows are the grid
+    lines of axis 1 and its columns their levels.
     """
     pts, single = _as_points(x, poly.grid.dim)
     index_set = poly.grid.index_set
     plan = index_set.layout.fold
-    width = index_set.layout.basis.stops[plan.split - 1]
+    split = plan.split
+    width = index_set.layout.basis.stops[split - 1]
     scattered = np.zeros(plan.groups * width)
     scattered[plan.cell] = poly.coeffs
     scattered = scattered.reshape(plan.groups, width)
@@ -468,17 +492,11 @@ def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
     step = max(1, _CHUNK_BUDGET // max(plan.groups, width))
     for start in range(0, pts.shape[0], step):
         chunk = columns[:, start : start + step]
-        acc = scattered @ _basis_rows(poly.grid, chunk, order, plan.split)
-        for i, members in enumerate(plan.steps, plan.split):
-            table = _axis_table(axes[i].points, tops[i], chunk[i], order[i])
-            total = acc[members[0]] * table[0]
-            product = np.empty_like(total)
-            for level in range(1, len(members)):
-                part = acc[members[level]]
-                size = part.shape[0]
-                total[:size] += np.multiply(part, table[level], out=product[:size])
-            acc = total
-        out[start : start + step] = acc[0]
+        acc = scattered @ _basis_rows(index_set.layout.basis, tops, axes, chunk, order, split)
+        if plan.tail is not None:  # rebinding frees the GEMM output before the next
+            args = (tops[split:], axes[split:], chunk[split:], order[split:])
+            acc = _collapse_rows(plan.tail, *args, acc)
+        out[start : start + step] = acc[0] if plan.tail is None else acc
     return float(out[0]) if single else out
 
 
@@ -489,8 +507,8 @@ def eval_iterative(poly: NewtonPolynomial, x):
     (see :func:`_fold`): per point, one ``G_j x |P_j|`` GEMM over the first
     ``j`` axes, where ``G_j`` counts the groups of indices sharing
     ``a_{j+1}..a_m`` and ``P_j`` is the projection of the set onto axes
-    ``1..j``, plus level-by-level sums over axes ``j+1..m``.  The walk and
-    ``j`` are read from the index set's layout.
+    ``1..j``, plus its rows summed against the Newton basis of their tails.
+    ``j`` and both basis plans are read from the index set's layout.
     """
     return _fold(poly, x, (0,) * poly.grid.dim)
 

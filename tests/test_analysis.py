@@ -105,6 +105,13 @@ def test_unsupported_derivatives_rejected():
     runge = make_benchmark("runge", 2)
     with pytest.raises(ValueError):
         benchmark_eval(runge, [0.1, 0.1], (2, 1))  # total order 3
+    # fractional orders are rejected, not truncated to an order that exists
+    x = [0.1, 0.1]
+    assert benchmark_eval(runge, x, (1.0, 0)) == benchmark_eval(runge, x, (1, 0))
+    for order in ((1.9, 0), (0.5, 0), (1, 0, 0), (-1, 0)):
+        assert not runge.supports_order(order)
+        with pytest.raises(ValueError, match="derivative order must be 2 non-negative"):
+            benchmark_eval(runge, [0.1, 0.1], order)
 
 
 def test_benchmark_validation():
@@ -500,6 +507,8 @@ def test_convergence_validation():
         convergence_run(f, 2, "nope", [1, 2], num_samples=10, seed=0)
     with pytest.raises(ValueError):
         convergence_run(f, 2, "lcl", [1, 2], num_samples=10, seed=0, deriv_order=(3, 0))
+    with pytest.raises(ValueError, match="derivative order must be 2 non-negative"):
+        convergence_run(f, 2, "lcl", [1, 2], num_samples=10, seed=0, deriv_order=(0.5, 0))
 
 
 def test_record_csv_round_trip(tmp_path):

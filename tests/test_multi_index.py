@@ -162,22 +162,25 @@ def brute_force_closed(members) -> bool:
     )
 
 
+def assert_basis_plans_equal(a, b):
+    assert a.stops == b.stops
+    for x, y in zip(a.levels, b.levels, strict=True):
+        assert len(x) == len(y)
+        for (rows_a, u), (rows_b, v) in zip(x, y):
+            assert rows_a == rows_b
+            assert u == v if isinstance(u, slice) else np.array_equal(u, v)
+
+
 def assert_layouts_equal(a, b):
     for x, y in zip(a.lines, b.lines, strict=True):
         assert x.reach == y.reach
         assert x.cell.dtype == y.cell.dtype and np.array_equal(x.cell, y.cell)
     assert (a.fold.split, a.fold.groups) == (b.fold.split, b.fold.groups)
-    assert np.array_equal(a.fold.cell, b.fold.cell)
-    for x, y in zip(a.fold.steps, b.fold.steps, strict=True):
-        assert len(x) == len(y)
-        for u, v in zip(x, y):
-            assert u == v if isinstance(u, slice) else np.array_equal(u, v)
-    assert a.basis.stops == b.basis.stops
-    for x, y in zip(a.basis.levels, b.basis.levels, strict=True):
-        assert len(x) == len(y)
-        for (rows_a, u), (rows_b, v) in zip(x, y):
-            assert rows_a == rows_b
-            assert u == v if isinstance(u, slice) else np.array_equal(u, v)
+    assert a.fold.cell.dtype == b.fold.cell.dtype and np.array_equal(a.fold.cell, b.fold.cell)
+    assert (a.fold.tail is None) == (b.fold.tail is None)
+    if a.fold.tail is not None:
+        assert_basis_plans_equal(a.fold.tail, b.fold.tail)
+    assert_basis_plans_equal(a.basis, b.basis)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -247,6 +250,14 @@ def test_fold_plan_cells_match_stepping_every_row(seed):
         first = np.unique(tails, return_index=True)[1]
         assert np.array_equal(row, row[first][tails])
         assert np.array_equal(np.unique(row), np.arange(first.size)) and plan.groups == first.size
+        # the GEMM rows are the tails in canonical order, whose basis plan
+        # the fold walks in reverse
+        assert (np.diff(plan.cell) > 0).all()
+        if split == dim:
+            assert plan.tail is None
+        else:
+            tails = MultiIndexSet(np.unique(exponents[:, split:], axis=0))
+            assert_basis_plans_equal(plan.tail, tails.layout.basis)
 
 
 def test_canonical_input_skips_sorting_but_keeps_checks(monkeypatch):

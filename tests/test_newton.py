@@ -64,6 +64,22 @@ def xy_grid():
     return build_grid(make_lp_set(2, 1, INF), [two_point_axis()] * 2)
 
 
+def test_array_holders_compare_by_identity_and_hash():
+    # an equality generated over ndarray fields raised on == and hash()
+    grid, twin = xy_grid(), xy_grid()
+    values = [1.0, 2.0, 3.0, 4.0]
+    for a, b in (
+        (grid.axes[0], twin.axes[0]),
+        (grid, twin),
+        (NewtonPolynomial(grid, values), NewtonPolynomial(grid, values)),
+        (LagrangeCoefficients(grid, values), LagrangeCoefficients(grid, values)),
+    ):
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
+        assert {a, b, a} == {a, b} and len({a, b}) == 2
+
+
 def test_two_point_identity_coefficients():
     grid = build_grid(make_lp_set(1, 1, 1), [two_point_axis()])
     poly = interpolate(lambda pts: pts[:, 0], grid)
@@ -238,6 +254,28 @@ def test_fold_matches_basis_matrix_oracle_at_every_split(seed):
             assert np.abs(got - basis @ coeffs).max() <= 1e-13 * scale
 
 
+@given(st.integers(min_value=0, max_value=10**6))
+def test_collapse_sums_rows_against_the_tail_basis(seed):
+    # the reverse walk of the tail plan against the basis values it builds,
+    # at every split that leaves a tail and at random derivative orders
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 7))
+    index_set = random_downward_closed(rng, dim, int(rng.integers(1, 120)), 6)
+    tops = index_set.tops
+    axes = random_axes(rng, [top + 1 for top in tops])
+    columns = rng.uniform(-1, 1, (dim, int(rng.integers(1, 20))))
+    # up to two above an axis's top degree, where the derivative vanishes
+    order = tuple(int(rng.integers(0, top + 3)) for top in tops)
+    for split in range(1, dim):
+        tail = with_fold_split(index_set, split).layout.fold.tail
+        args = tail, tops[split:], axes[split:], columns[split:], order[split:]
+        acc = rng.standard_normal((tail.stops[-1], columns.shape[1]))
+        basis = newton._basis_rows(*args, dim - split)
+        got = newton._collapse_rows(*args, acc.copy())
+        scale = 1.0 + np.abs(acc * basis).sum(0).max()
+        assert np.abs(got - (acc * basis).sum(0)).max() <= 1e-13 * scale
+
+
 def test_fold_split_rule():
     def split(m, n, p):
         return make_lp_set(m, n, p).layout.fold.split
@@ -328,32 +366,32 @@ def test_fold_edge_cases():
     assert np.array_equal(eval_iterative(constant, pts), np.full(7, 2.5))
     assert not eval_derivative(constant, (0, 1), pts).any()
     plan = make_lp_set(1, 6, 1).layout.fold
-    assert (plan.split, plan.groups, plan.steps) == (1, 1, ())
+    assert (plan.split, plan.groups, plan.tail) == (1, 1, None)
     assert plan.cell.tolist() == list(range(7))
     # runs of l_1 (2, 2): a_2 = 0 holds a_1 = 0..2, a_2 = 1 holds 0..1, a_2 = 2
-    # holds 0; each run is a GEMM row, listed by a_2, and a_1 is its column
+    # holds 0; each run is a GEMM row, listed by a_2, and a_1 is its column.
+    # The tails a_2 = 0..2 are one line, so their plan has no later axis
     plan = make_lp_set(2, 2, 1).layout.fold
     assert (plan.split, plan.groups) == (1, 3)
     assert plan.cell.tolist() == [0, 1, 2, 3, 4, 6]
-    assert plan.steps == ([slice(0, 1), slice(1, 2), slice(2, 3)],)
+    assert plan.tail == ((3,), ())
     # l_1 (1, 1, 1) contracts two axes by the rule; at one, its runs are
-    # (a_2, a_3) = (0, 0), (1, 0), (0, 1), the groups of axis 2 are a_3 = 0
-    # (levels 0..1) and a_3 = 1 (level 0), so level 0 of both comes first,
-    # then level 1 of the first
+    # (a_2, a_3) = (0, 0), (1, 0), (0, 1) in canonical order, and the tail
+    # (0, 1) is built from (0, 0), row 0, as level 1 of axis 2
     assert make_lp_set(3, 1, 1).layout.fold.split == 2
     plan = with_fold_split(make_lp_set(3, 1, 1), 1).layout.fold
     assert (plan.split, plan.groups) == (1, 3)
-    assert plan.cell.tolist() == [0, 1, 4, 2]
-    assert plan.steps[0] == [slice(0, 2), slice(2, 3)]
-    assert [rows.tolist() for rows in plan.steps[1]] == [[0], [1]]
+    assert plan.cell.tolist() == [0, 1, 2, 4]
+    assert plan.tail == ((2, 3), ([(slice(2, 3), slice(0, 1))],))
     # l_1 (6, 1): P_3 = {0, e_1, e_2, e_3} and the 4 groups, one per value
     # of (a_4, a_5, a_6), make the GEMM square; P_2 = {0, e_1, e_2} would be
-    # outnumbered by the 5 groups of (a_3..a_6).  The group a_4 = 1 is level
-    # 1 of (a_5, a_6) = 0, so it is listed last, and e_4 is column 0 of its row
+    # outnumbered by the 5 groups of (a_3..a_6).  The tails 0, e_4, e_5, e_6
+    # are the GEMM rows in that order, and each of e_5, e_6 is built from 0
     plan = make_lp_set(6, 1, 1).layout.fold
     assert (plan.split, plan.groups) == (3, 4)
-    assert plan.cell.tolist() == [0, 1, 2, 3, 12, 4, 8]
-    assert plan.steps[0] == [slice(0, 3), slice(3, 4)]
+    assert plan.cell.tolist() == [0, 1, 2, 3, 4, 8, 12]
+    level_1 = [(slice(2, 3), slice(0, 1))], [(slice(3, 4), slice(0, 1))]
+    assert plan.tail == ((2, 3, 4), level_1)
 
 
 def test_divided_differences_matches_collocation_solve(rng):
@@ -573,6 +611,20 @@ def test_second_derivative_via_product_rule(rng):
     assert eval_derivative(poly, (2, 0), x) == pytest.approx(6 * 0.4 * -0.6, rel=1e-10)
     assert eval_derivative(poly, (1, 1), x) == pytest.approx(3 * 0.16, rel=1e-10)
     assert eval_derivative(poly, (0, 2), x) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_derivative_orders_must_be_integral():
+    grid = lcl_grid(2, 4, INF)
+    poly = interpolate(lambda p: p[:, 0] ** 3 * p[:, 1], grid)
+    x = np.array([0.4, -0.6])
+    # an integral float is that integer; a fraction is rejected, not truncated
+    assert eval_derivative(poly, (1.0, 0.0), x) == eval_derivative(poly, (1, 0), x)
+    message = "derivative order must be 2 non-negative integers"
+    for order in ((1.5, 0), (0, 0.5), (np.nan, 0), (-1, 0), (1, 0, 0)):
+        with pytest.raises(ValueError, match=message):
+            eval_derivative(poly, order, x)
+        with pytest.raises(ValueError, match=message):
+            newton_basis_values(grid, x, order)
 
 
 def test_degenerate_axis_raises():

@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 RESULTS = ROOT / "results"
@@ -28,12 +29,14 @@ def test_committed_rates_cover_every_configuration():
     assert keys == [(label, p) for label in configs for p in reproduce.P_VALUES]
 
 
-def test_rate_row_matches_committed_table(tmp_path, capsys):
-    row = reproduce.rate_row("f1_r54_m2", "1", tmp_path)
+# runge_r1_m4 folds with a two-axis tail; f1_r54_m2 with a one-axis tail
+@pytest.mark.parametrize("label, p", [("f1_r54_m2", "1"), ("runge_r1_m4", "1")])
+def test_rate_row_matches_committed_table(tmp_path, capsys, label, p):
+    row = reproduce.rate_row(label, p, tmp_path)
     header, line, end = reproduce.rates_text([row]).split("\r\n")
     assert (header, end) == (",".join(reproduce.RATE_HEADER), "")
     committed = {tuple(text.split(",")[:2]): text for text in _committed_rates()}
-    assert committed[("f1_r54_m2", "1")] == line
+    assert committed[(label, p)] == line
 
 
 def test_lebesgue_sweep_matches_committed_table(tmp_path, capsys):
