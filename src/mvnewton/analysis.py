@@ -24,7 +24,7 @@ from .grid import (
     leja_points,
 )
 from . import newton as _newton
-from .multi_index import _lp_table, make_lp_set
+from .multi_index import _checked_int, _lp_table, make_lp_set
 from .newton import (
     _as_points,
     _check_order,
@@ -300,9 +300,10 @@ def lebesgue_estimate(
     Draws ``num_samples`` i.i.d. uniform points on the cube (for ``m = 1`` a
     dense equispaced grid is used instead) and returns the largest observed
     value of ``sum_{|b| <= k} sum_a |d^b L_a(x)|``; ``k = 0`` is the plain
-    Lebesgue function max.  ``num_samples`` and ``k`` must be integers (not
-    booleans).  Needs all ``|A|`` Lagrange basis polynomials, hence the
-    ``8 |A|^2``-byte Lagrange-Newton matrix, capped at ``size_cap``.
+    Lebesgue function max.  ``num_samples``, ``seed`` and ``k`` must be
+    integers (not booleans).  Needs all ``|A|`` Lagrange basis polynomials,
+    hence the ``8 |A|^2``-byte Lagrange-Newton matrix, capped at
+    ``size_cap``.
 
     Points go in chunks of ``_LEBESGUE_BUDGET // |A|`` (see
     :mod:`mvnewton.newton`), a lone last point doubled, so every sum runs in
@@ -318,15 +319,12 @@ def lebesgue_estimate(
     ``(n_i + 1, chunk)`` axis tables.  ``FloatingPointError`` if the matrix
     or a sum overflows, so an estimate is never a silent 0 or NaN.
     """
-    for name, value in (("num_samples", num_samples), ("k", k)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    num_samples = _checked_int(num_samples, "num_samples", 1)
+    seed, k = _checked_int(seed, "seed", 0), _checked_int(k, "k", 0)
     size = len(grid)
     if size > size_cap:
         raise ValueError(f"index set size {size} exceeds the Lebesgue cap {size_cap}")
-    if num_samples < 1:
-        raise ValueError("num_samples must be positive")
-    if not 0 <= k <= LEBESGUE_MAX_ORDER:
+    if k > LEBESGUE_MAX_ORDER:
         raise ValueError(f"derivative order k={k} outside 0..{LEBESGUE_MAX_ORDER}")
 
     # row alpha: Newton coefficients of L_alpha, zero before column alpha
@@ -434,13 +432,14 @@ def convergence_run(
     grid family is ``lcl`` or ``leja``, and the error is the max of
     ``|d^order f(x) - d^order Q(x)|`` over ``num_samples`` uniform points
     drawn from the sub-seed ``seed XOR n`` (fresh points per degree, but
-    identical across node families and p for the same seed).
+    identical across node families and p for the same seed).  ``num_samples``,
+    ``seed`` and every degree must be integers (not booleans).
     """
-    degrees = [int(n) for n in degrees]
+    num_samples = _checked_int(num_samples, "num_samples", 1)
+    seed = _checked_int(seed, "seed", 0)
+    degrees = [_checked_int(n, "degree", 0) for n in degrees]
     if any(b <= a for a, b in zip(degrees, degrees[1:])) or not degrees:
         raise ValueError("degrees must be a non-empty strictly increasing sequence")
-    if min(degrees) < 0:
-        raise ValueError("degrees must be non-negative")
     if node_family not in GRID_FAMILIES:
         raise ValueError(f"unknown node family {node_family!r}")
     m = f.dim

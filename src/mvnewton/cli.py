@@ -120,6 +120,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -332,7 +339,7 @@ def _add_output_args(parser: argparse.ArgumentParser, formats: bool = False):
 
 
 def _add_sampling_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--seed", type=_non_negative_int, default=0, help="random seed")
     parser.add_argument(
         "--samples",
         type=_positive_int,

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .multi_index import MultiIndexSet
+from .multi_index import MultiIndexSet, _checked_int
 
 __all__ = [
     "Nodes1D",
@@ -68,8 +68,7 @@ def chebyshev_lobatto(n: int) -> Nodes1D:
     For even ``n`` the midpoint is snapped to exactly ``0.0``, the only value
     forced by symmetry that plain ``cos`` evaluation misses.
     """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
+    n = _checked_int(n, "degree n", 0)
     if n == 0:
         return Nodes1D(np.array([1.0]), family="chebyshev_lobatto")
     pts = np.cos(np.pi * np.arange(n + 1) / n)
@@ -155,8 +154,7 @@ def leja_points(n: int) -> Nodes1D:
     tolerance ``1e-13``).  The sequence is nested, so a prefix of the result
     is itself a valid Leja set.
     """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
+    n = _checked_int(n, "degree n", 0)
     resolution = max(DEFAULT_LEJA_RESOLUTION, 10 * (n + 1))
     chosen = np.ones(n + 1)  # entry 0 is the first point, 1
     if n == 0:

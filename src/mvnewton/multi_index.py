@@ -49,6 +49,17 @@ def _integral(values) -> np.ndarray:
     return np.where(whole, real, -1).astype(np.int64)
 
 
+def _checked_int(value, name: str, minimum: int) -> int:
+    """``value`` as an ``int``; ``ValueError`` naming ``name`` unless it is an
+    ``int`` or ``np.integer`` (not a ``bool``, and never truncated) of at
+    least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def _sort_keys(rows: np.ndarray) -> np.ndarray:
     """One key per row of a 2-d int64 array: the big-endian bytes of the
     reversed row as a single ``V{8m}`` item.  For non-negative rows, byte
@@ -202,11 +213,9 @@ def make_lp_set(m: int, n: int, p) -> MultiIndexSet:
 def _lp_table(m: int, n: int, p) -> tuple[np.ndarray, tuple]:
     """The canonical exponent table of :func:`make_lp_set`'s set, built
     without the set, and its ``(m, n, p)`` provenance tag."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"dimension m must be a positive integer, got {m!r}")
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"degree n must be a non-negative integer, got {n!r}")
-    m, n = int(m), int(n)
+    m, n = _checked_int(m, "dimension m", 1), _checked_int(n, "degree n", 0)
+    if isinstance(p, bool):
+        raise ValueError(f"degree selector p must be a number, got {p!r}")
     p_exact = float(p)
     if not p_exact > 0:  # also rejects nan
         raise ValueError(f"degree selector p must be positive, got {p!r}")

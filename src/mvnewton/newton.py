@@ -26,8 +26,8 @@ Newton basis of those tails by running its build in reverse.  Per point
 that is ``G_j * |P_j|`` multiply-adds in the GEMM plus one per group in the
 sums.  Each set takes the smallest ``j`` with ``|P_j| >= G_j``, so the
 basis block, one multiply per row, is the larger operand and the GEMM
-output the smaller; points go in chunks whose basis block holds at most
-``_CHUNK_BUDGET`` floats.
+output the smaller.  Points go in chunks whose basis block, GEMM output
+and axis tables hold at most ``_CHUNK_BUDGET`` floats together.
 
 Where each index lands in those tables, the walk of the evaluation fold
 and the build order of the basis values are the index set's layout
@@ -71,21 +71,23 @@ _log = logging.getLogger(__name__)
 # is treated as a degenerate (effectively duplicated) node pair.
 MIN_NODE_SEPARATION = 1e-14
 
-# Soft bound on the floats of each of the fold's two largest intermediates:
-# points go in chunks whose basis block (|P_j| x chunk) and GEMM output
-# (G_j x chunk, the smaller by the split rule) each hold at most this many,
-# so a chunk's scratch is within twice the budget plus its (n_i + 1) x chunk
-# axis tables.  The perfbench ``sweep`` workload (median of 3 runs at seed 5)
-# and the ``cli_convergence`` op, m = 6, p = 1 (median of 41 runs
-# interleaved in one process), 2-core x86, OpenBLAS with 2 threads:
+# Soft bound on the floats of the fold's scratch: points go in chunks whose
+# basis block (|P_j| x chunk), GEMM output (G_j x chunk) and axis tables
+# ((n_i + 1) x chunk each) together hold at most this many.  The two blocks
+# are buffers made once per call: with fresh arrays per chunk, glibc's
+# dynamic mmap threshold kept the freed blocks on the heap, and ``sweep``
+# peaked at 71.7 MB against 60.0 MB (58.2 and 59.1 MB under
+# ``MALLOC_MMAP_THRESHOLD_=131072``).  The perfbench ``sweep`` and ``cli``
+# workloads (median of 3 runs each at seed 5) and the ``cli_convergence``
+# op, m = 6, p = 1 (median of 41 runs interleaved in one process), 2-core
+# x86, OpenBLAS with 2 threads:
 #
-#   budget     sweep peak   sweep wall_s   cli_convergence
-#   4,000,000     78.4 MB        0.384 s           92.4 ms
-#   2,000,000     63.2 MB        0.381 s           86.5 ms
-#   1,000,000     53.8 MB        0.365 s           85.5 ms
+#   budget     sweep peak   cli peak   sweep wall_s   cli_convergence
+#   4,000,000     74.7 MB    77.1 MB        0.321 s           80.1 ms
+#   2,000,000     59.9 MB    64.2 MB        0.305 s           76.1 ms
+#   1,000,000     52.2 MB    56.5 MB        0.341 s           70.5 ms
 #
-# The times do not separate the budgets.  This one keeps every fold of
-# ``cli_convergence``, (6, 2..8, 1) at 10,000 points, in one chunk.
+# The ``sweep`` times do not separate the budgets.
 _CHUNK_BUDGET = 2_000_000
 
 # Soft bound on the floats of the Lebesgue path's scratch: the padded line
@@ -409,7 +411,8 @@ def newton_basis_values(grid: UnisolventGrid, x, order=None) -> np.ndarray:
     return out[:, 0] if single else out.T
 
 
-def _basis_rows(plan: BasisPlan, tops, axes, columns: np.ndarray, order, leading: int):
+def _basis_rows(plan: BasisPlan, tops, axes, columns: np.ndarray, order, leading: int,
+                out=None):
     """Points-last basis values of the projection of a set onto its first
     ``leading`` axes, with only the factors of those axes.
 
@@ -417,16 +420,18 @@ def _basis_rows(plan: BasisPlan, tops, axes, columns: np.ndarray, order, leading
     top levels ``tops`` and the node tuples ``axes``.  The projection is its
     first ``stops[leading - 1]`` canonical rows, and the result is a
     C-contiguous ``(stops[leading - 1], k)`` array for the ``(m, k)`` point
-    coordinates ``columns``.  It is built one axis at a time along the
-    plan: axis 0 writes its table (see :func:`_axis_table`) into the leading
-    rows, and each later axis fills its level-``l`` rows with already built
-    rows times row ``l`` of its table.  With ``leading == 1`` the result is
-    axis 0's table itself.
+    coordinates ``columns``, written into ``out`` if given.  It is built one
+    axis at a time along the plan: axis 0 writes its table (see
+    :func:`_axis_table`) into the leading rows, and each later axis fills
+    its level-``l`` rows with already built rows times row ``l`` of its
+    table.  With ``leading == 1`` the result is axis 0's table itself and
+    ``out`` is not used.
     """
     table = _axis_table(axes[0].points, tops[0], columns[0], order[0])
     if leading == 1:
         return table
-    out = np.empty((plan.stops[leading - 1], columns.shape[1]))
+    if out is None:
+        out = np.empty((plan.stops[leading - 1], columns.shape[1]))
     out[: tops[0] + 1] = table
     del table  # before the next axis's table is built
     for i, levels in enumerate(plan.levels[: leading - 1], 1):
@@ -476,6 +481,12 @@ def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
     tails over the later axes (see :func:`_collapse_rows`).  Points stay on
     the last, contiguous axis.  With ``j = 1`` the GEMM rows are the grid
     lines of axis 1 and its columns their levels.
+
+    Points go in chunks of ``_CHUNK_BUDGET`` floats over the rows one point
+    needs: ``|P_j|`` in the basis block, ``G_j`` in the GEMM output and
+    ``n_i + 1`` in each axis table.  The basis block (when ``j > 1``) and the
+    GEMM output are written into the C-contiguous prefixes of two flat
+    buffers sized for the first chunk.
     """
     pts, single = _as_points(x, poly.grid.dim)
     index_set = poly.grid.index_set
@@ -489,11 +500,20 @@ def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
     tops = index_set.tops
     columns = np.ascontiguousarray(pts.T)
     out = np.empty(pts.shape[0])
-    step = max(1, _CHUNK_BUDGET // max(plan.groups, width))
+    step = max(1, _CHUNK_BUDGET // (width + plan.groups + sum(top + 1 for top in tops)))
+    # made once: fresh arrays per chunk leave freed chunk-sized blocks on the
+    # C heap beside the next chunk's (see _CHUNK_BUDGET)
+    first = min(step, pts.shape[0])
+    basis_buffer = np.empty(width * first) if split > 1 else None
+    gemm_buffer = np.empty(plan.groups * first)
     for start in range(0, pts.shape[0], step):
         chunk = columns[:, start : start + step]
-        acc = scattered @ _basis_rows(index_set.layout.basis, tops, axes, chunk, order, split)
-        if plan.tail is not None:  # rebinding frees the GEMM output before the next
+        size = chunk.shape[1]
+        basis = None if basis_buffer is None else basis_buffer[: width * size].reshape(width, size)
+        basis = _basis_rows(index_set.layout.basis, tops, axes, chunk, order, split, basis)
+        acc = gemm_buffer[: plan.groups * size].reshape(plan.groups, size)
+        np.matmul(scattered, basis, out=acc)
+        if plan.tail is not None:  # sums in place in the GEMM output
             args = (tops[split:], axes[split:], chunk[split:], order[split:])
             acc = _collapse_rows(plan.tail, *args, acc)
         out[start : start + step] = acc[0] if plan.tail is None else acc

@@ -316,6 +316,8 @@ def test_lebesgue_size_cap():
         ({"k": 1.5}, "k"),  # failed inside make_lp_set, naming the degree n
         ({"num_samples": True}, "num_samples"),  # raised a bare TypeError
         ({"num_samples": 100.0}, "num_samples"),
+        ({"seed": True}, "seed"),  # was taken as seed 1
+        ({"seed": 1.5}, "seed"),  # raised a bare TypeError
     ],
 )
 def test_lebesgue_rejects_bool_and_non_integer_counts(kwargs, name):
@@ -509,6 +511,30 @@ def test_convergence_validation():
         convergence_run(f, 2, "lcl", [1, 2], num_samples=10, seed=0, deriv_order=(3, 0))
     with pytest.raises(ValueError, match="derivative order must be 2 non-negative"):
         convergence_run(f, 2, "lcl", [1, 2], num_samples=10, seed=0, deriv_order=(0.5, 0))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"num_samples": 0}, "num_samples must be at least 1"),  # a numpy reduction error
+        ({"num_samples": -3}, "num_samples must be at least 1"),  # "negative dimensions"
+        ({"num_samples": 2.5}, "num_samples must be an integer"),  # TypeError
+        ({"num_samples": True}, "num_samples must be an integer"),  # TypeError
+        ({"seed": 1.5}, "seed must be an integer"),  # TypeError from ^
+        ({"seed": -1}, "seed must be at least 0"),
+        ({"degrees": [2.7, 3.2, 4.9, 5.1]}, "degree must be an integer"),  # was (2, 3, 4, 5)
+        ({"degrees": [True, 2, 3, 4]}, "degree must be an integer"),  # was (1, 2, 3, 4)
+        ({"degrees": [-1, 2]}, "degree must be at least 0"),
+    ],
+)
+def test_convergence_names_a_bad_integer_argument(kwargs, message):
+    f = make_benchmark("runge", 2, r=1, s=1)
+    args = {"degrees": [1, 2], "num_samples": 10, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=f"^{message}"):
+        convergence_run(f, 2, "lcl", **args)
+    # numpy integers are integers
+    record = convergence_run(f, 2, "lcl", np.arange(1, 3), np.int64(10), np.int32(0))
+    assert record.degrees == (1, 2) and type(record.degrees[0]) is int
 
 
 def test_record_csv_round_trip(tmp_path):

@@ -247,6 +247,18 @@ def test_convergence_writes_record_and_fit(tmp_path, capsys):
     assert "n,num_coeffs,error" in lines
 
 
+@pytest.mark.parametrize("command", [
+    ["convergence", "--function", "runge", "--degrees", "2:6"],
+    ["lebesgue", "--degrees", "2:6"],
+])
+def test_negative_seed_is_a_usage_error_naming_the_flag(tmp_path, capsys, command):
+    # numpy's "expected non-negative integer" named no flag
+    argv = command + ["-m", 1, "--seed", -1, "--out", tmp_path / "out.csv"]
+    assert run(argv) == 2
+    assert "argument --seed: must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_convergence_rejects_single_degree(tmp_path):
     assert run(
         ["convergence", "-m", 1, "-p", 2, "--function", "runge",

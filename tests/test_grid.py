@@ -39,6 +39,15 @@ def test_chebyshev_lobatto_rejects_negative():
         chebyshev_lobatto(-1)
 
 
+@pytest.mark.parametrize("build", [chebyshev_lobatto, leja_points])
+@pytest.mark.parametrize("n", [2.0, True, -1])
+def test_node_builders_name_a_bad_degree(build, n):
+    # 2.0 raised IndexError or TypeError, and True built two points
+    with pytest.raises(ValueError, match="^degree n must be "):
+        build(n)
+    assert np.array_equal(build(np.int64(2)).points, build(2).points)
+
+
 def test_leja_order_three_points():
     ordered = leja_order(Nodes1D(np.array([1.0, 0.0, -1.0])))
     assert np.array_equal(ordered.points, [1.0, -1.0, 0.0])

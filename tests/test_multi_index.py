@@ -65,6 +65,23 @@ def test_make_lp_set_rejects_bad_args():
         make_lp_set(2, 3, -2.5)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((True, 3, 2), "dimension m"),  # built a 1-D set
+        ((2, True, 2), "degree n"),  # built degree 1
+        ((2.0, 3, 2), "dimension m"),
+        ((2, 3.0, 2), "degree n"),
+        ((2, 3, True), "degree selector p"),  # built p = 1
+    ],
+)
+def test_make_lp_set_names_a_bool_or_non_integer_argument(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        make_lp_set(*args)
+    # numpy integers are integers
+    assert len(make_lp_set(np.int64(2), np.int32(3), 2)) == len(make_lp_set(2, 3, 2))
+
+
 @pytest.mark.filterwarnings("error")
 def test_make_lp_set_rejects_nan_and_negative_infinity():
     for p in (math.nan, -INF, np.float64("nan")):

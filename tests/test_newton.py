@@ -307,8 +307,10 @@ def test_fold_chunks_agree_with_one_chunk(monkeypatch):
         whole = [eval_iterative(poly, pts), eval_derivative(poly, order, pts)]
         width = grid.index_set.layout.basis.stops[split - 1]
         assert plan.groups == np.unique(grid.index_set.exponents[:, split:], axis=0).shape[0]
+        # per point: the basis block, the GEMM output and the axis tables
+        per_point = width + plan.groups + sum(top + 1 for top in grid.index_set.tops)
         with monkeypatch.context() as patch:
-            patch.setattr(newton, "_CHUNK_BUDGET", max(plan.groups, width) * 10)
+            patch.setattr(newton, "_CHUNK_BUDGET", per_point * 10)
             widths = []
             table = newton._axis_table
 
@@ -326,12 +328,14 @@ def test_fold_chunks_agree_with_one_chunk(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "m, n, p, order", [(3, 28, 2, (1, 0, 0)), (6, 8, 1, (0,) * 6)], ids=["m3", "m6"]
+    "m, n, p, order",
+    [(3, 28, 2, (1, 0, 0)), (6, 8, 1, (0,) * 6), (4, 16, 2, (0, 1, 0, 0))],
+    ids=["m3", "m6", "m4"],  # (4, 16, 2) has G = |P| = 216
 )
 def test_fold_holds_its_chunk_budget(m, n, p, order):
     # Counted by tracemalloc, which sees every numpy buffer: per chunk the
-    # basis block and the GEMM output, each within the budget, and the axis
-    # tables; besides them, the coefficient matrix, the transposed points
+    # basis block, the GEMM output and the axis tables, together within the
+    # budget; besides them, the coefficient matrix, the transposed points
     # and the output.
     grid = lcl_grid(m, n, p)
     rng = np.random.default_rng(7)
@@ -339,9 +343,7 @@ def test_fold_holds_its_chunk_budget(m, n, p, order):
     pts = rng.uniform(-1, 1, (10_000, m))
     plan = grid.index_set.layout.fold
     width = grid.index_set.layout.basis.stops[plan.split - 1]
-    chunk = min(len(pts), newton._CHUNK_BUDGET // max(plan.groups, width))
-    tables = sum(top + 1 for top in grid.index_set.tops) * chunk
-    bound = 8 * (2 * newton._CHUNK_BUDGET + tables + plan.groups * width + (m + 1) * len(pts))
+    bound = 8 * (newton._CHUNK_BUDGET + plan.groups * width + (m + 1) * len(pts))
     tracemalloc.start()
     try:
         eval_derivative(poly, order, pts)
