@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -246,39 +247,41 @@ class UnisolventGrid:
     def __len__(self) -> int:
         return len(self.index_set)
 
-    def _table(self) -> tuple[list[str], list[np.ndarray]]:
+    def _table(self) -> tuple[list[str], list[_Gathered]]:
         """The header ``a1..am, x1..xm`` and the columns (index then
-        coordinates) of the grid table, rows in canonical order."""
+        coordinates) of the grid table, rows in canonical order: each
+        axis's levels and points, gathered by its exponents."""
         header = [f"{name}{i + 1}" for name in "ax" for i in range(self.dim)]
-        return header, [*self.index_set.exponents.T, *self.node_coordinates.T]
+        exps, tops = self.index_set.exponents.T, self.index_set.tops
+        levels = [_Gathered(np.arange(top + 1), at) for top, at in zip(tops, exps)]
+        points = [_Gathered(ax.points[: top + 1], at) for ax, top, at in zip(self.axes, tops, exps)]
+        return header, [*levels, *points]
 
-    def to_csv_text(self) -> str:
-        """``_table_text(*self._table())``, from each axis's levels and points
-        formatted once (``%d``, ``%.17g``) and gathered by exponent."""
-        exps = self.index_set.exponents
-        tops = self.index_set.tops
-        levels = np.array(["%d" % level for level in range(max(tops) + 1)], dtype=object)
-        columns = [levels[exps[:, i]] for i in range(self.dim)]
-        for i, top in enumerate(tops):
-            points = self.axes[i].points[: top + 1].tolist()
-            columns.append(np.array(["%.17g" % v for v in points], dtype=object)[exps[:, i]])
-        header = ",".join(f"{name}{i + 1}" for name in "ax" for i in range(self.dim))
-        return "\r\n".join([header, *map(",".join, zip(*columns)), ""])
+
+class _Gathered(NamedTuple):
+    """The table column ``values[index]``, each of ``values`` formatted once."""
+
+    values: np.ndarray
+    index: np.ndarray
 
 
 def _table_text(header, columns) -> str:
     """A CSV table: the ``header`` row, then one row per entry of the
-    equal-length ``columns``, integer columns as ``%d``, float columns as
-    ``%.17g`` (17 significant digits round-trip every double) and others as
-    ``%s``, each line ending in ``\\r\\n`` as ``csv.writer`` ends it."""
-    cols = [np.asarray(c) for c in columns]
+    equal-length ``columns`` (array-likes or :class:`_Gathered`), integer
+    columns as ``%d``, float columns as ``%.17g`` (17 significant digits
+    round-trip every double) and others as ``%s`` (no line breaks), each
+    line ending in ``\\r\\n`` as ``csv.writer`` ends it."""
     formats = {"i": "%d", "u": "%d", "f": "%.17g"}  # by dtype kind
-    row = ",".join(formats.get(c.dtype.kind, "%s") for c in cols)
-    cells = np.empty((len(cols[0]) if cols else 0, len(cols)), dtype=object)
-    for j, col in enumerate(cols):
-        cells[:, j] = col.tolist()
-    body = ((row + "\r\n") * len(cells)) % tuple(cells.ravel().tolist())
-    return ",".join(header) + "\r\n" + body
+    texts = []
+    for column in columns:
+        gathered = isinstance(column, _Gathered)
+        values = np.asarray(column.values if gathered else column)
+        fmt = formats.get(values.dtype.kind, "%s") + "\n"
+        text = (fmt * len(values) % tuple(values.tolist())).split("\n")[:-1]
+        if gathered:  # each value formatted once, its text gathered
+            text = np.array(text, dtype=object)[column.index].tolist()
+        texts.append(text)
+    return "\r\n".join([",".join(header), *map(",".join, zip(*texts)), ""])
 
 
 def _read_table(path, row_dtype) -> np.ndarray:

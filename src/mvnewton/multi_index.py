@@ -9,6 +9,10 @@ A :class:`MultiIndexSet` is downward closed by construction: the
 constructor builds the set's :class:`Layout`, which is also the one
 closure check, so every set that exists has one.  It also builds one sort
 key per row, the only lookup path of :meth:`MultiIndexSet.positions`.
+
+The layout is built from *roots*, which it does not keep: a row's root
+along an axis is the canonical position of the level-0 row of its line.
+Only the transform sweep reads the zero-padded tables of :class:`AxisLines`.
 """
 from __future__ import annotations
 
@@ -210,9 +214,9 @@ def make_lp_set(m: int, n: int, p) -> MultiIndexSet:
     return MultiIndexSet(exponents, provenance)
 
 
-def _lp_table(m: int, n: int, p) -> tuple[np.ndarray, tuple]:
-    """The canonical exponent table of :func:`make_lp_set`'s set, built
-    without the set, and its ``(m, n, p)`` provenance tag."""
+def _lp_table(m: int, n: int, p, limit: float = math.inf) -> tuple[np.ndarray, tuple]:
+    """The canonical exponent table of :func:`make_lp_set`'s set and its
+    ``(m, n, p)`` tag, built without the set; ``ValueError`` past ``limit`` rows."""
     m, n = _checked_int(m, "dimension m", 1), _checked_int(n, "degree n", 0)
     if isinstance(p, bool):
         raise ValueError(f"degree selector p must be a number, got {p!r}")
@@ -240,6 +244,8 @@ def _lp_table(m: int, n: int, p) -> tuple[np.ndarray, tuple]:
         else:
             counts = _max_feasible(residual, p_exact, n) + 1
         total = int(counts.sum())
+        if total > limit:  # a projection of the set is no larger than the set
+            raise ValueError(f"the l_p set has more than {limit} indices")
         rep = np.repeat(np.arange(block.shape[0]), counts)
         offsets = np.cumsum(counts) - counts
         new_col = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
@@ -283,9 +289,10 @@ class FoldPlan(NamedTuple):
     projection ``T`` of the set onto axes ``split..m - 1``, canonically.
     ``cell[k]``, which ascends, is the cell (``row * |P| + column``) of the
     index at canonical position ``k``: its group's GEMM row, and the
-    position in ``P`` of its projection.  ``tail`` is the
-    :class:`BasisPlan` of ``T``, which the fold runs in reverse to sum the
-    GEMM rows; ``None`` when ``split == m``.
+    position in ``P`` of its projection, which its roots along axes
+    ``split..m - 1`` lead to.  ``tail`` is the :class:`BasisPlan` of ``T``,
+    which the fold runs in reverse to sum the GEMM rows; ``None`` when
+    ``split == m``.
 
     ``split`` is the smallest ``j`` with ``|P_j|`` at least the number of
     groups of axis ``j - 1``; one exists, as ``|P_m| = |A|`` and axis
@@ -308,11 +315,11 @@ class BasisPlan(NamedTuple):
     The canonical rows whose coordinates after axis ``i`` are all 0 form a
     prefix, the first ``stops[i]`` rows: the projection of the set onto
     axes ``0..i``.  Within it the rows at level ``l`` of axis ``i`` form
-    one block, and each takes the value of its level-0 neighbour, which
+    one block, and each takes the value of its root along axis ``i``, which
     lies in the prefix of axis ``i - 1``.  ``levels[i - 1][l - 1]`` is
     ``(rows, source)`` for level ``l >= 1``: the block's slice and the
-    selection of those neighbours, a slice where they are contiguous (at
-    every level of axis 1) and an index array otherwise.
+    selection of those roots, a slice where they are contiguous (at every
+    level of axis 1) and an index array otherwise.
     """
 
     stops: tuple[int, ...]
@@ -328,10 +335,11 @@ class Layout(NamedTuple):
     basis: BasisPlan
 
 
-def _axis_lines(exponents: np.ndarray, axis: int) -> AxisLines:
-    """The line table along ``axis``; ``ValueError`` unless every line holds
-    exactly the levels ``0..len - 1``, i.e. unless the set is downward closed
-    along ``axis``."""
+def _axis_lines(exponents: np.ndarray, axis: int) -> tuple[AxisLines, np.ndarray]:
+    """The line table along ``axis`` and the root of every row along it: the
+    canonical position of the level-0 row of its line.  ``ValueError``
+    unless every line holds exactly the levels ``0..len - 1``, i.e. unless
+    the set is downward closed along ``axis``."""
     count, dim = exponents.shape
     levels = exponents[:, axis]
     others = [exponents[:, j] for j in range(dim) if j != axis]
@@ -348,8 +356,13 @@ def _axis_lines(exponents: np.ndarray, axis: int) -> AxisLines:
         new_line[1:] |= listed[1:] != listed[:-1]
     starts = np.flatnonzero(new_line)
     run = np.cumsum(new_line) - 1
-    if not np.array_equal(levels[order], np.arange(count) - starts[run]):
+    first = starts[run]  # in the listing, the start of each row's line
+    if not np.array_equal(levels[order], np.arange(count) - first):
         raise ValueError("the index set is not downward closed")
+    root = first
+    if axis:
+        root = np.empty(count, dtype=np.intp)
+        root[order] = order[first]
     lengths = np.diff(starts, append=count)
     by_length = np.argsort(-lengths, kind="stable")
     column = np.empty_like(by_length)
@@ -361,54 +374,40 @@ def _axis_lines(exponents: np.ndarray, axis: int) -> AxisLines:
     cell[order] = column[run]
     cell += levels * lengths.size
     reach = np.searchsorted(-lengths[by_length], -np.arange(lengths.max()), side="left")
-    return AxisLines(cell, tuple(reach.tolist()))
+    return AxisLines(cell, tuple(reach.tolist())), root
 
 
-def _fold_plan(
-    exponents: np.ndarray, lines: tuple[AxisLines, ...], stops: tuple[int, ...], split=None
-) -> FoldPlan:
+def _fold_plan(exponents: np.ndarray, roots, stops: tuple[int, ...], split=None) -> FoldPlan:
     """The :class:`FoldPlan` of a downward-closed canonical array with the
-    line tables ``lines`` and the projection sizes ``stops`` of its
-    :class:`BasisPlan`; ``split`` defaults to the rule of the plan."""
+    roots ``roots[i]`` along each axis ``i >= 1`` and the projection sizes
+    ``stops`` of its :class:`BasisPlan`; ``split`` defaults to the rule."""
     count, dim = exponents.shape
-    # heads[r, i]: row r opens a group of axis i (row 0 opens all of them)
-    heads = np.ones((count, dim), dtype=bool)
-    changed = exponents[1:] != exponents[:-1]
-    heads[1:, :-1] = np.logical_or.accumulate(changed[:, :0:-1], axis=1)[:, ::-1]
-    heads[1:, -1] = False
+    # heads[r, i]: row r opens its group of axis i, as the group's one row
+    # whose coordinates up to i are all 0
+    heads = np.logical_and.accumulate(exponents == 0, axis=1)
     if split is None:
         # |P_j| grows and G_j falls with j, and |P_m| >= G_m = 1
         groups = np.count_nonzero(heads, axis=0)
         split = min(j + 1 for j in range(dim) if stops[j] >= groups[j])
-    # the position of each row's projection onto axes 0..split - 1.  A line
-    # of axis 0 and its projection are runs from level 0, so only level-0
-    # rows (heads) step down along each later axis, whose lines keep a_0.
-    heads_0 = np.flatnonzero(heads[:, 0])
-    head_exponents = exponents[heads_0]
-    projection = np.arange(heads_0.size)  # in the listing of the heads
-    for i in range(dim - 1, split - 1, -1):
-        level = head_exponents[:, i]
-        width = lines[i].reach[0]
-        line = lines[i].cell[heads_0] - level * width
-        base = np.flatnonzero(level == 0)
-        bottom = np.empty(width, dtype=np.intp)
-        bottom[line[base]] = base
-        projection = bottom[line[projection]]
-    projection = heads_0[projection][np.cumsum(heads[:, 0]) - 1] + exponents[:, 0]
-    tails = exponents[heads[:, split - 1], split:]  # canonical, as the heads are
-    cell = (np.cumsum(heads[:, split - 1]) - 1) * stops[split - 1] + projection
+    projection = np.arange(count)
+    for i in range(split, dim):
+        projection = roots[i][projection]
+    head = np.flatnonzero(heads[:, split - 1])
+    group = np.cumsum(heads[:, split - 1]) - 1
+    tails = exponents[head, split:]  # canonical, as the heads are
+    cell = group * stops[split - 1] + projection
     # int32, as for ``AxisLines.cell``, unless the GEMM matrix is too large
     if len(tails) * stops[split - 1] <= 2**31:
         cell = cell.astype(np.int32)
     tail = None
-    if split < dim:
-        tail = _basis_plan(tails, tuple(_axis_lines(tails, i) for i in range(dim - split)))
+    if split < dim:  # a head's root is a head, so the tails' roots are the heads'
+        tail = _basis_plan(tails, [None] + [group[roots[i][head]] for i in range(split + 1, dim)])
     return FoldPlan(split, len(tails), cell, tail)
 
 
-def _basis_plan(exponents: np.ndarray, lines: tuple[AxisLines, ...]) -> BasisPlan:
-    """The :class:`BasisPlan` of a downward-closed canonical array with the
-    line tables ``lines``."""
+def _basis_plan(exponents: np.ndarray, roots) -> BasisPlan:
+    """The :class:`BasisPlan` of a downward-closed canonical array whose rows
+    have the roots ``roots[i]`` along each axis ``i >= 1``."""
     count, dim = exponents.shape
     stops = [count]
     for i in range(dim - 1, 0, -1):
@@ -420,13 +419,8 @@ def _basis_plan(exponents: np.ndarray, lines: tuple[AxisLines, ...]) -> BasisPla
         level = exponents[lo:hi, i]
         top = int(level[-1]) if hi > lo else 0
         bounds = lo + np.searchsorted(level, np.arange(1, top + 2))
-        # a row of the prefix sits at level 0 of its line, so its cell is
-        # its line's column, and the line of every row of the block starts
-        # in the prefix
-        width = lines[i].reach[0]
-        first = np.empty(width, dtype=lines[i].cell.dtype)
-        first[lines[i].cell[:lo]] = np.arange(lo)
-        source = first[lines[i].cell[lo:hi] - level * width]
+        # a copy, int32 as for ``AxisLines.cell``, so the plan keeps no roots
+        source = roots[i][lo:hi].astype(np.int32 if count <= 2**31 else np.intp)
         steps = []
         for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             picked = source[start - lo : stop - lo]
@@ -437,10 +431,10 @@ def _basis_plan(exponents: np.ndarray, lines: tuple[AxisLines, ...]) -> BasisPla
     return BasisPlan(tuple(stops), tuple(levels))
 
 
-def _build_layout(exponents: np.ndarray) -> Layout:
-    """The :class:`Layout` of a canonical exponent array; ``ValueError`` if
-    the set is not downward closed."""
-    lines = tuple(_axis_lines(exponents, axis) for axis in range(exponents.shape[1]))
-    basis = _basis_plan(exponents, lines)
-    return Layout(lines, _fold_plan(exponents, lines, basis.stops), basis)
-
+def _build_layout(exponents: np.ndarray, split=None) -> Layout:
+    """The :class:`Layout` of a canonical exponent array, whose fold
+    contracts its first ``split`` axes (by default the rule of
+    :class:`FoldPlan`); ``ValueError`` if the set is not downward closed."""
+    lines, roots = zip(*(_axis_lines(exponents, axis) for axis in range(exponents.shape[1])))
+    basis = _basis_plan(exponents, roots)
+    return Layout(lines, _fold_plan(exponents, roots, basis.stops, split), basis)

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import NODE_FAMILIES, Nodes1D, UnisolventGrid, _read_table, _table_text, build_grid
-from .multi_index import AxisLines, BasisPlan, MultiIndexSet, _integral
+from .multi_index import AxisLines, BasisPlan, MultiIndexSet, _integral, _lp_table
 
 __all__ = [
     "NewtonPolynomial",
@@ -597,19 +597,19 @@ def save_bundle(poly: NewtonPolynomial, directory) -> None:
     with open(directory / "header.json", "w") as fh:
         json.dump(header, fh, indent=2)
         fh.write("\n")
+    names, columns = grid._table()
     with open(directory / "grid.csv", "w", newline="") as fh:
-        fh.write(grid.to_csv_text())
-    names = [f"a{i + 1}" for i in range(grid.dim)] + ["c"]
+        fh.write(_table_text(names, columns))
     with open(directory / "coefficients.csv", "w", newline="") as fh:
-        fh.write(_table_text(names, [*grid.index_set.exponents.T, poly.coeffs]))
+        fh.write(_table_text([*names[: grid.dim], "c"], [*columns[: grid.dim], poly.coeffs]))
 
 
 def load_bundle(directory) -> NewtonPolynomial:
     """Read a :func:`save_bundle` directory from ``header.json`` and
     ``coefficients.csv``; ``grid.csv`` is not read.  ``ValueError`` for a
     v1 bundle (no ``axes``), counts that are not JSON integers or disagree
-    with the axes and the table, rows out of canonical order, and axes
-    that are malformed or shorter than the exponents need."""
+    with the axes and the table, rows out of canonical order or not of the
+    ``provenance`` set, and axes that are malformed or too short."""
     directory = Path(directory)
     path, table = directory / "header.json", directory / "coefficients.csv"
     with open(path) as fh:
@@ -632,15 +632,28 @@ def load_bundle(directory) -> NewtonPolynomial:
             f"header says m={m}, num_coeffs={count}; it lists {len(axes)} axes, and "
             f"{table} has {rows['a'].shape[1]} exponent columns and {len(rows)} rows"
         )
-    index_set = MultiIndexSet(rows["a"])
+    tag = header.get("provenance")
+    index_set = MultiIndexSet(rows["a"], _provenance_of(tag, rows["a"]))
     if not np.array_equal(index_set.exponents, rows["a"]):
         raise ValueError(f"{table} does not list its indices in canonical order")
+    if tag is not None and index_set.provenance is None:
+        raise ValueError(f"{path}: provenance {tag!r} does not give the indices of {table}")
     family = header.get("node_family")
     try:
         axes = [Nodes1D(axis, family if family in NODE_FAMILIES else "custom") for axis in axes]
     except OverflowError:  # an integer beyond the float range
         raise ValueError(f"{path}: an axis point is out of range") from None
     return NewtonPolynomial(build_grid(index_set, axes), rows["c"])
+
+
+def _provenance_of(tag, exponents: np.ndarray) -> tuple | None:
+    """The ``(m, n, p)`` tag of a header's ``provenance`` if its ``l_p`` set
+    has exactly the rows ``exponents``, in order; otherwise ``None``."""
+    try:  # a p of "inf" reads as float("inf")
+        built, provenance = _lp_table(tag["m"], tag["n"], tag["p"], limit=len(exponents))
+    except (TypeError, KeyError, ValueError, OverflowError):  # None or not an l_p tag
+        return None
+    return provenance if np.array_equal(built, exponents) else None
 
 
 def _provenance_json(tag):

@@ -160,6 +160,50 @@ def test_eval_rejects_header_contradicting_coefficients(tmp_path, capsys):
         assert all(word in err for word in words), err
 
 
+@pytest.mark.parametrize(
+    "provenance",
+    [{"m": 2, "n": 3, "p": 2}, {"m": 2, "n": 2, "p": "inf"}, {"m": 3, "n": 2, "p": 1},
+     {"m": 2, "n": 10**6, "p": 1}, {"m": 2, "n": 2}, [2, 2, 1], "l1"],
+    ids=["n", "p", "m", "huge n", "no p", "a list", "a string"],
+)
+def test_eval_rejects_a_provenance_contradicting_the_indices(tmp_path, capsys, provenance):
+    _xy_bundle(tmp_path / "b")  # the l_1 ball of degree 2
+    header_file = tmp_path / "b" / "header.json"
+    header = json.loads(header_file.read_text())
+    assert header["provenance"] == {"m": 2, "n": 2, "p": 1}
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,-0.25\n")
+    out = tmp_path / "v.csv"
+    argv = ["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]
+    header_file.write_text(json.dumps({**header, "provenance": provenance}))
+    assert run(argv) == 2
+    assert not out.exists()
+    assert "provenance" in capsys.readouterr().err
+    header_file.write_text(json.dumps({**header, "provenance": None}))  # untagged is fine
+    assert run(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "command, deriv",
+    [("eval", "1"), ("eval", "0,-1,0"), ("convergence", "-1,0"), ("convergence", "2,1")],
+)
+def test_bad_derivative_orders_exit_2_and_write_nothing(tmp_path, capsys, command, deriv):
+    if command == "eval":  # a 3D bundle and no points: the order is still checked
+        grid = build_grid(make_lp_set(3, 1, 1), [Nodes1D(np.array([1.0, -1.0]))] * 3)
+        save_bundle(NewtonPolynomial(grid, [1.0, 2.0, 3.0, 4.0]), tmp_path / "b")
+        pts = tmp_path / "empty.csv"
+        pts.write_text("")
+        argv = ["eval", "--bundle", tmp_path / "b", "--points", pts]
+    else:
+        argv = ["convergence", "-m", 2, "--function", "runge", "--degrees", "2:8:2",
+                "--samples", 50]
+    out = tmp_path / "out.csv"
+    # with "=", argparse takes a leading "-" as the value, not as a flag
+    assert run([*argv, f"--deriv={deriv}", "--out", out]) == 2
+    assert "derivative order" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".fit.json").exists()
+
+
 def test_interpolate_constant_values_file(tmp_path):
     vals = tmp_path / "vals.txt"
     count = len(make_lp_set(2, 2, 1))

@@ -259,7 +259,7 @@ def test_fold_plan_cells_match_stepping_every_row(seed):
     index_set = random_downward_closed(rng, dim, int(rng.integers(1, 200)), max_degree=6)
     exponents, layout = index_set.exponents, index_set.layout
     for split in range(1, dim + 1):
-        plan = multi_index._fold_plan(exponents, layout.lines, layout.basis.stops, split)
+        plan = multi_index._build_layout(exponents, split).fold
         row, column = np.divmod(plan.cell, layout.basis.stops[split - 1])
         assert np.array_equal(column, _stepped_projection(index_set, split))
         # one GEMM row per group of rows sharing the coordinates after split

@@ -217,10 +217,8 @@ def with_fold_split(index_set: MultiIndexSet, split: int) -> MultiIndexSet:
     """A fresh copy of ``index_set`` whose fold contracts its first ``split``
     axes in the GEMM, whatever the rule of the plan would choose."""
     fresh = MultiIndexSet(index_set.exponents)
-    layout = fresh.layout
-    plan = multi_index._fold_plan(fresh.exponents, layout.lines, layout.basis.stops, split)
     # the constructor sets its slots the same way, past the immutability guard
-    object.__setattr__(fresh, "layout", layout._replace(fold=plan))
+    object.__setattr__(fresh, "layout", multi_index._build_layout(fresh.exponents, split))
     return fresh
 
 
@@ -790,6 +788,22 @@ def test_bundle_round_trip(seed):
     for ours, theirs in zip(back.grid.axes, grid.axes):
         assert np.array_equal(ours.points.view(np.int64), theirs.points.view(np.int64))
         assert ours.family == theirs.family
+
+
+@pytest.mark.parametrize("m, n, p", [(2, 3, 1), (3, 5, 2), (2, 4, math.inf), (3, 6, 0.5)])
+def test_bundle_keeps_its_provenance_through_load_and_save(tmp_path, m, n, p):
+    index_set = make_lp_set(m, n, p)
+    grid = build_grid(index_set, axes_for(index_set, "leja"))
+    save_bundle(NewtonPolynomial(grid, np.arange(len(grid), dtype=float)), tmp_path / "a")
+    back = load_bundle(tmp_path / "a")
+    assert back.grid.index_set.provenance == index_set.provenance
+    save_bundle(back, tmp_path / "b")
+    for name in ("header.json", "coefficients.csv", "grid.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # a set without a tag keeps none
+    untagged = MultiIndexSet(index_set.exponents)
+    save_bundle(NewtonPolynomial(build_grid(untagged, grid.axes), back.coeffs), tmp_path / "c")
+    assert load_bundle(tmp_path / "c").grid.index_set.provenance is None
 
 
 def test_bundle_files_pin_the_on_disk_format(tmp_path):
