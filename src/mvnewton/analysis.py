@@ -108,8 +108,7 @@ class BenchmarkFunction:
     def __post_init__(self):
         if self.kind not in _DEFAULTS:
             raise ValueError(f"unknown benchmark function {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
+        object.__setattr__(self, "dim", _checked_int(self.dim, "dimension", 1))
         p = dict(_DEFAULTS[self.kind])
         unknown = {name for name, _ in self.params} - set(p)
         if unknown:
@@ -282,8 +281,7 @@ def chebyshev_lobatto_lebesgue_reference(n: int) -> float:
     first-kind Chebyshev points, whose asymptotic this is; for even ``n`` it
     is smaller (Ehlich & Zeller 1966; Brutman, J. Inequal. Appl. 1997).
     """
-    if n < 1:
-        raise ValueError(f"degree must be at least 1, got {n}")
+    n = _checked_int(n, "degree", 1)
     return (2.0 / math.pi) * (math.log(n) + np.euler_gamma + math.log(8.0 / math.pi))
 
 
@@ -300,10 +298,10 @@ def lebesgue_estimate(
     Draws ``num_samples`` i.i.d. uniform points on the cube (for ``m = 1`` a
     dense equispaced grid is used instead) and returns the largest observed
     value of ``sum_{|b| <= k} sum_a |d^b L_a(x)|``; ``k = 0`` is the plain
-    Lebesgue function max.  ``num_samples``, ``seed`` and ``k`` must be
-    integers (not booleans).  Needs all ``|A|`` Lagrange basis polynomials,
-    hence the ``8 |A|^2``-byte Lagrange-Newton matrix, capped at
-    ``size_cap``.
+    Lebesgue function max.  ``num_samples``, ``seed``, ``k`` and
+    ``size_cap`` must be integers (not booleans).  Needs all ``|A|``
+    Lagrange basis polynomials, hence the ``8 |A|^2``-byte Lagrange-Newton
+    matrix, capped at ``size_cap``.
 
     Points go in chunks of ``_LEBESGUE_BUDGET // |A|`` (see
     :mod:`mvnewton.newton`), a lone last point doubled, so every sum runs in
@@ -321,6 +319,7 @@ def lebesgue_estimate(
     """
     num_samples = _checked_int(num_samples, "num_samples", 1)
     seed, k = _checked_int(seed, "seed", 0), _checked_int(k, "k", 0)
+    size_cap = _checked_int(size_cap, "size_cap", 1)
     size = len(grid)
     if size > size_cap:
         raise ValueError(f"index set size {size} exceeds the Lebesgue cap {size_cap}")

@@ -151,9 +151,12 @@ def leja_points(n: int) -> Nodes1D:
     is deterministic: an exhaustive scan over a Chebyshev-distributed
     candidate grid of ``DEFAULT_LEJA_RESOLUTION`` points, or
     ``10 * (n + 1)`` if that is larger, followed by golden-section
-    refinement of the winning candidate's bracketing interval (abscissa
-    tolerance ``1e-13``).  The sequence is nested, so a prefix of the result
-    is itself a valid Leja set.
+    refinement of the winning candidate's bracketing interval.  The log
+    product it compares is flat to float precision within about ``1e-8`` of
+    its maximum, so a point is accurate to about ``1e-8`` (for ``n <= 60``,
+    within ``3.8e-9`` of the true maximizer given the points before it), not
+    to the ``1e-13`` width of the final bracket.  The sequence is nested,
+    so a prefix of the result is itself a valid Leja set.
     """
     n = _checked_int(n, "degree n", 0)
     resolution = max(DEFAULT_LEJA_RESOLUTION, 10 * (n + 1))

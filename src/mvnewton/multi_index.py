@@ -182,33 +182,16 @@ class MultiIndexSet:
         return int(self.positions(np.asarray(alpha)[None, :])[0])
 
 
-def _max_feasible(residual: np.ndarray, p, n: int) -> np.ndarray:
-    """Largest value ``a <= n`` with ``a**p <= residual``, elementwise."""
-    if p == 1:
-        return residual.astype(np.int64)
-    if p == 2:
-        c = np.floor(np.sqrt(residual.astype(np.float64))).astype(np.int64)
-        c += (c + 1) ** 2 <= residual  # repair float rounding both ways
-        c -= c**2 > residual
-        return c
-    # no coordinate of the ball exceeds n; clipping the root first keeps a
-    # tiny p, whose root overflows to inf, from breaking the int64 cast
-    with np.errstate(over="ignore"):
-        root = np.power(np.maximum(residual, 0.0), 1.0 / p)
-    c = np.floor(np.minimum(root, n)).astype(np.int64)
-    c += np.power(c + 1.0, p) <= residual
-    c -= (np.power(c.astype(np.float64), p) > residual) & (c > 0)
-    return np.clip(c, 0, n)
-
-
 def make_lp_set(m: int, n: int, p) -> MultiIndexSet:
     """The multi-index set ``{alpha in N^m : ||alpha||_p <= n}``.
 
-    Membership is decided in exact integer arithmetic for ``p`` in
-    ``{1, 2, inf}`` (comparing ``sum(a_i**2) <= n**2`` for ``p = 2``).  For
-    other positive real ``p`` the comparison runs in floating point with an
-    inclusion slack of ``GENERAL_P_TOLERANCE`` so borderline indices are
-    kept.
+    One rule decides membership for every ``p``: ``alpha`` is a member iff
+    ``sum(a_i**p) <= n**p``, each ``a_i**p`` looked up in one table of
+    ``a**p`` for ``a = 0..n``.  The comparison is exact in integers for
+    ``p`` in ``{1, 2}``, and for ``p = inf``, where every power and the
+    budget are 0 so only ``a_i <= n`` counts.  For other positive real ``p``
+    it runs in floating point with an inclusion slack of
+    ``GENERAL_P_TOLERANCE`` on the budget so borderline indices are kept.
     """
     exponents, provenance = _lp_table(m, n, p)
     return MultiIndexSet(exponents, provenance)
@@ -226,23 +209,27 @@ def _lp_table(m: int, n: int, p, limit: float = math.inf) -> tuple[np.ndarray, t
     if p_exact in (1, 2):
         p_exact = int(p_exact)
 
+    # One membership rule for every p (see make_lp_set): a row may append
+    # ``a`` iff ``powers[a] = a**p`` is at most its residual, the budget
+    # ``n**p`` less the powers it holds.  The residual comes first, so an
+    # ``n**2`` past int64 raises OverflowError, and the limit check before
+    # the table, as every axis of the ball holds all of 0..n.
+    if p_exact == math.inf:
+        residual = np.zeros(1, dtype=np.int64)
+    elif p_exact in (1, 2):
+        residual = np.array([n**p_exact], dtype=np.int64)
+    else:
+        residual = np.array([float(n) ** p_exact + GENERAL_P_TOLERANCE])
+    if n + 1 > limit:
+        raise ValueError(f"the l_p set has more than {limit} indices")
+    values = np.arange(n + 1, dtype=residual.dtype)
+    powers = np.zeros_like(values) if p_exact == math.inf else np.power(values, p_exact)
+
     # Grow the table one coordinate at a time, starting from the *last*
     # coordinate so rows come out already in canonical order.
     block = np.empty((1, 0), dtype=np.int64)
-    if p_exact == math.inf:
-        residual = None
-    elif p_exact == 1:
-        residual = np.array([n], dtype=np.int64)
-    elif p_exact == 2:
-        residual = np.array([n * n], dtype=np.int64)
-    else:
-        residual = np.array([float(n) ** p_exact + GENERAL_P_TOLERANCE])
-
     for _ in range(m):
-        if p_exact == math.inf:
-            counts = np.full(block.shape[0], n + 1, dtype=np.int64)
-        else:
-            counts = _max_feasible(residual, p_exact, n) + 1
+        counts = np.searchsorted(powers, residual, side="right")
         total = int(counts.sum())
         if total > limit:  # a projection of the set is no larger than the set
             raise ValueError(f"the l_p set has more than {limit} indices")
@@ -250,13 +237,7 @@ def _lp_table(m: int, n: int, p, limit: float = math.inf) -> tuple[np.ndarray, t
         offsets = np.cumsum(counts) - counts
         new_col = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
         block = np.column_stack([block[rep], new_col])
-        if residual is not None:
-            if p_exact == 1:
-                residual = residual[rep] - new_col
-            elif p_exact == 2:
-                residual = residual[rep] - new_col**2
-            else:
-                residual = residual[rep] - np.power(new_col.astype(np.float64), p_exact)
+        residual = residual[rep] - powers[new_col]
 
     return block[:, ::-1], (m, n, p_exact)  # columns were built last-to-first
 

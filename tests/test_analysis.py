@@ -171,6 +171,18 @@ def test_the_class_rejects_a_non_finite_parameter(kind, params):
         make_benchmark(kind, 2, **params)
 
 
+@pytest.mark.parametrize("kind, dim", [("f3", 2.5), ("runge", True), ("runge", 2.0)])
+def test_the_class_rejects_a_non_integer_dimension(kind, dim):
+    # 2.5 and True were kept as the dimension; 2.0 failed later, in
+    # convergence_run, with a bare TypeError
+    with pytest.raises(ValueError, match=f"^dimension must be an integer, got {dim!r}"):
+        make_benchmark(kind, dim)
+    with pytest.raises(ValueError, match="^dimension must be at least 1"):
+        make_benchmark(kind, 0)
+    f = make_benchmark(kind, np.int64(2))  # numpy integers are integers
+    assert f.dim == 2 and type(f.dim) is int and f == make_benchmark(kind, 2)
+
+
 # -- reference rates -----------------------------------------------------------
 
 
@@ -318,6 +330,8 @@ def test_lebesgue_size_cap():
         ({"num_samples": 100.0}, "num_samples"),
         ({"seed": True}, "seed"),  # was taken as seed 1
         ({"seed": 1.5}, "seed"),  # raised a bare TypeError
+        ({"size_cap": True}, "size_cap"),  # was taken as a cap of 1
+        ({"size_cap": 1000.0}, "size_cap"),
     ],
 )
 def test_lebesgue_rejects_bool_and_non_integer_counts(kwargs, name):
@@ -404,6 +418,15 @@ def first_kind_chebyshev_lebesgue(n):
         others = np.delete(nodes, j)
         total += np.abs(np.prod((x[:, None] - others) / (nodes[j] - others), axis=1))
     return float(total.max())
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+def test_lebesgue_reference_rejects_a_non_integer_degree(n):
+    # 2.5 gave 1.5459 and True 0.9625, the formula at a degree that has no
+    # Chebyshev-Lobatto points
+    with pytest.raises(ValueError, match=f"^degree must be an integer, got {n!r}"):
+        chebyshev_lobatto_lebesgue_reference(n)
+    assert chebyshev_lobatto_lebesgue_reference(np.int64(4)) == chebyshev_lobatto_lebesgue_reference(4)
 
 
 def test_lebesgue_reference_formula_value():

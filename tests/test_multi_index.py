@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,12 +115,28 @@ def test_tiny_p_gives_the_cross_and_other_p_are_unchanged():
     cross = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]
     assert list(make_lp_set(2, 2, 1e-3)) == cross
     assert list(make_lp_set(2, 2, 1e-300)) == cross
-    for p in (0.3, 0.5, 1.5, 3, 1, 2, INF):
+    # 1 + 4 + 4 = 27**(2/3), which only the slack on the float budget keeps
+    assert (1, 8, 8) in make_lp_set(3, 27, 2 / 3)
+    for p in (0.3, 0.5, 0.7, 1.5, 2.5, 3, 7.3, 1, 2, INF):
         for m, n in [(1, 9), (2, 7), (3, 5)]:
             expected = np.array(_lp_oracle(m, n, p), dtype=np.int64).reshape(-1, m)
             exponents = make_lp_set(m, n, p).exponents
             assert exponents.dtype == expected.dtype
             assert np.array_equal(exponents, expected), (m, n, p)
+
+
+@pytest.mark.parametrize("p", [1, 2, INF, 0.5])
+def test_lp_table_refuses_a_set_past_its_limit_before_the_power_table(p):
+    # every axis of the ball holds 0..n, so n + 1 > limit is refused before
+    # the n + 1 entries of the a**p table (80 MB here) exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 10 indices"):
+            multi_index._lp_table(2, 10**7, p, limit=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_lex_order_compares_last_entry_first():
