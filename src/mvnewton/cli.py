@@ -382,10 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p_int)
     p_int.set_defaults(func=cmd_interpolate)
 
+    deriv_help = "derivative multi-index, e.g. 1,0; write a value starting with - as --deriv=-1,0"
     p_eval = sub.add_parser("eval", help="evaluate a polynomial bundle at points")
     p_eval.add_argument("--bundle", required=True, help="bundle directory")
     p_eval.add_argument("--points", required=True, help="CSV of query points")
-    p_eval.add_argument("--deriv", type=parse_deriv, help="derivative multi-index, e.g. 1,0")
+    p_eval.add_argument("--deriv", type=parse_deriv, help=deriv_help)
     _add_output_args(p_eval, formats=True)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--degrees", type=parse_degrees, required=True, help="lo:hi[:step] or comma list"
     )
     _add_function_args(p_conv)
-    p_conv.add_argument("--deriv", type=parse_deriv, help="derivative multi-index, e.g. 1,0")
+    p_conv.add_argument("--deriv", type=parse_deriv, help=deriv_help)
     _add_sampling_args(p_conv)
     _add_output_args(p_conv)
     p_conv.set_defaults(func=cmd_convergence)

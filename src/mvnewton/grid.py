@@ -9,7 +9,6 @@ dimension.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,10 +32,6 @@ NODE_FAMILIES = ("chebyshev_lobatto", "leja_ordered_chebyshev_lobatto", "leja", 
 
 # What ``axes_for`` builds: Leja-ordered Chebyshev-Lobatto or Leja points.
 GRID_FAMILIES = ("lcl", "leja")
-
-DEFAULT_LEJA_RESOLUTION = 100_000
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,98 +122,68 @@ def leja_order(nodes) -> Nodes1D:
     return Nodes1D(pts[order], family=out_family)
 
 
-def _golden_section_max(fun, lo: float, hi: float, tol: float = 1e-13) -> float:
-    a, b = float(lo), float(hi)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def leja_points(n: int) -> Nodes1D:
     """The first ``n + 1`` Leja points of ``[-1, 1]``, starting at ``1``.
 
-    Each point maximizes ``prod_j |p - p_j|`` over the interval.  The search
-    is deterministic: an exhaustive scan over a Chebyshev-distributed
-    candidate grid of ``DEFAULT_LEJA_RESOLUTION`` points, or
-    ``10 * (n + 1)`` if that is larger, followed by golden-section
-    refinement of the winning candidate's bracketing interval.  The log
-    product it compares is flat to float precision within about ``1e-8`` of
-    its maximum, so a point is accurate to about ``1e-8`` (for ``n <= 60``,
-    within ``3.8e-9`` of the true maximizer given the points before it), not
-    to the ``1e-13`` width of the final bracket.  The sequence is nested,
-    so a prefix of the result is itself a valid Leja set.
+    Each point maximizes ``prod_j |p - p_j|`` over the interval given the
+    points before it, the larger point winning maxima tied to within
+    ``1e-12`` in the log product.  After ``1`` and ``-1`` the log product is
+    strictly concave in each gap between neighbouring chosen points, so the
+    gap's maximizer is the root of ``g(x) = sum_j 1/(x - p_j)`` (F. Leja,
+    Ann. Polon. Math. 4 (1957) 8-13; L. Reichel, BIT 30 (1990) 332-346),
+    found by safeguarded Newton to roundoff.  No candidate grid enters, so
+    the sequence does not depend on ``n``: ``leja_points(n)`` is bitwise a
+    prefix of every longer one.
     """
     n = _checked_int(n, "degree n", 0)
-    resolution = max(DEFAULT_LEJA_RESOLUTION, 10 * (n + 1))
-    chosen = np.ones(n + 1)  # entry 0 is the first point, 1
-    if n == 0:
-        return Nodes1D(chosen, family="leja")
+    points = np.ones(n + 1)
+    points[1:2] = -1.0  # -1 maximizes |x - 1|
+    # The gaps between neighbouring chosen points, ascending: gap i is
+    # (edges[i], edges[i + 1]) and holds at[i], where the log product is
+    # low[i].  up[i] bounds the gap's maximum from above, equal to low[i]
+    # once at[i] is the gap's root; a gap whose bound falls short of the
+    # best low is not solved again.
+    edges = np.array([-1.0, 1.0])
+    tie = 1e-12
+    at, low, up = np.zeros(1), np.full(1, -np.inf), np.full(1, np.inf)
+    for k in range(2, n + 1):
+        while (todo := np.flatnonzero((up != low) & (up >= low.max() - tie))).size:
+            at[todo] = _gap_roots(points[:k], edges[todo], edges[todo + 1], at[todo])
+            low[todo] = up[todo] = np.log(np.abs(at[todo, None] - points[:k])).sum(axis=1)
+        best = np.flatnonzero((up == low) & (low >= low.max() - tie))[-1]
+        q = points[k] = at[best]
+        # gap ``best`` splits in two at q, both to be solved from their midpoints
+        edges = np.insert(edges, best + 1, q)
+        at, low, up = (np.insert(state, best, 0.0) for state in (at, low, up))
+        split = slice(best, best + 2)
+        at[split] = (edges[split] + edges[best + 1 : best + 3]) / 2
+        low[split], up[split] = -np.inf, np.inf
+        # log|x - q| is largest at an end of each gap
+        low += np.log(np.abs(at - q))
+        up += np.log(np.maximum(np.abs(edges[:-1] - q), np.abs(edges[1:] - q)))
+    return Nodes1D(points, family="leja")
 
-    grid = np.cos(np.pi * np.arange(resolution) / (resolution - 1))  # 1 down to -1
-    # the scan and the objective write into these buffers, not temporaries
-    scan = np.empty(resolution)
-    near_top = np.empty(resolution, dtype=bool)
-    gaps = np.empty(n + 1)
 
-    def objective(p: float) -> float:  # over the ``step`` points chosen so far
-        gap = np.subtract(p, chosen[:step], out=gaps[:step])
-        return float(np.log(np.abs(gap, out=gap), out=gap).sum())
-
-    # The distance product often has exactly tied maxima (e.g. +-1/sqrt(3)
-    # after {1, -1, 0}), so every near-tied local peak is refined and the
-    # documented tie rule (prefer the larger point) decides among refined
-    # values, keeping the result stable under resolution changes.  The
-    # preselect band must cover discretization offsets between mirrored
-    # regions; the decision band only the float noise of the log objective.
-    preselect_tol = 1e-4
-    decide_tol = 1e-12
-    with np.errstate(divide="ignore"):
-        logprod = np.log(np.abs(grid - 1.0))
-        for step in range(1, n + 1):
-            top = logprod.max()
-            tied = np.flatnonzero(np.greater_equal(logprod, top - preselect_tol, out=near_top))
-            peaks = [
-                int(k)
-                for k in tied
-                if (k == 0 or logprod[k] >= logprod[k - 1])
-                and (k == resolution - 1 or logprod[k] >= logprod[k + 1])
-            ]
-            candidates = []
-            for k in peaks:
-                lo = grid[min(k + 1, resolution - 1)]
-                hi = grid[max(k - 1, 0)]
-                refined = _golden_section_max(objective, lo, hi)
-                for q in (grid[k], refined, lo, hi):
-                    candidates.append((objective(q), float(q)))
-            best_val = max(v for v, _ in candidates)
-            tie = [(v, q) for v, q in candidates if v >= best_val - decide_tol]
-            # Largest tied abscissa wins, but within its cluster the best
-            # objective value is kept, so a refinement point a few ulps inside
-            # an interval end cannot shadow the exact endpoint.
-            q_max = max(q for _, q in tie)
-            best = max(
-                (v, q) for v, q in tie if abs(q - q_max) <= 1e-9 * (1.0 + abs(q_max))
-            )[1]
-            # The distance product is flat to float precision around a maximum,
-            # so a winner this close to zero is the symmetric step whose true
-            # maximizer is exactly 0 (same snap rationale as the Lobatto
-            # midpoint); leaving the offset in would flip later tie-breaks.
-            if abs(best) < 1e-7:
-                best = 0.0
-            chosen[step] = best
-            gap = np.subtract(grid, best, out=scan)
-            logprod += np.log(np.abs(gap, out=gap), out=gap)
-    return Nodes1D(chosen, family="leja")
+def _gap_roots(chosen: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The root of ``g(x) = sum_j 1/(x - chosen_j)`` in each open gap
+    ``(lo, hi)`` between neighbouring chosen points, written over the guess
+    ``x`` inside it.  ``g`` falls from ``+inf`` to ``-inf`` across a gap, so
+    each evaluation narrows the gap to the side of its sign; the next guess
+    is the Newton step if it lands inside, else the midpoint.  A gap is done
+    when its Newton step no longer moves ``x`` or no float lies inside it,
+    so every gap ends after finitely many steps."""
+    live = np.arange(x.size)  # the gaps not done; lo and hi hold only theirs
+    while live.size:
+        xs = x[live]
+        inv = 1.0 / (xs[:, None] - chosen)
+        g = inv.sum(axis=1)
+        lo, hi = np.where(g > 0, xs, lo), np.where(g < 0, xs, hi)
+        newton = xs + g / (inv * inv).sum(axis=1)
+        nxt = np.where((lo < newton) & (newton < hi), newton, lo + (hi - lo) / 2)
+        go_on = (newton != xs) & (lo < nxt) & (nxt < hi)
+        x[live[go_on]] = nxt[go_on]
+        live, lo, hi = live[go_on], lo[go_on], hi[go_on]
+    return x
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,7 @@ Only the transform sweep reads the zero-padded tables of :class:`AxisLines`.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -201,7 +202,7 @@ def _lp_table(m: int, n: int, p, limit: float = math.inf) -> tuple[np.ndarray, t
     """The canonical exponent table of :func:`make_lp_set`'s set and its
     ``(m, n, p)`` tag, built without the set; ``ValueError`` past ``limit`` rows."""
     m, n = _checked_int(m, "dimension m", 1), _checked_int(n, "degree n", 0)
-    if isinstance(p, bool):
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):  # float("2") would pass a string
         raise ValueError(f"degree selector p must be a number, got {p!r}")
     p_exact = float(p)
     if not p_exact > 0:  # also rejects nan

@@ -649,8 +649,9 @@ def load_bundle(directory) -> NewtonPolynomial:
 def _provenance_of(tag, exponents: np.ndarray) -> tuple | None:
     """The ``(m, n, p)`` tag of a header's ``provenance`` if its ``l_p`` set
     has exactly the rows ``exponents``, in order; otherwise ``None``."""
-    try:  # a p of "inf" reads as float("inf")
-        built, provenance = _lp_table(tag["m"], tag["n"], tag["p"], limit=len(exponents))
+    try:  # the header writes p = inf as "inf"
+        p = float("inf") if tag["p"] == "inf" else tag["p"]
+        built, provenance = _lp_table(tag["m"], tag["n"], p, limit=len(exponents))
     except (TypeError, KeyError, ValueError, OverflowError):  # None or not an l_p tag
         return None
     return provenance if np.array_equal(built, exponents) else None

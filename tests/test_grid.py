@@ -89,72 +89,97 @@ def test_leja_points_small():
     assert np.array_equal(leja_points(1).points, [1.0, -1.0])
     third = leja_points(2).points
     assert np.array_equal(third[:2], [1.0, -1.0])
-    # analytic maximum of (1 - p^2) sits at 0; the log objective is flat to
-    # float precision there, so the search resolves it only to ~1e-8
-    assert abs(third[2]) < 1e-6
-    # {1, -1, 0} leaves tied maxima at +-1/sqrt(3); the tie rule takes the
-    # larger one, found to the ~1e-8 the docstring states
-    assert abs(leja_points(3).points[3] - 1 / np.sqrt(3)) <= 1e-8
+    # the maximum of (1 - p^2) sits exactly at 0, the root of 1/(p - 1) + 1/(p + 1)
+    assert third[2] == 0.0
+    # {1, -1, 0} leaves tied maxima at +-1/sqrt(3); the tie rule takes the larger
+    assert abs(leja_points(3).points[3] - 1 / np.sqrt(3)) <= 1e-15
 
 
-def test_leja_points_stable_under_resolution_doubling(monkeypatch):
-    monkeypatch.setattr(grid_module, "DEFAULT_LEJA_RESOLUTION", 100_000)
-    a = leja_points(12).points
-    monkeypatch.setattr(grid_module, "DEFAULT_LEJA_RESOLUTION", 200_000)
-    b = leja_points(12).points
-    # the points move by 5.5e-9, the accuracy the docs state is ~1e-8
-    assert np.abs(a - b).max() <= 1e-7
+def _bisected_gap_roots(chosen: np.ndarray) -> np.ndarray:
+    """The root of ``sum_j 1/(x - chosen_j)`` in every gap between
+    neighbouring ``chosen`` points, by plain bisection until no float lies
+    inside a bracket."""
+    edges = np.sort(chosen)
+    lo, hi = edges[:-1].copy(), edges[1:].copy()
+    while True:
+        mid = lo + (hi - lo) / 2
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return lo
+        g = (1.0 / (mid[:, None] - chosen)).sum(axis=1)
+        lo = np.where(inside & (g >= 0), mid, lo)
+        hi = np.where(inside & (g < 0), mid, hi)
 
 
-def _leja_points_reference(n: int, resolution: int = 100_000) -> np.ndarray:
-    """The Leja search with a fresh temporary per step and per objective
-    call: the same operations, in the same order, as ``leja_points``."""
-    chosen = [1.0]
-    grid = np.cos(np.pi * np.arange(resolution) / (resolution - 1))
-    with np.errstate(divide="ignore"):
-        logprod = np.log(np.abs(grid - 1.0))
-
-    def objective(p):
-        with np.errstate(divide="ignore"):
-            return float(np.log(np.abs(p - np.asarray(chosen))).sum())
-
-    for _ in range(n):
-        tied = np.flatnonzero(logprod >= logprod.max() - 1e-4)
-        peaks = [
-            int(k)
-            for k in tied
-            if (k == 0 or logprod[k] >= logprod[k - 1])
-            and (k == resolution - 1 or logprod[k] >= logprod[k + 1])
-        ]
-        candidates = []
-        for k in peaks:
-            lo, hi = grid[min(k + 1, resolution - 1)], grid[max(k - 1, 0)]
-            refined = grid_module._golden_section_max(objective, lo, hi)
-            candidates += [(objective(q), float(q)) for q in (grid[k], refined, lo, hi)]
-        best_val = max(v for v, _ in candidates)
-        tie = [(v, q) for v, q in candidates if v >= best_val - 1e-12]
-        q_max = max(q for _, q in tie)
-        best = max((v, q) for v, q in tie if abs(q - q_max) <= 1e-9 * (1.0 + abs(q_max)))[1]
-        best = 0.0 if abs(best) < 1e-7 else best
-        chosen.append(best)
-        with np.errstate(divide="ignore"):
-            logprod += np.log(np.abs(grid - best))
-    return np.array(chosen)
+def test_leja_points_take_the_best_gap_root_larger_on_ties():
+    points = leja_points(100).points
+    assert np.array_equal(points[:2], [1.0, -1.0])  # -1 maximizes |x - 1|
+    for k in range(2, points.size):
+        chosen, p = points[:k], points[k]
+        roots = _bisected_gap_roots(chosen)
+        logs = np.log(np.abs(roots[:, None] - chosen)).sum(axis=1)
+        best = logs.max()
+        assert np.log(np.abs(p - chosen)).sum() >= best - 1e-12, k
+        # of the roots tied with the best, p is the largest
+        tied = roots[logs >= best - 1e-12]
+        assert abs(p - tied.max()) <= 4 * np.spacing(1.0), k
+        # p is a root of g(x) = sum_j 1/(x - p_j) to roundoff
+        inv = 1.0 / (p - chosen)
+        assert abs(inv.sum()) <= 1e-12 * np.abs(inv).sum(), k
 
 
-@pytest.mark.parametrize("n, resolution", [(1, None), (2, None), (7, None), (20, 500), (60, None)])
-def test_leja_points_bitwise_equal_the_reference_search(n, resolution, monkeypatch):
-    if resolution:
-        monkeypatch.setattr(grid_module, "DEFAULT_LEJA_RESOLUTION", resolution)
-    points = leja_points(n).points
-    reference = _leja_points_reference(n, *([resolution] if resolution else []))
+def _leja_points_reference(n: int) -> np.ndarray:
+    """The gap-root greedy one gap at a time, with a scalar Newton per gap:
+    the same operations, in the same order, as ``leja_points``."""
+    points = [1.0, -1.0][: n + 1]
+    gaps = [[-1.0, 1.0, 0.0, -np.inf, np.inf]]  # lo, hi, at, low, up; ascending
+
+    def root(chosen, lo, hi, x):
+        while True:
+            inv = 1.0 / (x - chosen)
+            g = inv.sum()
+            lo, hi = (x if g > 0 else lo), (x if g < 0 else hi)
+            newton = x + g / (inv * inv).sum()
+            nxt = newton if lo < newton < hi else lo + (hi - lo) / 2
+            if newton == x or not lo < nxt < hi:
+                return x
+            x = nxt
+
+    for _ in range(2, n + 1):
+        chosen = np.array(points)
+        while todo := [
+            gap
+            for gap in gaps
+            if gap[4] != gap[3] and gap[4] >= max(g[3] for g in gaps) - 1e-12
+        ]:
+            for gap in todo:
+                gap[2] = root(chosen, *gap[:3])
+                gap[3] = gap[4] = np.log(np.abs(gap[2] - chosen)).sum()
+        top = max(gap[3] for gap in gaps)
+        best = [i for i, gap in enumerate(gaps) if gap[4] == gap[3] and gap[3] >= top - 1e-12][-1]
+        lo, hi, q = gaps[best][0], gaps[best][1], gaps[best][2]
+        points.append(q)
+        gaps[best : best + 1] = [[lo, q, (lo + q) / 2, -np.inf, np.inf], [q, hi, (q + hi) / 2, -np.inf, np.inf]]
+        for gap in gaps:
+            gap[3] += np.log(np.abs(gap[2] - q))
+            gap[4] += np.log(max(abs(gap[0] - q), abs(gap[1] - q)))
+    return np.array(points)
+
+
+@pytest.mark.parametrize("n, longer", [(1, None), (2, None), (7, None), (20, 500), (60, None)])
+def test_leja_points_bitwise_equal_the_reference_search(n, longer):
+    # with ``longer``, the points are the prefix of a longer sequence
+    points = leja_points(longer or n).points[: n + 1]
+    reference = _leja_points_reference(n)
     assert np.array_equal(points.view(np.int64), reference.view(np.int64))
 
 
-def test_leja_points_nested():
-    long = leja_points(8).points
-    short = leja_points(5).points
-    assert np.array_equal(long[:6], short)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=149), st.integers(min_value=1, max_value=150))
+def test_leja_points_nested(n1, step):
+    n2 = min(n1 + step, 150)
+    short, long = leja_points(n1).points, leja_points(n2).points
+    assert np.array_equal(long[: n1 + 1].view(np.int64), short.view(np.int64))
 
 
 def test_nodes1d_validation():

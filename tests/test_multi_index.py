@@ -74,6 +74,9 @@ def test_make_lp_set_rejects_bad_args():
         ((2.0, 3, 2), "dimension m"),
         ((2, 3.0, 2), "degree n"),
         ((2, 3, True), "degree selector p"),  # built p = 1
+        ((2, 3, "2"), "degree selector p"),  # built p = 2
+        ((2, 3, " inf "), "degree selector p"),  # built the box
+        ((2, 3, "x"), "degree selector p"),  # numpy's "could not convert string to float"
     ],
 )
 def test_make_lp_set_names_a_bool_or_non_integer_argument(args, name):
