@@ -1,14 +1,14 @@
 """Downward-closed multi-index sets and the ``l_p``-degree families.
 
 Exponent vectors are kept in a canonical lexicographic order that compares
-the *last* entry first, e.g. ``(5, 3, 1) < (1, 0, 3) < (1, 1, 3)``.  Every
-coefficient vector in this package is aligned positionally to that order,
-so there is exactly one storage layout to get wrong.
+the *last* entry first, e.g. ``(5, 3, 1) < (1, 0, 3) < (1, 1, 3)``; one int64
+key per row (``_canonical_key``) decides it for every sort.  Every coefficient
+vector is aligned positionally to that order: one storage layout to get wrong.
 
 A :class:`MultiIndexSet` is downward closed by construction: the
 constructor builds the set's :class:`Layout`, which is also the one
-closure check, so every set that exists has one.  It also builds one sort
-key per row, the only lookup path of :meth:`MultiIndexSet.positions`.
+closure check, so every set that exists has one.  Its byte key per row, which
+encodes any query, is the only lookup path of :meth:`MultiIndexSet.positions`.
 
 The layout is built from *roots*, which it does not keep: a row's root
 along an axis is the canonical position of the level-0 row of its line.
@@ -29,18 +29,6 @@ __all__ = [
 
 # Inclusion slack for non-integer p, where membership is decided in floats.
 GENERAL_P_TOLERANCE = 1e-10
-
-
-def _strictly_ascending(rows: np.ndarray) -> bool:
-    """True iff every row comes strictly after the one before it in canonical
-    order (last entry most significant): sorted and free of duplicates."""
-    ascending = np.zeros(len(rows) - 1, dtype=bool)  # pairs already decided
-    for col in range(rows.shape[1] - 1, -1, -1):
-        step = rows[1:, col] - rows[:-1, col]
-        if ((step < 0) & ~ascending).any():
-            return False
-        ascending |= step > 0
-    return bool(ascending.all())
 
 
 def _integral(values) -> np.ndarray:
@@ -71,6 +59,23 @@ def _sort_keys(rows: np.ndarray) -> np.ndarray:
     order is canonical order in any key space; a row with a negative entry
     equals no such key."""
     return np.ascontiguousarray(rows[:, ::-1], dtype=">i8").view(f"V{8 * rows.shape[1]}")[:, 0]
+
+
+def _canonical_key(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of a non-negative 2-d int64 array, ordered and equal
+    exactly as the rows are in canonical order: the columns folded last to
+    first in the mixed radix ``column.max() + 1``.  Where a fold could reach
+    ``2**63``, the key and the column first become their dense ranks, each
+    below ``len(rows)``, so the key stays exact in any key space."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T[::-1]:
+        radix = int(column.max()) + 1
+        if (int(key.max()) + 1) * radix >= 2**63:
+            key = np.unique(key, return_inverse=True)[1]
+            column = np.unique(column, return_inverse=True)[1]
+            radix = int(column.max()) + 1
+        key = key * radix + column
+    return key
 
 
 class MultiIndexSet:
@@ -110,11 +115,11 @@ class MultiIndexSet:
         arr = _integral(arr)  # a copy, which the set owns
         if (arr < 0).any():
             raise ValueError("exponents must be non-negative integers")
-        if not _strictly_ascending(arr):
-            # np.lexsort treats its last key as primary, so feeding the
-            # columns in natural order makes the final column the dominant one
-            arr = arr[np.lexsort(arr.T)]
-            if not _strictly_ascending(arr):
+        key = _canonical_key(arr)
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            arr, key = arr[order], key[order]
+            if (key[1:] == key[:-1]).any():
                 raise ValueError("duplicate multi-indices are not allowed")
         arr.setflags(write=False)
         layout = _build_layout(arr)
@@ -167,10 +172,10 @@ class MultiIndexSet:
         """Row positions of ``queries`` in the canonical array; a missing
         index, or one with a non-integral entry, raises ``KeyError``."""
         q = np.asarray(queries)
-        if q.ndim == 1:
-            q = q[None, :]
-        if q.shape[1] != self.dim:
-            raise ValueError(f"queries must have {self.dim} columns")
+        if q.ndim > 2 or q.shape[-1:] != (self.dim,):
+            shape = f"({self.dim},) or (k, {self.dim})"
+            raise ValueError(f"queries must have {self.dim} columns: shape {shape}, got {q.shape}")
+        q = q.reshape(-1, self.dim)
         keys = _sort_keys(_integral(q))
         pos = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
         found = self._keys[pos] == keys
@@ -321,30 +326,23 @@ def _axis_lines(exponents: np.ndarray, axis: int) -> tuple[AxisLines, np.ndarray
     """The line table along ``axis`` and the root of every row along it: the
     canonical position of the level-0 row of its line.  ``ValueError``
     unless every line holds exactly the levels ``0..len - 1``, i.e. unless
-    the set is downward closed along ``axis``."""
-    count, dim = exponents.shape
+    the set is downward closed along ``axis``.
+
+    A stable argsort of the ``_canonical_key`` of the other coordinates lists
+    each line as one run, in level order.  Line starts are changes of that key,
+    never level 0, so a line lacking level 0 cannot merge into its predecessor."""
+    count = len(exponents)
     levels = exponents[:, axis]
-    others = [exponents[:, j] for j in range(dim) if j != axis]
-    # A stable sort on the other coordinates makes every line one run; rows
-    # of a line are already in ascending level order, and canonical order
-    # already lists the lines of axis 0 this way.  Line starts come from
-    # changes in the other coordinates, never from level 0, so a line
-    # lacking level 0 cannot merge into its predecessor.
-    order = np.lexsort(others) if axis else slice(None)
-    new_line = np.zeros(count, dtype=bool)
-    new_line[0] = True
-    for coordinate in others:
-        listed = coordinate[order]
-        new_line[1:] |= listed[1:] != listed[:-1]
+    key = _canonical_key(np.delete(exponents, axis, axis=1))
+    order = np.argsort(key, kind="stable")
+    new_line = np.diff(key[order], prepend=-1) != 0  # keys are non-negative
     starts = np.flatnonzero(new_line)
     run = np.cumsum(new_line) - 1
     first = starts[run]  # in the listing, the start of each row's line
     if not np.array_equal(levels[order], np.arange(count) - first):
         raise ValueError("the index set is not downward closed")
-    root = first
-    if axis:
-        root = np.empty(count, dtype=np.intp)
-        root[order] = order[first]
+    root = np.empty(count, dtype=np.intp)
+    root[order] = order[first]
     lengths = np.diff(starts, append=count)
     by_length = np.argsort(-lengths, kind="stable")
     column = np.empty_like(by_length)
@@ -417,6 +415,7 @@ def _build_layout(exponents: np.ndarray, split=None) -> Layout:
     """The :class:`Layout` of a canonical exponent array, whose fold
     contracts its first ``split`` axes (by default the rule of
     :class:`FoldPlan`); ``ValueError`` if the set is not downward closed."""
+    exponents = np.asfortranarray(exponents)  # every step reads whole columns
     lines, roots = zip(*(_axis_lines(exponents, axis) for axis in range(exponents.shape[1])))
     basis = _basis_plan(exponents, roots)
     return Layout(lines, _fold_plan(exponents, roots, basis.stops, split), basis)

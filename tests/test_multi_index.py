@@ -174,6 +174,13 @@ def test_duplicates_and_negatives_rejected():
     for bad in (1.7, 0.999, -0.5, math.nan, INF, -INF, 1e300):
         with pytest.raises(ValueError, match="^exponents must be non-negative integers$"):
             MultiIndexSet([(0, 0), (bad, 0), (0, 1)])
+    # duplicates are reported before closure, in any key space
+    for rows in ([[5], [5]], [[1, 2**62], [1, 2**62]]):
+        with pytest.raises(ValueError, match="^duplicate multi-indices are not allowed$"):
+            MultiIndexSet(rows)
+    for rows in ([[2**62, 0]], [[0, 2**63 - 1]]):
+        with pytest.raises(ValueError, match=NOT_CLOSED):
+            MultiIndexSet(rows)
     # integral floats and other integer types are exponents
     exact = MultiIndexSet([(0, 0), (1, 0), (0, 1)])
     assert MultiIndexSet([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]) == exact
@@ -297,20 +304,81 @@ def test_fold_plan_cells_match_stepping_every_row(seed):
             assert_basis_plans_equal(plan.tail, tails.layout.basis)
 
 
+def lines_oracle(exponents: np.ndarray, axis: int):
+    """``(cell, reach, root)`` along ``axis`` in plain Python: the rows grouped
+    into lines by their other coordinates, the lines ordered by the position
+    of their level-0 row, then stably by length, longest first."""
+    lines = {}
+    for k, alpha in enumerate(exponents.tolist()):
+        lines.setdefault(tuple(alpha[:axis] + alpha[axis + 1 :]), []).append(k)
+    ordered = sorted(lines.values(), key=lambda line: line[0])  # line[0] is level 0
+    ordered.sort(key=len, reverse=True)  # stable
+    cell = [0] * len(exponents)
+    root = [0] * len(exponents)
+    for column, line in enumerate(ordered):
+        for level, k in enumerate(line):
+            cell[k] = level * len(ordered) + column
+            root[k] = line[0]
+    reach = tuple(sum(len(line) > level for line in ordered) for level in range(len(ordered[0])))
+    return np.array(cell, dtype=np.int32), reach, np.array(root)
+
+
+def assert_lines_match_oracle(index_set: MultiIndexSet):
+    exponents = index_set.exponents
+    for axis, lines in enumerate(index_set.layout.lines):
+        cell, reach, root = lines_oracle(exponents, axis)
+        assert lines.reach == reach
+        assert lines.cell.dtype == cell.dtype and np.array_equal(lines.cell, cell)
+        assert np.array_equal(multi_index._axis_lines(exponents, axis)[1], root)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_axis_lines_match_a_plain_python_oracle(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 6))
+    rows = random_downward_closed(rng, dim, int(rng.integers(1, 150)), max_degree=6).exponents
+    assert_lines_match_oracle(MultiIndexSet(rows[rng.permutation(len(rows))]))
+
+
+@pytest.mark.parametrize("m, n, p", [(70, 1, 1), (40, 2, 1)])
+def test_axis_lines_match_the_oracle_past_the_int64_key_space(m, n, p):
+    index_set = make_lp_set(m, n, p)
+    # the mixed-radix key of the rows passes int64, so the order check takes
+    # the dense-rank step, and at (70, 1, 1) so does every line sort
+    assert (n + 1) ** m > 2**63
+    assert_lines_match_oracle(index_set)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_canonical_key_orders_and_ties_as_lexsort(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 71))
+    tops = rng.choice(np.array([0, 1, 3, 2**20, 2**62, 2**63 - 1], dtype=np.uint64), size=dim)
+    rows = rng.integers(0, tops + 1, size=(int(rng.integers(1, 40)), dim), dtype=np.uint64)
+    rows = rows.astype(np.int64)[rng.integers(0, len(rows), size=len(rows) + 10)]  # with repeats
+    key = multi_index._canonical_key(rows)
+    assert key.dtype == np.int64
+    assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort(rows.T))
+    equal_rows = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+    assert np.array_equal(key[:, None] == key[None, :], equal_rows)
+
+
 def test_canonical_input_skips_sorting_but_keeps_checks(monkeypatch):
+    rows = make_lp_set(2, 3, 1).exponents
     calls = []
-    lexsort = np.lexsort
-    # a row sort takes every column as a key; the layout's line sorts, run
-    # by every construction, take one key fewer
+    argsort = np.argsort
+    # every construction sorts the rows once per axis to find its lines, and
+    # once more where they are not canonical; the sorts of line lengths are
+    # shorter
     monkeypatch.setattr(
         multi_index.np,
-        "lexsort",
-        lambda keys: len(keys) == 2 and calls.append(1) or lexsort(keys),
+        "argsort",
+        lambda a, **kw: len(a) == len(rows) and calls.append(1) or argsort(a, **kw),
     )
-    rows = make_lp_set(2, 3, 1).exponents
     MultiIndexSet(rows)
-    assert calls == []
-    assert MultiIndexSet(rows[::-1]) == MultiIndexSet(rows) and calls == [1]
+    assert len(calls) == 2
+    calls.clear()
+    assert np.array_equal(MultiIndexSet(rows[::-1]).exponents, rows) and len(calls) == 2 + 1
     with pytest.raises(ValueError, match="duplicate"):
         MultiIndexSet(np.concatenate([rows[:2], rows[1:]]))
     with pytest.raises(ValueError, match="duplicate"):
@@ -337,12 +405,17 @@ def test_positions_and_contains():
               [(0, 1), 0, 0], (0j, 0, 0), {"a": 1}]:
         assert q not in s
     assert (1, 0) in make_lp_set(2, 2, 1) and np.array([0, 1, 1]) in s
-    # position and positions still reject a wrong width
+    # position and positions still reject a wrong width, and positions any
+    # shape but (m,) and (k, m)
     for q in [(1, 0), (0, 0, 0, 0)]:
         with pytest.raises(ValueError, match="3 columns"):
             s.position(q)
         with pytest.raises(ValueError, match="3 columns"):
             s.positions(np.array([q]))
+    shape = r"^queries must have 3 columns: shape \(3,\) or \(k, 3\)"
+    for q in [np.zeros((1, 3, 3), int), np.zeros((2, 3, 1), int), np.array(0)]:
+        with pytest.raises(ValueError, match=shape):
+            s.positions(q)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
