@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from mvnewton.analysis import ConvergenceRecord, make_benchmark, optimal_rho
-from mvnewton.cli import _atomic_write_text, main as cli_main, parse_p
+from mvnewton.cli import _publish, _text, main as cli_main, parse_p
 from mvnewton.grid import _table_text
 
 P_VALUES = ("1", "2", "inf")
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         rows = [rate_row(label, p, workdir) for label in RATE_CONFIGS
                 for p in P_VALUES]
-    _atomic_write_text(outdir / "rates.csv", rates_text(rows))
+    _publish({outdir / "rates.csv": _text(rates_text(rows))})
     for m in LEBESGUE_DEGREES:
         lebesgue_sweep(m, outdir)
     print(rates_text(rows), end="")

@@ -1,15 +1,17 @@
 """Command-line front end: grid generation, interpolation, evaluation,
 differentiation, Lebesgue sweeps, and convergence experiments.
 
-Every command validates its numeric inputs before any computation starts,
-writes files atomically (temp then rename, so nonzero exits leave no
-partial outputs), and prints floats with 17 significant digits so files
-round-trip losslessly.  Exit codes: 0 success, 2 validation error,
-1 internal numerical failure.
+Every command validates its numeric inputs before any computation starts.
+All of a command's outputs appear, or none; an existing directory is
+replaced only by a bundle, and only if it holds nothing but bundle files;
+outputs get ordinary umask modes.  Floats carry 17 significant digits so
+files round-trip losslessly, and a points or sample file may carry a header.
+Exit codes: 0 success, 2 validation error, 1 internal numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -34,6 +36,7 @@ from .analysis import (
 from .grid import GRID_FAMILIES, _Gathered, _loadtxt, _table_text, axes_for, build_grid
 from .multi_index import MultiIndexSet, _lp_table, make_lp_set
 from .newton import (
+    _BUNDLE_FILES,
     DegenerateNodesError,
     LagrangeCoefficients,
     divided_differences,
@@ -124,18 +127,36 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _publish(outputs: dict) -> None:
+    """Write a command's outputs, all or none: ``outputs`` maps each target
+    path to a callable that writes the output at a path it is given.  Each
+    is made in a temporary directory beside its target; only when all exist
+    are the targets checked, and then each moves into place."""
+    with contextlib.ExitStack() as stack:
+        made = {}
+        for target, write in outputs.items():
+            target = os.path.abspath(target)  # "." gets a name; links stay unresolved
+            parent, name = os.path.split(target)
+            os.makedirs(parent, exist_ok=True)
+            tmp = stack.enter_context(tempfile.TemporaryDirectory(dir=parent))
+            made[target] = os.path.join(tmp, name)
+            write(made[target])
+        old_dirs = [t for t in made if os.path.isdir(t) and not os.path.islink(t)]
+        for target in old_dirs:
+            if not os.path.isdir(made[target]) or set(os.listdir(target)).difference(_BUNDLE_FILES):
+                raise UsageError(f"{target} is a directory; only a bundle replaces one, and "
+                                 f"only one holding nothing but {', '.join(_BUNDLE_FILES)}")
+        for target, new in made.items():
+            if target in old_dirs:
+                shutil.rmtree(target)
+            elif os.path.isdir(new) and os.path.lexists(target):
+                os.remove(target)  # os.replace puts no directory over a file or link
+            os.replace(new, target)
+
+
+def _text(text: str):
+    """A writer of ``text`` for :func:`_publish`."""
+    return lambda path: Path(path).write_text(text)
 
 
 def _rows_text(header: list[str], columns, fmt: str) -> str:
@@ -174,7 +195,7 @@ def _grid_for(args, index_set):
 
 def cmd_nodes(args) -> int:
     the_grid = _grid_for(args, make_lp_set(args.dim, args.degree, args.p))
-    _atomic_write_text(args.out, _rows_text(*the_grid._table(), args.format))
+    _publish({args.out: _text(_rows_text(*the_grid._table(), args.format))})
     print(f"num_indices={len(the_grid)}")
     for i, axis in enumerate(the_grid.axes):
         print(f"axis{i + 1}: " + " ".join(_fmt(v) for v in axis.points))
@@ -186,7 +207,7 @@ def cmd_interpolate(args) -> int:
         raise UsageError("provide exactly one of --function or --values")
     the_grid = _grid_for(args, make_lp_set(args.dim, args.degree, args.p))
     if args.values is not None:
-        values = _read_values(args.values)
+        values = _read_numbers(args.values, 1)[:, 0]
         if len(values) != len(the_grid):
             raise UsageError(
                 f"sample file has {len(values)} rows but the grid expects "
@@ -195,62 +216,37 @@ def cmd_interpolate(args) -> int:
         poly = divided_differences(LagrangeCoefficients(the_grid, values))
     else:
         poly = interpolate(_build_function(args), the_grid)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(dir=out.parent, prefix=out.name + "."))
-    try:
-        save_bundle(poly, tmp)
-        if out.exists():
-            shutil.rmtree(out) if out.is_dir() else out.unlink()
-        os.replace(tmp, out)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+    _publish({args.out: lambda path: save_bundle(poly, path)})
     print(f"num_coeffs={len(poly.coeffs)}")
     return 0
 
 
-def _read_values(path) -> np.ndarray:
-    """One sample per line; ``#`` starts a comment."""
-    try:
-        values = _loadtxt(path, ndmin=2)
-    except ValueError as exc:
-        raise UsageError(f"malformed sample file {path}: {exc}") from None
-    if values.shape[1] != 1:
-        raise UsageError(f"sample file {path} must hold one value per line")
-    return values[:, 0]
-
-
-def _read_points(path, dim: int) -> np.ndarray:
-    """One point per line, coordinates separated by commas or whitespace;
-    ``#`` starts a comment, and a first line that is not numeric is a header."""
+def _read_numbers(path, width: int) -> np.ndarray:
+    """Rows of ``width`` numbers (1 for samples), one per line, split by commas or
+    whitespace; ``#`` starts a comment; a first non-numeric data line is a header."""
     lines = Path(path).read_text().replace(",", " ").splitlines()
+    start = next((i for i, line in enumerate(lines) if line.split("#")[0].strip()), len(lines))
     try:
-        np.array(lines[0].split("#")[0].split() if lines else [], dtype=np.float64)
-        header = 0
-    except ValueError:
-        header = 1
+        np.array(lines[start].split("#")[0].split(), dtype=np.float64)
+    except (ValueError, IndexError):  # a header, or no data line at all
+        start += 1
     try:
-        points = _loadtxt(lines[header:], ndmin=2)
+        rows = _loadtxt(lines[start:], ndmin=2)
     except ValueError as exc:
-        raise UsageError(f"malformed points file {path}: {exc}") from None
-    if points.size and points.shape[1] != dim:
-        raise UsageError(
-            f"points file {path} has {points.shape[1]} coordinates per line, "
-            f"expected {dim}"
-        )
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        raise UsageError(f"malformed file {path}: {exc}") from None
+    if rows.size and rows.shape[1] != width:
+        raise UsageError(f"{path} has {rows.shape[1]} numbers per line, expected {width}")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        data = [i for i, line in enumerate(lines) if line.split("#")[0].strip()]
-        number = data[header + bad[0]] + 1
-        raise UsageError(f"point on line {number} of {path} is not finite")
-    return points.reshape(-1, dim)
+        data = [i for i in range(start, len(lines)) if lines[i].split("#")[0].strip()]
+        raise UsageError(f"line {data[bad[0]] + 1} of {path} holds a number that is not finite")
+    return rows.reshape(-1, width)
 
 
 def cmd_eval(args) -> int:
     poly = load_bundle(args.bundle)
     dim = poly.grid.dim
-    points = _read_points(args.points, dim)
+    points = _read_numbers(args.points, dim)
     order = args.deriv if args.deriv is not None else (0,) * dim
     values = eval_derivative(poly, order, points)  # a bad order fails before the warning
     if (np.abs(points) > 1.0).any():
@@ -260,7 +256,7 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
     header = [f"x{i + 1}" for i in range(dim)] + ["value"]
-    _atomic_write_text(args.out, _rows_text(header, [*points.T, values], args.format))
+    _publish({args.out: _text(_rows_text(header, [*points.T, values], args.format))})
     print(f"num_points={len(points)}")
     return 0
 
@@ -280,9 +276,9 @@ def cmd_convergence(args) -> int:
     )
     fit = fit_rate(record)
     out = Path(args.out)
-    _atomic_write_text(out, record.to_csv_text())
     fit_path = out.with_suffix(".fit.json")
-    _atomic_write_text(fit_path, json.dumps(fit.to_json_dict(), indent=2) + "\n")
+    fit_text = json.dumps(fit.to_json_dict(), indent=2) + "\n"
+    _publish({out: _text(record.to_csv_text()), fit_path: _text(fit_text)})
     reference = optimal_rho(func, args.p)
     print(f"c={_fmt(fit.c)} rho={_fmt(fit.rho)} r_squared={_fmt(fit.r_squared)}")
     print(f"reference_rho={'unknown' if reference is None else _fmt(reference)}")
@@ -314,7 +310,7 @@ def cmd_lebesgue(args) -> int:
             )
             rows.append((args.dim, _p_label(p), n, len(index_set), float(lam)))
             print(f"m={args.dim} p={_p_label(p)} n={n} lambda={_fmt(lam)}")
-    _atomic_write_text(args.out, _rows_text(header, list(zip(*rows)), args.format))
+    _publish({args.out: _text(_rows_text(header, list(zip(*rows)), args.format))})
     return 0
 
 

@@ -193,6 +193,15 @@ class UnisolventGrid:
     index_set: MultiIndexSet
     axes: tuple[Nodes1D, ...]
 
+    def __post_init__(self):
+        if len(self.axes) != self.dim:
+            raise ValueError(f"need {self.dim} axes for dimension {self.dim}, got {len(self.axes)}")
+        for i, (ax, top) in enumerate(zip(self.axes, self.index_set.tops)):
+            if len(ax) <= top:
+                raise ValueError(
+                    f"axis {i + 1} has {len(ax)} points but the index set needs {top + 1}"
+                )
+
     @property
     def dim(self) -> int:
         return self.index_set.dim
@@ -282,16 +291,6 @@ def build_grid(index_set: MultiIndexSet, axes) -> UnisolventGrid:
         ax if isinstance(ax, Nodes1D) else Nodes1D(np.asarray(ax, dtype=np.float64))
         for ax in axes
     )
-    if len(axes) != index_set.dim:
-        raise ValueError(
-            f"need {index_set.dim} axes for dimension {index_set.dim}, got {len(axes)}"
-        )
-    for i, ax in enumerate(axes):
-        needed = index_set.tops[i] + 1
-        if len(ax) < needed:
-            raise ValueError(
-                f"axis {i + 1} has {len(ax)} points but the index set needs {needed}"
-            )
     return UnisolventGrid(index_set=index_set, axes=axes)
 
 

@@ -185,7 +185,11 @@ class MultiIndexSet:
         return pos
 
     def position(self, alpha) -> int:
-        return int(self.positions(np.asarray(alpha)[None, :])[0])
+        alpha = np.asarray(alpha)
+        if alpha.shape != (self.dim,):
+            m = self.dim
+            raise ValueError(f"a multi-index needs {m} columns: shape ({m},), got {alpha.shape}")
+        return int(self.positions(alpha[None, :])[0])
 
 
 def make_lp_set(m: int, n: int, p) -> MultiIndexSet:

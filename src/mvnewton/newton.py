@@ -578,6 +578,9 @@ def eval_recursive(poly: NewtonPolynomial, x) -> float:
 
 # -- polynomial bundles ------------------------------------------------------
 
+# what save_bundle writes; the CLI replaces a directory holding nothing else
+_BUNDLE_FILES = ("header.json", "grid.csv", "coefficients.csv")
+
 
 def save_bundle(poly: NewtonPolynomial, directory) -> None:
     """Write ``header.json``: ``{m, num_coeffs, node_family, provenance,
@@ -594,14 +597,12 @@ def save_bundle(poly: NewtonPolynomial, directory) -> None:
         "provenance": _provenance_json(grid.index_set.provenance),
         "axes": [axis.points.tolist() for axis in grid.axes],
     }
-    with open(directory / "header.json", "w") as fh:
-        json.dump(header, fh, indent=2)
-        fh.write("\n")
     names, columns = grid._table()
-    with open(directory / "grid.csv", "w", newline="") as fh:
-        fh.write(_table_text(names, columns))
-    with open(directory / "coefficients.csv", "w", newline="") as fh:
-        fh.write(_table_text([*names[: grid.dim], "c"], [*columns[: grid.dim], poly.coeffs]))
+    texts = (json.dumps(header, indent=2) + "\n", _table_text(names, columns),
+             _table_text([*names[: grid.dim], "c"], [*columns[: grid.dim], poly.coeffs]))
+    for name, text in zip(_BUNDLE_FILES, texts):
+        with open(directory / name, "w", newline="") as fh:
+            fh.write(text)
 
 
 def load_bundle(directory) -> NewtonPolynomial:
@@ -611,7 +612,7 @@ def load_bundle(directory) -> NewtonPolynomial:
     with the axes and the table, rows out of canonical order or not of the
     ``provenance`` set, and axes that are malformed or too short."""
     directory = Path(directory)
-    path, table = directory / "header.json", directory / "coefficients.csv"
+    path, _, table = (directory / name for name in _BUNDLE_FILES)
     with open(path) as fh:
         header = json.load(fh)
     if not isinstance(header, dict):

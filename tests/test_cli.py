@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -238,12 +240,14 @@ def test_numerical_failure_exits_1_and_bad_samples_exit_2(tmp_path, monkeypatch,
         patch.setattr(cli, "make_lp_set", singular)
         assert run(["nodes", "-m", 2, "-n", 2, "--out", tmp_path / "g.csv"]) == 1
     assert "numerical failure: singular matrix" in capsys.readouterr().err
-    # a non-finite sample (NonFiniteSampleError, also a ValueError) stays exit 2
-    vals = tmp_path / "vals.txt"
-    vals.write_text("1.0\nnan\n1.0\n")
+    # a non-finite sample (NonFiniteSampleError, also a ValueError) stays exit 2;
+    # a samples file never gets this far, since its reader names the line
     bundle = tmp_path / "b"
-    assert run(["interpolate", "-m", 1, "-n", 2, "--values", vals, "--out", bundle]) == 2
-    assert capsys.readouterr().err.startswith("error: sample values must be finite")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_function", lambda args: lambda x: np.full(len(x), np.nan))
+        assert run(["interpolate", "-m", 1, "-n", 2, "--function", "runge",
+                    "--out", bundle]) == 2
+    assert capsys.readouterr().err.startswith("error: f returned ")
     assert not bundle.exists()
 
 
@@ -377,14 +381,124 @@ def test_lebesgue_rejects_cap_below_one(tmp_path, capsys, cap):
 
 
 def test_identical_flags_identical_bytes(tmp_path):
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    args = ["convergence", "-m", 2, "-p", 2, "--function", "runge", "--r", 2,
-            "--degrees", "2:12:2", "--samples", 300, "--seed", 17]
-    assert run(args + ["--out", out_a]) == 0
-    assert run(args + ["--out", out_b]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
-    assert (tmp_path / "a.fit.json").read_bytes() == (tmp_path / "b.fit.json").read_bytes()
+    _xy_bundle(tmp_path / "xy")
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n0.5,-0.25\n-1,0.125\n")
+    commands = [
+        ["nodes", "-m", 2, "-n", 5, "--family", "leja"],
+        ["eval", "--bundle", tmp_path / "xy", "--points", pts, "--deriv", "1,0"],
+        ["lebesgue", "-m", 2, "-p", "1,inf", "--degrees", "1,3", "--samples", 300,
+         "--seed", 17],
+    ]
+    runs = [(argv + fmt, ".csv") for argv in commands for fmt in ([], ["--format", "json"])]
+    runs += [
+        (["convergence", "-m", 2, "-p", 2, "--function", "runge", "--r", 2,
+          "--degrees", "2:12:2", "--samples", 300, "--seed", 17], ".csv"),
+        (["interpolate", "-m", 2, "-n", 6, "-p", 1, "--function", "f4", "--a", 1.5], ""),
+    ]
+    for i, (argv, suffix) in enumerate(runs):
+        out_a, out_b = tmp_path / f"{i}a{suffix}", tmp_path / f"{i}b{suffix}"
+        assert run(argv + ["--out", out_a]) == 0
+        assert run(argv + ["--out", out_b]) == 0
+        if argv[0] == "interpolate":  # a second run into the same bundle
+            assert run(argv + ["--out", out_a]) == 0
+        written = [(out_a, out_b)]
+        if argv[0] == "convergence":
+            written.append((out_a.with_suffix(".fit.json"), out_b.with_suffix(".fit.json")))
+        if argv[0] == "interpolate":
+            names = sorted(p.name for p in out_b.iterdir())
+            assert sorted(p.name for p in out_a.iterdir()) == names and len(names) == 3
+            written = [(out_a / name, out_b / name) for name in names]
+        for a, b in written:
+            assert a.read_bytes() == b.read_bytes(), argv
+
+
+def test_out_refuses_a_directory_holding_other_files(tmp_path, monkeypatch, capsys):
+    # `--out .` deleted every file of the working directory, `--out D` replaced D
+    target = tmp_path / "D"
+    target.mkdir()
+    (target / "keep.txt").write_text("mine\n")
+    interpolate = ["interpolate", "-m", 2, "-n", 3, "--function", "runge", "--out"]
+    nodes = ["nodes", "-m", 2, "-n", 3, "--out"]
+    for argv in ([*interpolate, target], [*nodes, target], [*interpolate, "."]):
+        if argv[-1] == ".":
+            monkeypatch.chdir(target)
+        assert run(argv) == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert [p.name for p in target.iterdir()] == ["keep.txt"]
+        assert (target / "keep.txt").read_text() == "mine\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["D"]  # no temporary entry left
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert run([*interpolate, link]) == 0  # a link at the target is replaced, not followed
+    assert not link.is_symlink() and (link / "header.json").exists()
+    assert [p.name for p in target.iterdir()] == ["keep.txt"]
+
+
+def test_interpolate_again_replaces_the_bundle(tmp_path, monkeypatch):
+    bundle, fresh = tmp_path / "b", tmp_path / "fresh"
+    argv = ["interpolate", "-m", 2, "-p", 1, "--function", "runge", "-n"]
+    assert run([*argv, 3, "--out", bundle]) == 0
+    monkeypatch.chdir(bundle)  # the second run names the bundle "."
+    assert run([*argv, 5, "--out", "."]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, 5, "--out", fresh]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in bundle.iterdir()) == names and len(names) == 3
+    assert all((bundle / name).read_bytes() == (fresh / name).read_bytes() for name in names)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "fresh"]
+
+
+def test_convergence_writes_both_outputs_or_neither(tmp_path, capsys):
+    # the record was written before the fit failed
+    out = tmp_path / "X.csv"
+    (tmp_path / "X.fit.json").mkdir()
+    argv = ["convergence", "-m", 1, "--function", "runge", "--degrees", "2:8:2",
+            "--samples", 50, "--out", out]
+    assert run(argv) == 2
+    assert "X.fit.json is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["X.fit.json"]
+    assert not any((tmp_path / "X.fit.json").iterdir())
+
+
+def test_outputs_get_the_modes_of_the_umask(tmp_path):
+    # outputs were 0600 files and 0700 bundle directories
+    old = os.umask(0o022)
+    try:
+        assert run(["nodes", "-m", 2, "-n", 3, "--out", tmp_path / "g.csv"]) == 0
+        assert run(["interpolate", "-m", 2, "-n", 2, "-p", 1, "--function", "runge",
+                    "--out", tmp_path / "b"]) == 0
+        _xy_bundle(tmp_path / "direct")
+    finally:
+        os.umask(old)
+
+    def mode(path):
+        return stat.S_IMODE(path.stat().st_mode)
+
+    assert mode(tmp_path / "g.csv") == 0o644
+    assert mode(tmp_path / "b") == mode(tmp_path / "direct") == 0o755
+    for path in (tmp_path / "direct").iterdir():
+        assert mode(tmp_path / "b" / path.name) == mode(path) == 0o644
+
+
+def test_numeric_files_may_carry_a_header_and_name_a_non_finite_line(tmp_path, capsys):
+    _xy_bundle(tmp_path / "b")
+    pts = tmp_path / "pts.csv"
+    argv = ["eval", "--bundle", tmp_path / "b", "--points", pts, "--out"]
+    pts.write_text("0.5,-0.25\n")
+    assert run([*argv, tmp_path / "plain.csv"]) == 0
+    pts.write_text("# note\nx1,x2\n0.5,-0.25\n")  # the header is below a comment
+    assert run([*argv, tmp_path / "headed.csv"]) == 0
+    assert (tmp_path / "headed.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    vals = tmp_path / "vals.txt"
+    argv = ["interpolate", "-m", 1, "-n", 2, "--values", vals, "--out"]
+    vals.write_text("# samples\nvalue\n1\n2\n3\n")
+    assert run([*argv, tmp_path / "c"]) == 0
+    vals.write_text("1.0\n2.0\nnan\n")
+    assert run([*argv, tmp_path / "d"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3 of" in err and "not finite" in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_json_format_output(tmp_path):

@@ -15,6 +15,7 @@ from conftest import (
 from mvnewton import grid as grid_module
 from mvnewton.grid import (
     Nodes1D,
+    UnisolventGrid,
     axes_for,
     build_grid,
     chebyshev_lobatto,
@@ -218,6 +219,17 @@ def test_build_grid_rejects_undersized_axis():
     a = make_lp_set(2, 3, 1)
     with pytest.raises(ValueError):
         build_grid(a, [Nodes1D(np.array([1.0, -1.0])), leja_order(chebyshev_lobatto(3))])
+
+
+def test_the_grid_class_checks_its_axes():
+    # a grid that exists is valid: interpolate on this one raised IndexError
+    a = make_lp_set(2, 4, 2)
+    two = Nodes1D(np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="^axis 1 has 2 points but the index set needs 5$"):
+        UnisolventGrid(a, (two,) * 2)
+    with pytest.raises(ValueError, match="^need 2 axes for dimension 2, got 1$"):
+        UnisolventGrid(a, (leja_points(4),))
+    assert len(UnisolventGrid(a, (leja_points(4),) * 2)) == len(a)
 
 
 def test_build_grid_rejects_duplicate_axis_points():

@@ -416,6 +416,11 @@ def test_positions_and_contains():
     for q in [np.zeros((1, 3, 3), int), np.zeros((2, 3, 1), int), np.array(0)]:
         with pytest.raises(ValueError, match=shape):
             s.positions(q)
+    # position takes one multi-index, and names its shape
+    one = r"^a multi-index needs 3 columns: shape \(3,\), got "
+    for q, got in [(0, r"\(\)$"), (np.array(0), r"\(\)$"), (np.zeros((2, 3), int), r"\(2, 3\)$")]:
+        with pytest.raises(ValueError, match=one + got):
+            s.position(q)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
