@@ -8,7 +8,6 @@ closed form or constant is available.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ from .grid import (
     leja_points,
 )
 from . import newton as _newton
-from .multi_index import _checked_int, _lp_table, make_lp_set
+from .multi_index import _checked_int, _integral, _lp_table, make_lp_set
 from .newton import (
     _as_points,
     _check_order,
@@ -394,18 +393,16 @@ class ConvergenceRecord:
 
     @classmethod
     def from_csv(cls, path) -> "ConvergenceRecord":
-        def row_dtype(header):
-            if header != ["n", "num_coeffs", "error"]:
-                raise ValueError(f"unexpected header in {path}: {header}")
-            return [("n", np.int64), ("num_coeffs", np.int64), ("error", np.float64)]
-
-        rows = _read_table(path, row_dtype)
-        with open(path) as fh:
-            lead = itertools.takewhile(lambda line: line.startswith("#"), fh)
-            items = (line[1:].partition(":") for line in lead)
-            meta = {key.strip(): value.strip() for key, _, value in items}
-        columns = (tuple(rows[name].tolist()) for name in ("n", "num_coeffs", "error"))
-        return cls(*columns, meta)
+        """:meth:`to_csv_text`'s table, its header optional, and its ``# key: value`` lines."""
+        comments, header, rows = _read_table(path)
+        if header not in (None, ["n", "num_coeffs", "error"]) or rows.size and rows.shape[1] != 3:
+            raise ValueError(f"{path} is not a table of n,num_coeffs,error (header {header})")
+        rows = rows.reshape(-1, 3)
+        counts = _integral(rows[:, :2])
+        if (counts < 0).any():
+            raise ValueError(f"{path}: n and num_coeffs must be non-negative integers")
+        meta = {k.strip(): v.strip() for k, _, v in (c.partition(":") for c in comments)}
+        return cls(*map(tuple, counts.T.tolist()), tuple(rows[:, 2].tolist()), meta)
 
 
 def _p_label(p) -> str:

@@ -33,7 +33,7 @@ from .analysis import (
     make_benchmark,
     optimal_rho,
 )
-from .grid import GRID_FAMILIES, _Gathered, _loadtxt, _table_text, axes_for, build_grid
+from .grid import GRID_FAMILIES, _Gathered, _read_table, _table_text, axes_for, build_grid
 from .multi_index import MultiIndexSet, _lp_table, make_lp_set
 from .newton import (
     _BUNDLE_FILES,
@@ -207,13 +207,15 @@ def cmd_interpolate(args) -> int:
         raise UsageError("provide exactly one of --function or --values")
     the_grid = _grid_for(args, make_lp_set(args.dim, args.degree, args.p))
     if args.values is not None:
-        values = _read_numbers(args.values, 1)[:, 0]
+        values = _read_table(args.values)[2]
         if len(values) != len(the_grid):
             raise UsageError(
                 f"sample file has {len(values)} rows but the grid expects "
                 f"{len(the_grid)} (one per index, canonical order)"
             )
-        poly = divided_differences(LagrangeCoefficients(the_grid, values))
+        if values.shape[1] != 1:
+            raise UsageError(f"{args.values} has {values.shape[1]} numbers per line, expected 1")
+        poly = divided_differences(LagrangeCoefficients(the_grid, values[:, 0]))
     else:
         poly = interpolate(_build_function(args), the_grid)
     _publish({args.out: lambda path: save_bundle(poly, path)})
@@ -221,32 +223,13 @@ def cmd_interpolate(args) -> int:
     return 0
 
 
-def _read_numbers(path, width: int) -> np.ndarray:
-    """Rows of ``width`` numbers (1 for samples), one per line, split by commas or
-    whitespace; ``#`` starts a comment; a first non-numeric data line is a header."""
-    lines = Path(path).read_text().replace(",", " ").splitlines()
-    start = next((i for i, line in enumerate(lines) if line.split("#")[0].strip()), len(lines))
-    try:
-        np.array(lines[start].split("#")[0].split(), dtype=np.float64)
-    except (ValueError, IndexError):  # a header, or no data line at all
-        start += 1
-    try:
-        rows = _loadtxt(lines[start:], ndmin=2)
-    except ValueError as exc:
-        raise UsageError(f"malformed file {path}: {exc}") from None
-    if rows.size and rows.shape[1] != width:
-        raise UsageError(f"{path} has {rows.shape[1]} numbers per line, expected {width}")
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        data = [i for i in range(start, len(lines)) if lines[i].split("#")[0].strip()]
-        raise UsageError(f"line {data[bad[0]] + 1} of {path} holds a number that is not finite")
-    return rows.reshape(-1, width)
-
-
 def cmd_eval(args) -> int:
     poly = load_bundle(args.bundle)
     dim = poly.grid.dim
-    points = _read_numbers(args.points, dim)
+    points = _read_table(args.points)[2]
+    if points.size and points.shape[1] != dim:
+        raise UsageError(f"{args.points} has {points.shape[1]} numbers per line, expected {dim}")
+    points = points.reshape(-1, dim)
     order = args.deriv if args.deriv is not None else (0,) * dim
     values = eval_derivative(poly, order, points)  # a bad order fails before the warning
     if (np.abs(points) > 1.0).any():

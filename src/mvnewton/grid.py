@@ -9,9 +9,9 @@ dimension.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -126,8 +126,8 @@ def leja_points(n: int) -> Nodes1D:
     """The first ``n + 1`` Leja points of ``[-1, 1]``, starting at ``1``.
 
     Each point maximizes ``prod_j |p - p_j|`` over the interval given the
-    points before it, the larger point winning maxima tied to within
-    ``1e-12`` in the log product.  After ``1`` and ``-1`` the log product is
+    points before it, the larger point winning a tie of the log products,
+    which are compared exactly.  After ``1`` and ``-1`` the log product is
     strictly concave in each gap between neighbouring chosen points, so the
     gap's maximizer is the root of ``g(x) = sum_j 1/(x - p_j)`` (F. Leja,
     Ann. Polon. Math. 4 (1957) 8-13; L. Reichel, BIT 30 (1990) 332-346),
@@ -144,13 +144,12 @@ def leja_points(n: int) -> Nodes1D:
     # once at[i] is the gap's root; a gap whose bound falls short of the
     # best low is not solved again.
     edges = np.array([-1.0, 1.0])
-    tie = 1e-12
     at, low, up = np.zeros(1), np.full(1, -np.inf), np.full(1, np.inf)
     for k in range(2, n + 1):
-        while (todo := np.flatnonzero((up != low) & (up >= low.max() - tie))).size:
+        while (todo := np.flatnonzero((up != low) & (up >= low.max()))).size:
             at[todo] = _gap_roots(points[:k], edges[todo], edges[todo + 1], at[todo])
             low[todo] = up[todo] = np.log(np.abs(at[todo, None] - points[:k])).sum(axis=1)
-        best = np.flatnonzero((up == low) & (low >= low.max() - tie))[-1]
+        best = np.flatnonzero((up == low) & (low == low.max()))[-1]
         q = points[k] = at[best]
         # gap ``best`` splits in two at q, both to be solved from their midpoints
         edges = np.insert(edges, best + 1, q)
@@ -261,22 +260,41 @@ def _table_text(header, columns) -> str:
     return "\r\n".join([",".join(header), *map(",".join, zip(*texts)), ""])
 
 
-def _read_table(path, row_dtype) -> np.ndarray:
-    """The rows of a table file as a structured array parsed by
-    ``np.loadtxt``.  ``#`` lines are comments, the first other line names
-    the columns, and ``row_dtype(names)`` gives the dtype of one row (it may
-    raise ``ValueError`` for names it does not accept)."""
-    with open(path) as fh:
-        lines = (line for line in fh if line.strip() and not line.startswith("#"))
-        names = next(lines, "").strip().split(",")
-        return _loadtxt(fh, delimiter=",", dtype=row_dtype(names))
+def _read_table(path) -> tuple[list[str], list[str] | None, np.ndarray]:
+    """The ``#`` comments above the header or first row, the header or
+    ``None``, and the rows (2-d float64) of the file at ``path``, by the
+    rules of every numeric file the package reads: commas or whitespace
+    separate numbers, ``#`` starts a comment, and the first line neither
+    blank nor a comment is a header if none of its fields is a number.
+    ``ValueError`` for a malformed row, or naming the line of a non-finite number."""
+    text = Path(path).read_text()
+    lines = text.replace(",", " ").split("\n")
+    content = (i for i, line in enumerate(lines) if line.partition("#")[0].split())
+    first = next(content, len(lines))
+    above = text.split("\n", first)[:first]  # with their commas
+    notes = [line.partition("#")[2].strip() for line in above if "#" in line]
+    header = lines[first].partition("#")[0].split() if first < len(lines) else []
+    start = next(content, len(lines)) if header and not any(map(_is_number, header)) else first
+    header = header if start > first else None
+    if start == len(lines):
+        return notes, header, np.empty((0, len(header or ())))
+    try:
+        rows = np.loadtxt(lines[start:], ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"malformed file {path}: {exc}") from None
+    if not np.isfinite(rows).all():
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+        line = [start, *content][bad] + 1  # the lines of the rows, in order
+        raise ValueError(f"line {line} of {path} holds a number that is not finite")
+    return notes, header, rows
 
 
-def _loadtxt(source, ndmin: int = 1, **options) -> np.ndarray:
-    """``np.loadtxt`` that reads no rows as an empty table, without a warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(source, ndmin=ndmin, **options)
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 def build_grid(index_set: MultiIndexSet, axes) -> UnisolventGrid:

@@ -299,7 +299,7 @@ def interpolate(f, grid: UnisolventGrid) -> NewtonPolynomial:
     if bad.any():
         where = int(np.flatnonzero(bad)[0])
         raise NonFiniteSampleError(
-            f"f returned {values[where]!r} at node {tuple(nodes[where])}"
+            f"f returned {float(values[where])!r} at node {tuple(nodes[where].tolist())}"
         )
     return divided_differences(LagrangeCoefficients(grid, values))
 
@@ -627,15 +627,16 @@ def load_bundle(directory) -> NewtonPolynomial:
         isinstance(axis, list) and all(type(v) in (int, float) for v in axis) for axis in axes
     ):
         raise ValueError(f"{path}: axes must be a list of lists of JSON numbers")
-    rows = _read_table(table, lambda names: [("a", np.int64, (len(names) - 1,)), ("c", float)])
-    if (m, count) != (len(axes), len(rows)) or m != rows["a"].shape[1]:
+    rows = _read_table(table)[2]
+    if (m, count) != (len(axes), len(rows)) or m != rows.shape[1] - 1:
         raise ValueError(
             f"header says m={m}, num_coeffs={count}; it lists {len(axes)} axes, and "
-            f"{table} has {rows['a'].shape[1]} exponent columns and {len(rows)} rows"
+            f"{table} has {rows.shape[1] - 1} exponent columns and {len(rows)} rows"
         )
+    exponents = _integral(rows[:, :m])
     tag = header.get("provenance")
-    index_set = MultiIndexSet(rows["a"], _provenance_of(tag, rows["a"]))
-    if not np.array_equal(index_set.exponents, rows["a"]):
+    index_set = MultiIndexSet(exponents, _provenance_of(tag, exponents))
+    if not np.array_equal(index_set.exponents, exponents):
         raise ValueError(f"{table} does not list its indices in canonical order")
     if tag is not None and index_set.provenance is None:
         raise ValueError(f"{path}: provenance {tag!r} does not give the indices of {table}")
@@ -644,7 +645,7 @@ def load_bundle(directory) -> NewtonPolynomial:
         axes = [Nodes1D(axis, family if family in NODE_FAMILIES else "custom") for axis in axes]
     except OverflowError:  # an integer beyond the float range
         raise ValueError(f"{path}: an axis point is out of range") from None
-    return NewtonPolynomial(build_grid(index_set, axes), rows["c"])
+    return NewtonPolynomial(build_grid(index_set, axes), rows[:, m])
 
 
 def _provenance_of(tag, exponents: np.ndarray) -> tuple | None:

@@ -151,13 +151,13 @@ def _leja_points_reference(n: int) -> np.ndarray:
         while todo := [
             gap
             for gap in gaps
-            if gap[4] != gap[3] and gap[4] >= max(g[3] for g in gaps) - 1e-12
+            if gap[4] != gap[3] and gap[4] >= max(g[3] for g in gaps)
         ]:
             for gap in todo:
                 gap[2] = root(chosen, *gap[:3])
                 gap[3] = gap[4] = np.log(np.abs(gap[2] - chosen)).sum()
         top = max(gap[3] for gap in gaps)
-        best = [i for i, gap in enumerate(gaps) if gap[4] == gap[3] and gap[3] >= top - 1e-12][-1]
+        best = [i for i, gap in enumerate(gaps) if gap[4] == gap[3] and gap[3] == top][-1]
         lo, hi, q = gaps[best][0], gaps[best][1], gaps[best][2]
         points.append(q)
         gaps[best : best + 1] = [[lo, q, (lo + q) / 2, -np.inf, np.inf], [q, hi, (q + hi) / 2, -np.inf, np.inf]]

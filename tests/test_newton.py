@@ -456,7 +456,10 @@ def test_interpolate_rejects_non_finite():
 
     with pytest.raises(NonFiniteSampleError) as err:
         interpolate(bad, grid)
-    assert "node" in str(err.value)
+    assert str(err.value) == "f returned nan at node (-1.0,)"
+    # plain floats, not numpy reprs such as np.float64(nan)
+    with pytest.raises(NonFiniteSampleError, match=r"^f returned inf at node \(1\.0, 1\.0\)$"):
+        interpolate(lambda x: np.full(len(x), np.inf), lcl_grid(2, 2, 1))
 
 
 def test_interpolate_overflow_names_the_total_degree():
