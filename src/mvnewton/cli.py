@@ -11,9 +11,7 @@ Exit codes: 0 success, 2 validation error, 1 internal numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import math
 import os
 import shutil
 import sys
@@ -61,15 +59,10 @@ class UsageError(ValueError):
 def parse_p(text: str) -> float:
     """``1``, ``2``, ``inf``, or a positive decimal literal."""
     text = text.strip().lower()
-    if text == "inf":
-        return math.inf
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ArgumentTypeError(f"cannot parse degree selector p={text!r}") from None
+        raise ArgumentTypeError(f"cannot parse degree selector p={text!r}") from None
     if not value > 0:  # also rejects nan
         raise ArgumentTypeError(f"degree selector p must be positive, got {text}")
     return value
@@ -129,17 +122,20 @@ def _non_negative_int(text: str) -> int:
 
 def _publish(outputs: dict) -> None:
     """Write a command's outputs, all or none: ``outputs`` maps each target
-    path to a callable that writes the output at a path it is given.  Each
-    is made in a temporary directory beside its target; only when all exist
-    are the targets checked, and then each moves into place."""
-    with contextlib.ExitStack() as stack:
-        made = {}
-        for target, write in outputs.items():
-            target = os.path.abspath(target)  # "." gets a name; links stay unresolved
-            parent, name = os.path.split(target)
-            os.makedirs(parent, exist_ok=True)
-            tmp = stack.enter_context(tempfile.TemporaryDirectory(dir=parent))
-            made[target] = os.path.join(tmp, name)
+    path to a callable that writes the output at a path it is given.  The
+    targets share one parent directory (``ValueError`` otherwise), and all
+    are made in one temporary directory there; only when all exist are the
+    targets checked, and then each moves into place."""
+    # "." gets a name; links stay unresolved
+    writers = {os.path.abspath(target): write for target, write in outputs.items()}
+    parents = {os.path.dirname(target) for target in writers}
+    if len(parents) != 1:
+        raise ValueError(f"outputs must share one directory, not {sorted(parents)}")
+    (parent,) = parents
+    os.makedirs(parent, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=parent) as tmp:
+        made = {target: os.path.join(tmp, os.path.basename(target)) for target in writers}
+        for target, write in writers.items():
             write(made[target])
         old_dirs = [t for t in made if os.path.isdir(t) and not os.path.islink(t)]
         for target in old_dirs:

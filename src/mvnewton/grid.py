@@ -266,14 +266,14 @@ def _read_table(path) -> tuple[list[str], list[str] | None, np.ndarray]:
     rules of every numeric file the package reads: commas or whitespace
     separate numbers, ``#`` starts a comment, and the first line neither
     blank nor a comment is a header if none of its fields is a number.
-    ``ValueError`` for a malformed row, or naming the line of a non-finite number."""
+    ``ValueError`` naming the line of a malformed row or of a non-finite number."""
     text = Path(path).read_text()
     lines = text.replace(",", " ").split("\n")
-    content = (i for i, line in enumerate(lines) if line.partition("#")[0].split())
+    content = (i for i, line in enumerate(lines) if _fields(line))
     first = next(content, len(lines))
     above = text.split("\n", first)[:first]  # with their commas
     notes = [line.partition("#")[2].strip() for line in above if "#" in line]
-    header = lines[first].partition("#")[0].split() if first < len(lines) else []
+    header = _fields(lines[first]) if first < len(lines) else []
     start = next(content, len(lines)) if header and not any(map(_is_number, header)) else first
     header = header if start > first else None
     if start == len(lines):
@@ -281,7 +281,13 @@ def _read_table(path) -> tuple[list[str], list[str] | None, np.ndarray]:
     try:
         rows = np.loadtxt(lines[start:], ndmin=2)
     except ValueError as exc:
-        raise ValueError(f"malformed file {path}: {exc}") from None
+        # np.loadtxt counts rows, not file lines; the bad row is the first
+        # with another width than the first row's or a field that is no number
+        width = len(_fields(lines[start]))
+        bad = next(i for i in [start, *content] if len(_fields(lines[i])) != width
+                   or not all(map(_is_number, _fields(lines[i]))))
+        reason = str(exc).partition(" at row ")[0]
+        raise ValueError(f"malformed file {path} at line {bad + 1}: {reason}") from None
     if not np.isfinite(rows).all():
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
         line = [start, *content][bad] + 1  # the lines of the rows, in order
@@ -289,12 +295,18 @@ def _read_table(path) -> tuple[list[str], list[str] | None, np.ndarray]:
     return notes, header, rows
 
 
+def _fields(line: str) -> list[str]:
+    return line.partition("#")[0].split()
+
+
 def _is_number(field: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``field`` as a number: ``float`` syntax
+    in ASCII, without the underscores ``float`` allows."""
     try:
         float(field)
     except ValueError:
         return False
-    return True
+    return field.isascii() and "_" not in field
 
 
 def build_grid(index_set: MultiIndexSet, axes) -> UnisolventGrid:

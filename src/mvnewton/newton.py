@@ -222,19 +222,14 @@ def _aligned_empty(shape) -> np.ndarray:
     return raw[start : start + size].reshape(shape)
 
 
-def _transform(grid: UnisolventGrid, values: np.ndarray, inverse: bool = False):
+def _transform(grid: UnisolventGrid, values: np.ndarray, inverse: bool, what: str) -> np.ndarray:
+    """The forward (divided differences) or inverse transform of ``values``,
+    in place; ``FloatingPointError`` naming ``what`` if any entry overflowed."""
     lines = grid.index_set.layout.lines
     axis_order = range(grid.dim) if inverse else range(grid.dim - 1, -1, -1)
-    for axis in axis_order:
-        _axis_sweep(lines[axis], axis, grid.axes[axis].points, values, inverse)
-    return values
-
-
-def _finite_transform(grid: UnisolventGrid, values: np.ndarray, what: str) -> np.ndarray:
-    """The forward transform of ``values``, in place; ``FloatingPointError``
-    naming ``what`` if any entry overflowed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        _transform(grid, values)
+        for axis in axis_order:
+            _axis_sweep(lines[axis], axis, grid.axes[axis].points, values, inverse)
     if not np.isfinite(values).all():
         # on [-1, 1] a Newton coefficient of index alpha grows roughly like
         # 2**|alpha|_1, so past |alpha|_1 ~ 1000 generic data leaves the
@@ -253,14 +248,15 @@ def divided_differences(samples: LagrangeCoefficients) -> NewtonPolynomial:
     result at every grid node reproduces the input values.
     """
     values = np.array(samples.values, dtype=np.float64, copy=True)
-    _finite_transform(samples.grid, values, "divided differences")
+    _transform(samples.grid, values, False, "divided differences")
     return NewtonPolynomial(samples.grid, values)
 
 
 def newton_to_lagrange(poly: NewtonPolynomial) -> LagrangeCoefficients:
-    """Values of ``poly`` at the grid nodes; inverse of divided differences."""
+    """Values of ``poly`` at the grid nodes; inverse of divided differences.
+    ``FloatingPointError`` if a value overflows, as in :func:`divided_differences`."""
     values = np.array(poly.coeffs, dtype=np.float64, copy=True)
-    _transform(poly.grid, values, inverse=True)
+    _transform(poly.grid, values, True, "the values at the nodes")
     return LagrangeCoefficients(poly.grid, values)
 
 
@@ -343,7 +339,7 @@ def lagrange_newton_matrix(grid: UnisolventGrid) -> np.ndarray:
         # the strided view in place took 1.65 s against 1.18 s at
         # (3, 18, 2) and 4.4 s against 2.0 s at (4, 8, inf) (2-core x86)
         block = np.ascontiguousarray(mat[:, lo : lo + width])
-        mat[:, lo : lo + width] = _finite_transform(grid, block, "the Lagrange-Newton matrix")
+        mat[:, lo : lo + width] = _transform(grid, block, False, "the Lagrange-Newton matrix")
     return mat
 
 

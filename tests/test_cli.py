@@ -295,6 +295,38 @@ def test_convergence_writes_record_and_fit(tmp_path, capsys):
     assert "n,num_coeffs,error" in lines
 
 
+def test_convergence_makes_its_two_outputs_in_one_temporary_directory(tmp_path, monkeypatch):
+    made = []
+    real = tempfile.TemporaryDirectory
+
+    def counted(*args, **kwargs):
+        made.append(kwargs["dir"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", counted)
+    code = run(["convergence", "-m", 1, "--function", "runge", "--degrees", "2:8:2",
+                "--samples", 50, "--out", tmp_path / "conv.csv"])
+    assert code == 0
+    assert made == [str(tmp_path)]
+    assert sorted(os.listdir(tmp_path)) == ["conv.csv", "conv.fit.json"]
+
+
+def test_a_failing_writer_publishes_nothing_and_leaves_nothing_behind(tmp_path):
+    (tmp_path / "b.txt").write_text("old")
+
+    def fail(path):
+        Path(path).write_text("half")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._publish({tmp_path / "a.txt": cli._text("new"), tmp_path / "b.txt": fail})
+    assert sorted(os.listdir(tmp_path)) == ["b.txt"]
+    assert (tmp_path / "b.txt").read_text() == "old"
+    with pytest.raises(ValueError, match="outputs must share one directory"):
+        cli._publish({tmp_path / "a.txt": cli._text("a"), tmp_path / "sub" / "b.txt": fail})
+    assert sorted(os.listdir(tmp_path)) == ["b.txt"]
+
+
 @pytest.mark.parametrize("command", [
     ["convergence", "--function", "runge", "--degrees", "2:6"],
     ["lebesgue", "--degrees", "2:6"],

@@ -529,6 +529,17 @@ def test_newton_to_lagrange_constant():
     assert np.allclose(newton_to_lagrange(NewtonPolynomial(grid, coeffs)).values, 3.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_newton_to_lagrange_overflow_names_the_total_degree():
+    # an overflow in the inverse transform is a numerical failure, not bad
+    # input, and numpy's overflow warnings stay inside the transform
+    grid = lcl_grid(2, 3, 2)
+    poly = NewtonPolynomial(grid, np.full(len(grid), 1.5e308))
+    message = r"^the values at the nodes overflowed; the total degree \|alpha\|_1"
+    with pytest.raises(FloatingPointError, match=message):
+        newton_to_lagrange(poly)
+
+
 def test_unit_newton_coefficient_lower_triangular_values():
     grid = lcl_grid(2, 2, 2)
     beta = (1, 1)

@@ -123,6 +123,24 @@ def test_a_malformed_first_row_is_no_header(tmp_path, capsys):
         _read_table(pts)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0.5,oops\n0.1,0.2\n", 1),  # a field that is no number
+        ("# note\n\nx1, 2\n0.1,0.2\n", 3),  # below a comment and a blank line
+        ("x1,x2\n0.1,0.2\n0.3\n", 3),  # a row one number short, under a header
+        ("x\n1\n2_0\n", 3),  # float() reads 2_0, np.loadtxt does not
+    ],
+)
+def test_a_malformed_row_is_named_by_its_file_line(tmp_path, text, line):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    message = f"^malformed file {re.escape(str(path))} at line {line}: "
+    with pytest.raises(ValueError, match=message) as err:
+        _read_table(path)
+    assert " row " not in str(err.value)
+
+
 def test_a_record_needs_integral_counts_and_finite_numbers(tmp_path):
     path, text, _ = _record_file(tmp_path)
     lines = text.splitlines()
