@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (
-    GRID_FAMILIES,
     UnisolventGrid,
+    _check_grid_family,
     _read_table,
     _table_text,
     axes_for,
@@ -389,7 +389,7 @@ def _p_label(p) -> str:
 def convergence_run(
     f: BenchmarkFunction,
     p,
-    node_family: str,
+    family: str,
     degrees,
     num_samples: int = 10_000,
     seed: int = 0,
@@ -401,7 +401,7 @@ def convergence_run(
     grid family is ``lcl`` or ``leja``, and the error is the max of
     ``|d^order f(x) - d^order Q(x)|`` over ``num_samples`` uniform points
     drawn from the sub-seed ``seed XOR n`` (fresh points per degree, but
-    identical across node families and p for the same seed).  ``num_samples``,
+    identical across grid families and p for the same seed).  ``num_samples``,
     ``seed`` and every degree must be integers (not booleans).
     """
     num_samples = _checked_int(num_samples, "num_samples", 1)
@@ -409,8 +409,7 @@ def convergence_run(
     degrees = [_checked_int(n, "degree", 0) for n in degrees]
     if any(b <= a for a, b in zip(degrees, degrees[1:])) or not degrees:
         raise ValueError("degrees must be a non-empty strictly increasing sequence")
-    if node_family not in GRID_FAMILIES:
-        raise ValueError(f"unknown node family {node_family!r}")
+    _check_grid_family(family)
     m = f.dim
     order = _check_order((0,) * m if deriv_order is None else deriv_order, m)
     if not f.supports_order(order):
@@ -419,13 +418,13 @@ def convergence_run(
     # Leja points are nested, so the axes of the top degree serve every
     # degree (an l_p ball of radius n reaches n on every axis); LCL points
     # are not, so their axes are built per degree.
-    if node_family == "leja":
+    if family == "leja":
         leja_axes = (leja_points(degrees[-1]),) * m
 
     sizes, errors = [], []
     for n in degrees:
         index_set = make_lp_set(m, n, p)
-        axes = leja_axes if node_family == "leja" else axes_for(index_set, "lcl")
+        axes = leja_axes if family == "leja" else axes_for(index_set, "lcl")
         grid = build_grid(index_set, axes)
         poly = interpolate(f, grid)
         rng = np.random.default_rng(seed ^ n)
@@ -440,7 +439,7 @@ def convergence_run(
         "params": " ".join(f"{k}={v:g}" for k, v in f.params),
         "m": m,
         "p": _p_label(p),
-        "family": node_family,
+        "family": family,
         "samples": num_samples,
         "seed": seed,
         "deriv_order": ",".join(str(v) for v in order),

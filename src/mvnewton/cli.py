@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 1 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -123,31 +124,39 @@ def _non_negative_int(text: str) -> int:
 def _publish(outputs: dict) -> None:
     """Write a command's outputs, all or none: ``outputs`` maps each target
     path to a callable that writes the output at a path it is given.  The
-    targets share one parent directory (``ValueError`` otherwise), and all
-    are made in one temporary directory there; only when all exist are the
-    targets checked, and then each moves into place."""
+    targets share one parent directory (``ValueError`` otherwise), made if
+    missing and removed on failure, and are made in one temporary directory
+    there; only when all exist are they checked, and then each moves in."""
     # "." gets a name; links stay unresolved
     writers = {os.path.abspath(target): write for target, write in outputs.items()}
     parents = {os.path.dirname(target) for target in writers}
     if len(parents) != 1:
         raise ValueError(f"outputs must share one directory, not {sorted(parents)}")
     (parent,) = parents
-    os.makedirs(parent, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=parent) as tmp:
-        made = {target: os.path.join(tmp, os.path.basename(target)) for target in writers}
-        for target, write in writers.items():
-            write(made[target])
-        old_dirs = [t for t in made if os.path.isdir(t) and not os.path.islink(t)]
-        for target in old_dirs:
-            if not os.path.isdir(made[target]) or set(os.listdir(target)).difference(_BUNDLE_FILES):
-                raise UsageError(f"{target} is a directory; only a bundle replaces one, and "
-                                 f"only one holding nothing but {', '.join(_BUNDLE_FILES)}")
-        for target, new in made.items():
-            if target in old_dirs:
-                shutil.rmtree(target)
-            elif os.path.isdir(new) and os.path.lexists(target):
-                os.remove(target)  # os.replace puts no directory over a file or link
-            os.replace(new, target)
+    ancestry = [parent, *map(str, Path(parent).parents)]
+    missing = [d for d in ancestry if not os.path.lexists(d)]  # to make, deepest first
+    try:
+        os.makedirs(parent, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=parent) as tmp:
+            made = {target: os.path.join(tmp, os.path.basename(target)) for target in writers}
+            for target, write in writers.items():
+                write(made[target])
+            old_dirs = [t for t in made if os.path.isdir(t) and not os.path.islink(t)]
+            for target in old_dirs:
+                if not os.path.isdir(made[target]) or set(os.listdir(target)) - set(_BUNDLE_FILES):
+                    raise UsageError(f"{target} is a directory; only a bundle replaces one, and "
+                                     f"only one holding nothing but {', '.join(_BUNDLE_FILES)}")
+            for target, new in made.items():
+                if target in old_dirs:
+                    shutil.rmtree(target)
+                elif os.path.isdir(new) and os.path.lexists(target):
+                    os.remove(target)  # os.replace puts no directory over a file or link
+                os.replace(new, target)
+    except BaseException:
+        for new_dir in missing:
+            with contextlib.suppress(OSError):
+                os.rmdir(new_dir)
+        raise
 
 
 def _text(text: str):

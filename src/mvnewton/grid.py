@@ -1,4 +1,4 @@
-"""One-dimensional node families and non-tensorial unisolvent grids.
+"""One-dimensional nodes and non-tensorial unisolvent grids.
 
 A grid pairs a downward-closed multi-index set ``A`` with one ordered node
 tuple per dimension; the node attached to ``alpha`` is
@@ -28,8 +28,6 @@ __all__ = [
     "axes_for",
 ]
 
-NODE_FAMILIES = ("chebyshev_lobatto", "leja_ordered_chebyshev_lobatto", "leja", "custom")
-
 # What ``axes_for`` builds: Leja-ordered Chebyshev-Lobatto or Leja points.
 GRID_FAMILIES = ("lcl", "leja")
 
@@ -39,7 +37,6 @@ class Nodes1D:
     """An ordered tuple of pairwise-distinct points in ``[-1, 1]``."""
 
     points: np.ndarray
-    family: str = "custom"
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.float64, copy=True)
@@ -49,8 +46,6 @@ class Nodes1D:
             raise ValueError("nodes must lie within [-1, 1]")
         if len(np.unique(pts)) != pts.size:
             raise ValueError("nodes must be pairwise distinct")
-        if self.family not in NODE_FAMILIES:
-            raise ValueError(f"unknown node family {self.family!r}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -66,16 +61,15 @@ def chebyshev_lobatto(n: int) -> Nodes1D:
     """
     n = _checked_int(n, "degree n", 0)
     if n == 0:
-        return Nodes1D(np.array([1.0]), family="chebyshev_lobatto")
+        return Nodes1D(np.array([1.0]))
     pts = np.cos(np.pi * np.arange(n + 1) / n)
     if n % 2 == 0:
         pts[n // 2] = 0.0
-    return Nodes1D(pts, family="chebyshev_lobatto")
+    return Nodes1D(pts)
 
 
-def _leja_greedy_order(points: np.ndarray) -> np.ndarray:
-    """Greedy Leja permutation of ``points``; ties go to the larger value."""
-    pts = np.asarray(points, dtype=np.float64)
+def _leja_greedy_order(pts: np.ndarray) -> np.ndarray:
+    """Greedy Leja permutation of ``pts``; ties go to the larger value."""
     count = pts.size
     chosen = np.empty(count, dtype=np.int64)
     remaining = np.ones(count, dtype=bool)
@@ -110,16 +104,10 @@ def leja_order(nodes) -> Nodes1D:
     maximizing ``prod_{j<l} |p_l - p_j|`` over the remaining candidates.
 
     The output is a permutation of the input; applying it twice is a no-op.
+    Raw input is checked as :class:`Nodes1D` checks it.
     """
-    if isinstance(nodes, Nodes1D):
-        pts, family = nodes.points, nodes.family
-    else:
-        pts, family = np.asarray(nodes, dtype=np.float64), "custom"
-    order = _leja_greedy_order(pts)
-    out_family = (
-        "leja_ordered_chebyshev_lobatto" if family == "chebyshev_lobatto" else family
-    )
-    return Nodes1D(pts[order], family=out_family)
+    pts = (nodes if isinstance(nodes, Nodes1D) else Nodes1D(nodes)).points
+    return Nodes1D(pts[_leja_greedy_order(pts)])
 
 
 def leja_points(n: int) -> Nodes1D:
@@ -160,7 +148,7 @@ def leja_points(n: int) -> Nodes1D:
         # log|x - q| is largest at an end of each gap
         low += np.log(np.abs(at - q))
         up += np.log(np.maximum(np.abs(edges[:-1] - q), np.abs(edges[1:] - q)))
-    return Nodes1D(points, family="leja")
+    return Nodes1D(points)
 
 
 def _gap_roots(chosen: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -204,11 +192,6 @@ class UnisolventGrid:
     @property
     def dim(self) -> int:
         return self.index_set.dim
-
-    @property
-    def node_family(self) -> str:
-        families = {ax.family for ax in self.axes}
-        return families.pop() if len(families) == 1 else "custom"
 
     @cached_property
     def node_coordinates(self) -> np.ndarray:
@@ -317,10 +300,7 @@ def build_grid(index_set: MultiIndexSet, axes) -> UnisolventGrid:
     grid nodes distinct, and since every index set is downward closed, the
     resulting grid is unisolvent for the polynomial space spanned by ``A``.
     """
-    axes = tuple(
-        ax if isinstance(ax, Nodes1D) else Nodes1D(np.asarray(ax, dtype=np.float64))
-        for ax in axes
-    )
+    axes = tuple(ax if isinstance(ax, Nodes1D) else Nodes1D(ax) for ax in axes)
     return UnisolventGrid(index_set=index_set, axes=axes)
 
 
@@ -331,14 +311,13 @@ def axes_for(index_set: MultiIndexSet, family: str) -> tuple[Nodes1D, ...]:
     (Leja points of the interval).  Axes of equal length are built once and
     shared.
     """
-    if family not in GRID_FAMILIES:
-        raise ValueError(f"unknown grid family {family!r} (expected 'lcl' or 'leja')")
-    made = {}
-    for n_i in index_set.tops:
-        if n_i in made:
-            continue
-        if family == "lcl":
-            made[n_i] = leja_order(chebyshev_lobatto(n_i))
-        else:
-            made[n_i] = leja_points(n_i)
+    _check_grid_family(family)
+    build = leja_points if family == "leja" else lambda n: leja_order(chebyshev_lobatto(n))
+    made = {n_i: build(n_i) for n_i in dict.fromkeys(index_set.tops)}
     return tuple(made[n_i] for n_i in index_set.tops)
+
+
+def _check_grid_family(family) -> None:
+    """``ValueError`` unless ``family`` is one of :data:`GRID_FAMILIES`."""
+    if family not in GRID_FAMILIES:
+        raise ValueError(f"unknown grid family {family!r}; expected {' or '.join(GRID_FAMILIES)}")

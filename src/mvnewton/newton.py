@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import NODE_FAMILIES, Nodes1D, UnisolventGrid, _read_table, _table_text, build_grid
+from .grid import UnisolventGrid, _read_table, _table_text, build_grid
 from .multi_index import AxisLines, BasisPlan, MultiIndexSet, _integral, _lp_table
 
 __all__ = [
@@ -579,17 +579,16 @@ _BUNDLE_FILES = ("header.json", "grid.csv", "coefficients.csv")
 
 
 def save_bundle(poly: NewtonPolynomial, directory) -> None:
-    """Write ``header.json``: ``{m, num_coeffs, node_family, provenance,
-    axes}``, with every point of every axis as a JSON number (the shortest
-    repr that round-trips); ``coefficients.csv``: ``a1..am, c`` in canonical
-    order; and ``grid.csv``, the node table, for reference only."""
+    """Write ``header.json``: ``{m, num_coeffs, provenance, axes}``, with
+    every point of every axis as a JSON number (the shortest repr that
+    round-trips); ``coefficients.csv``: ``a1..am, c`` in canonical order;
+    and ``grid.csv``, the node table, for reference only."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     grid = poly.grid
     header = {
         "m": grid.dim,
         "num_coeffs": len(grid),
-        "node_family": grid.node_family,
         "provenance": _provenance_json(grid.index_set.provenance),
         "axes": [axis.points.tolist() for axis in grid.axes],
     }
@@ -636,12 +635,10 @@ def load_bundle(directory) -> NewtonPolynomial:
         raise ValueError(f"{table} does not list its indices in canonical order")
     if tag is not None and index_set.provenance is None:
         raise ValueError(f"{path}: provenance {tag!r} does not give the indices of {table}")
-    family = header.get("node_family")
     try:
-        axes = [Nodes1D(axis, family if family in NODE_FAMILIES else "custom") for axis in axes]
-    except OverflowError:  # an integer beyond the float range
+        return NewtonPolynomial(build_grid(index_set, axes), rows[:, m])
+    except OverflowError:  # an integer axis point beyond the float range
         raise ValueError(f"{path}: an axis point is out of range") from None
-    return NewtonPolynomial(build_grid(index_set, axes), rows[:, m])
 
 
 def _provenance_of(tag, exponents: np.ndarray) -> tuple | None:

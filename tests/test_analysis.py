@@ -528,7 +528,7 @@ def test_convergence_validation():
     f = make_benchmark("runge", 2, r=1, s=1)
     with pytest.raises(ValueError):
         convergence_run(f, 2, "lcl", [4, 4], num_samples=10, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown grid family 'nope'; expected lcl or leja$"):
         convergence_run(f, 2, "nope", [1, 2], num_samples=10, seed=0)
     with pytest.raises(ValueError):
         convergence_run(f, 2, "lcl", [1, 2], num_samples=10, seed=0, deriv_order=(3, 0))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mvnewton import cli, multi_index
 from mvnewton.cli import main, parse_degrees, parse_p
-from mvnewton.grid import Nodes1D, build_grid
+from mvnewton.grid import Nodes1D, build_grid, chebyshev_lobatto, leja_order
 from mvnewton.multi_index import make_lp_set
 from mvnewton.newton import NewtonPolynomial, interpolate, save_bundle
 
@@ -73,7 +73,9 @@ def test_interpolate_and_eval_round_trip(tmp_path):
     assert (bundle / "header.json").exists()
     header = json.loads((bundle / "header.json").read_text())
     assert header["m"] == 2
-    assert header["node_family"] == "leja_ordered_chebyshev_lobatto"
+    # the header carries the points of each axis, and no family tag
+    assert set(header) == {"m", "num_coeffs", "provenance", "axes"}
+    assert header["axes"] == [leja_order(chebyshev_lobatto(10)).points.tolist()] * 2
 
     # re-evaluation at the grid nodes reproduces the samples
     grid_lines = (bundle / "grid.csv").read_text().splitlines()[1:]
@@ -325,6 +327,17 @@ def test_a_failing_writer_publishes_nothing_and_leaves_nothing_behind(tmp_path):
     with pytest.raises(ValueError, match="outputs must share one directory"):
         cli._publish({tmp_path / "a.txt": cli._text("a"), tmp_path / "sub" / "b.txt": fail})
     assert sorted(os.listdir(tmp_path)) == ["b.txt"]
+
+
+def test_a_failed_output_removes_only_the_directories_made_for_it(tmp_path, capsys):
+    (tmp_path / "kept").mkdir()  # empty, and there before the run
+    out = tmp_path / "kept" / "new" / "sub" / ("x" * 300)  # a name too long to make
+    assert run(["nodes", "-m", 1, "-n", 2, "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["kept"] and os.listdir(tmp_path / "kept") == []
+    # a run that succeeds keeps the directories it made
+    assert run(["nodes", "-m", 1, "-n", 2, "--out", tmp_path / "kept" / "a" / "b" / "g.csv"]) == 0
+    assert os.listdir(tmp_path / "kept" / "a" / "b") == ["g.csv"]
 
 
 @pytest.mark.parametrize("command", [

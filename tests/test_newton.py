@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 import math
 import sys
@@ -801,7 +802,6 @@ def test_bundle_round_trip(seed):
     assert len(back.grid.axes) == dim
     for ours, theirs in zip(back.grid.axes, grid.axes):
         assert np.array_equal(ours.points.view(np.int64), theirs.points.view(np.int64))
-        assert ours.family == theirs.family
 
 
 @pytest.mark.parametrize("m, n, p", [(2, 3, 1), (3, 5, 2), (2, 4, math.inf), (3, 6, 0.5)])
@@ -826,7 +826,7 @@ def test_bundle_files_pin_the_on_disk_format(tmp_path):
     poly = NewtonPolynomial(grid, [1.0, 0.1, -2.5, 1.0 / 3.0, -0.0, 5e-324])
     save_bundle(poly, tmp_path)
     assert (tmp_path / "header.json").read_bytes() == (
-        b'{\n  "m": 2,\n  "num_coeffs": 6,\n  "node_family": "custom",\n'
+        b'{\n  "m": 2,\n  "num_coeffs": 6,\n'
         b'  "provenance": {\n    "m": 2,\n    "n": 2,\n    "p": 1\n  },\n'
         b'  "axes": [\n    [\n      1.0,\n      -1.0,\n      0.1\n    ],\n'
         b'    [\n      -0.3333333333333333,\n      1.0,\n      0.0\n    ]\n  ]\n}\n'
@@ -849,6 +849,35 @@ def test_bundle_files_pin_the_on_disk_format(tmp_path):
         b"1,1,-0\r\n"
         b"0,2,4.9406564584124654e-324\r\n"
     )
+
+
+def test_bundle_depends_only_on_the_points_of_its_axes(tmp_path):
+    index_set = make_lp_set(2, 4, 2)
+    built = axes_for(index_set, "lcl")
+    plain = [Nodes1D(axis.points.tolist()) for axis in built]
+    for name, axes in (("built", built), ("plain", plain)):
+        save_bundle(interpolate(lambda x: np.exp(x[:, 0] - x[:, 1] ** 2),
+                                build_grid(index_set, axes)), tmp_path / name)
+    for name in ("header.json", "coefficients.csv", "grid.csv"):
+        assert (tmp_path / "built" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("family", ["leja_ordered_chebyshev_lobatto", "custom", 7, None])
+def test_load_bundle_ignores_an_older_headers_node_family(tmp_path, family):
+    index_set = make_lp_set(3, 3, 1)
+    poly = NewtonPolynomial(build_grid(index_set, axes_for(index_set, "lcl")),
+                            np.random.default_rng(5).standard_normal(len(index_set)))
+    save_bundle(poly, tmp_path)
+    header = json.loads((tmp_path / "header.json").read_text())
+    older = {"m": header["m"], "num_coeffs": header["num_coeffs"], "node_family": family,
+             "provenance": header["provenance"], "axes": header["axes"]}
+    (tmp_path / "header.json").write_text(json.dumps(older, indent=2) + "\n")
+    back = load_bundle(tmp_path)
+    assert back.grid.index_set == index_set
+    assert back.grid.index_set.provenance == index_set.provenance
+    assert np.array_equal(back.coeffs.view(np.int64), poly.coeffs.view(np.int64))
+    for ours, theirs in zip(back.grid.axes, poly.grid.axes):
+        assert np.array_equal(ours.points.view(np.int64), theirs.points.view(np.int64))
 
 
 def test_load_bundle_rejects_a_level_far_beyond_the_rows(tmp_path):
