@@ -305,7 +305,7 @@ def lebesgue_estimate(
         points = np.linspace(-1.0, 1.0, num_samples)[:, None]
     else:
         points = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(num_samples, m))
-    orders = _lp_table(m, k, 1)[0]
+    orders = _lp_table(m, k, 1)
 
     best = 0.0
     step = max(1, _newton._LEBESGUE_BUDGET // size)

@@ -140,7 +140,12 @@ def _publish(outputs: dict) -> None:
         with tempfile.TemporaryDirectory(dir=parent) as tmp:
             made = {target: os.path.join(tmp, os.path.basename(target)) for target in writers}
             for target, write in writers.items():
-                write(made[target])
+                try:
+                    write(made[target])
+                except OSError as exc:  # name the target, not its stand-in in ``tmp``
+                    if str(exc.filename).startswith(made[target]):
+                        exc.filename = target + exc.filename[len(made[target]):]
+                    raise
             old_dirs = [t for t in made if os.path.isdir(t) and not os.path.islink(t)]
             for target in old_dirs:
                 if not os.path.isdir(made[target]) or set(os.listdir(target)) - set(_BUNDLE_FILES):
@@ -280,7 +285,7 @@ def cmd_lebesgue(args) -> int:
     for p in args.p:
         for n in args.degrees:
             # a row above the cap is skipped before any set is built
-            exponents, provenance = _lp_table(args.dim, n, p)
+            exponents = _lp_table(args.dim, n, p)
             if len(exponents) > args.cap:
                 print(
                     f"warning: skipping m={args.dim} p={_p_label(p)} n={n}: "
@@ -288,7 +293,7 @@ def cmd_lebesgue(args) -> int:
                     file=sys.stderr,
                 )
                 continue
-            index_set = MultiIndexSet(exponents, provenance)
+            index_set = MultiIndexSet(exponents)
             lam = lebesgue_estimate(
                 _grid_for(args, index_set),
                 num_samples=args.samples,

@@ -88,8 +88,6 @@ class MultiIndexSet:
         Non-negative integer exponent vectors (integral floats are
         accepted); duplicates are rejected.  Rows are sorted into canonical
         order on construction.
-    provenance : tuple, optional
-        ``(m, n, p)`` tag attached by :func:`make_lp_set`.
 
     Construction raises ``ValueError("the index set is not downward
     closed")`` unless every member's componentwise-smaller neighbours are
@@ -101,9 +99,9 @@ class MultiIndexSet:
     concurrent reads.
     """
 
-    __slots__ = ("dim", "exponents", "provenance", "layout", "tops", "_keys")
+    __slots__ = ("dim", "exponents", "layout", "tops", "_keys")
 
-    def __init__(self, exponents, provenance: tuple | None = None):
+    def __init__(self, exponents):
         arr = np.asarray(exponents)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array of exponents, got ndim={arr.ndim}")
@@ -125,7 +123,6 @@ class MultiIndexSet:
         layout = _build_layout(arr)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "exponents", arr)
-        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "tops", tuple(len(lines.reach) - 1 for lines in layout.lines))
         object.__setattr__(self, "_keys", _sort_keys(arr))
@@ -163,8 +160,7 @@ class MultiIndexSet:
         return hash((self.dim, self.exponents.tobytes()))
 
     def __repr__(self) -> str:
-        tag = f", provenance={self.provenance}" if self.provenance else ""
-        return f"MultiIndexSet(dim={self.dim}, size={len(self)}{tag})"
+        return f"MultiIndexSet(dim={self.dim}, size={len(self)})"
 
     # -- positional lookup ------------------------------------------------
 
@@ -203,13 +199,13 @@ def make_lp_set(m: int, n: int, p) -> MultiIndexSet:
     it runs in floating point with an inclusion slack of
     ``GENERAL_P_TOLERANCE`` on the budget so borderline indices are kept.
     """
-    exponents, provenance = _lp_table(m, n, p)
-    return MultiIndexSet(exponents, provenance)
+    return MultiIndexSet(_lp_table(m, n, p))
 
 
-def _lp_table(m: int, n: int, p, limit: float = math.inf) -> tuple[np.ndarray, tuple]:
-    """The canonical exponent table of :func:`make_lp_set`'s set and its
-    ``(m, n, p)`` tag, built without the set; ``ValueError`` past ``limit`` rows."""
+def _lp_table(m: int, n: int, p) -> np.ndarray:
+    """The canonical exponent table of :func:`make_lp_set`'s set, built
+    without the set; ``ValueError`` where the budget ``n**p`` leaves int64
+    (``p`` in ``{1, 2}``) or the float range (other finite ``p``)."""
     m, n = _checked_int(m, "dimension m", 1), _checked_int(n, "degree n", 0)
     if isinstance(p, bool) or not isinstance(p, numbers.Real):  # float("2") would pass a string
         raise ValueError(f"degree selector p must be a number, got {p!r}")
@@ -221,17 +217,18 @@ def _lp_table(m: int, n: int, p, limit: float = math.inf) -> tuple[np.ndarray, t
 
     # One membership rule for every p (see make_lp_set): a row may append
     # ``a`` iff ``powers[a] = a**p`` is at most its residual, the budget
-    # ``n**p`` less the powers it holds.  The residual comes first, so an
-    # ``n**2`` past int64 raises OverflowError, and the limit check before
-    # the table, as every axis of the ball holds all of 0..n.
-    if p_exact == math.inf:
-        residual = np.zeros(1, dtype=np.int64)
-    elif p_exact in (1, 2):
-        residual = np.array([n**p_exact], dtype=np.int64)
-    else:
-        residual = np.array([float(n) ** p_exact + GENERAL_P_TOLERANCE])
-    if n + 1 > limit:
-        raise ValueError(f"the l_p set has more than {limit} indices")
+    # ``n**p`` less the powers it holds.  The residual comes first, so a
+    # budget past int64 (an ``n**2`` overflowing) or past the float range is
+    # refused before the table of n + 1 powers exists.
+    try:
+        if p_exact == math.inf:
+            residual = np.zeros(1, dtype=np.int64)
+        elif p_exact in (1, 2):
+            residual = np.array([n**p_exact], dtype=np.int64)
+        else:
+            residual = np.array([float(n) ** p_exact + GENERAL_P_TOLERANCE])
+    except OverflowError:
+        raise ValueError(f"degree n={n} is too large for p={p_exact}: n**p overflows") from None
     values = np.arange(n + 1, dtype=residual.dtype)
     powers = np.zeros_like(values) if p_exact == math.inf else np.power(values, p_exact)
 
@@ -241,15 +238,13 @@ def _lp_table(m: int, n: int, p, limit: float = math.inf) -> tuple[np.ndarray, t
     for _ in range(m):
         counts = np.searchsorted(powers, residual, side="right")
         total = int(counts.sum())
-        if total > limit:  # a projection of the set is no larger than the set
-            raise ValueError(f"the l_p set has more than {limit} indices")
         rep = np.repeat(np.arange(block.shape[0]), counts)
         offsets = np.cumsum(counts) - counts
         new_col = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
         block = np.column_stack([block[rep], new_col])
         residual = residual[rep] - powers[new_col]
 
-    return block[:, ::-1], (m, n, p_exact)  # columns were built last-to-first
+    return block[:, ::-1]  # columns were built last-to-first
 
 
 class AxisLines(NamedTuple):

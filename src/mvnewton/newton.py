@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import UnisolventGrid, _read_table, _table_text, build_grid
-from .multi_index import AxisLines, BasisPlan, MultiIndexSet, _integral, _lp_table
+from .multi_index import AxisLines, BasisPlan, MultiIndexSet, _integral
 
 __all__ = [
     "NewtonPolynomial",
@@ -579,7 +579,7 @@ _BUNDLE_FILES = ("header.json", "grid.csv", "coefficients.csv")
 
 
 def save_bundle(poly: NewtonPolynomial, directory) -> None:
-    """Write ``header.json``: ``{m, num_coeffs, provenance, axes}``, with
+    """Write ``header.json``: ``{m, num_coeffs, axes}``, with
     every point of every axis as a JSON number (the shortest repr that
     round-trips); ``coefficients.csv``: ``a1..am, c`` in canonical order;
     and ``grid.csv``, the node table, for reference only."""
@@ -589,7 +589,6 @@ def save_bundle(poly: NewtonPolynomial, directory) -> None:
     header = {
         "m": grid.dim,
         "num_coeffs": len(grid),
-        "provenance": _provenance_json(grid.index_set.provenance),
         "axes": [axis.points.tolist() for axis in grid.axes],
     }
     names, columns = grid._table()
@@ -604,8 +603,9 @@ def load_bundle(directory) -> NewtonPolynomial:
     """Read a :func:`save_bundle` directory from ``header.json`` and
     ``coefficients.csv``; ``grid.csv`` is not read.  ``ValueError`` for a
     v1 bundle (no ``axes``), counts that are not JSON integers or disagree
-    with the axes and the table, rows out of canonical order or not of the
-    ``provenance`` set, and axes that are malformed or too short."""
+    with the axes and the table, rows out of canonical order, and axes that
+    are malformed or too short.  An older header's ``provenance`` and
+    ``node_family`` are ignored, whatever they hold."""
     directory = Path(directory)
     path, _, table = (directory / name for name in _BUNDLE_FILES)
     with open(path) as fh:
@@ -629,31 +629,10 @@ def load_bundle(directory) -> NewtonPolynomial:
             f"{table} has {rows.shape[1] - 1} exponent columns and {len(rows)} rows"
         )
     exponents = _integral(rows[:, :m])
-    tag = header.get("provenance")
-    index_set = MultiIndexSet(exponents, _provenance_of(tag, exponents))
+    index_set = MultiIndexSet(exponents)
     if not np.array_equal(index_set.exponents, exponents):
         raise ValueError(f"{table} does not list its indices in canonical order")
-    if tag is not None and index_set.provenance is None:
-        raise ValueError(f"{path}: provenance {tag!r} does not give the indices of {table}")
     try:
         return NewtonPolynomial(build_grid(index_set, axes), rows[:, m])
     except OverflowError:  # an integer axis point beyond the float range
         raise ValueError(f"{path}: an axis point is out of range") from None
-
-
-def _provenance_of(tag, exponents: np.ndarray) -> tuple | None:
-    """The ``(m, n, p)`` tag of a header's ``provenance`` if its ``l_p`` set
-    has exactly the rows ``exponents``, in order; otherwise ``None``."""
-    try:  # the header writes p = inf as "inf"
-        p = float("inf") if tag["p"] == "inf" else tag["p"]
-        built, provenance = _lp_table(tag["m"], tag["n"], p, limit=len(exponents))
-    except (TypeError, KeyError, ValueError, OverflowError):  # None or not an l_p tag
-        return None
-    return provenance if np.array_equal(built, exponents) else None
-
-
-def _provenance_json(tag):
-    if tag is None:
-        return None
-    m, n, p = tag
-    return {"m": int(m), "n": int(n), "p": "inf" if p == float("inf") else p}

@@ -17,7 +17,7 @@ from mvnewton import cli, multi_index
 from mvnewton.cli import main, parse_degrees, parse_p
 from mvnewton.grid import Nodes1D, build_grid, chebyshev_lobatto, leja_order
 from mvnewton.multi_index import make_lp_set
-from mvnewton.newton import NewtonPolynomial, interpolate, save_bundle
+from mvnewton.newton import NewtonPolynomial, interpolate, load_bundle, save_bundle
 
 
 def run(argv):
@@ -73,8 +73,8 @@ def test_interpolate_and_eval_round_trip(tmp_path):
     assert (bundle / "header.json").exists()
     header = json.loads((bundle / "header.json").read_text())
     assert header["m"] == 2
-    # the header carries the points of each axis, and no family tag
-    assert set(header) == {"m", "num_coeffs", "provenance", "axes"}
+    # the header carries the points of each axis, and no family or set tag
+    assert set(header) == {"m", "num_coeffs", "axes"}
     assert header["axes"] == [leja_order(chebyshev_lobatto(10)).points.tolist()] * 2
 
     # re-evaluation at the grid nodes reproduces the samples
@@ -166,25 +166,31 @@ def test_eval_rejects_header_contradicting_coefficients(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "provenance",
-    [{"m": 2, "n": 3, "p": 2}, {"m": 2, "n": 2, "p": "inf"}, {"m": 3, "n": 2, "p": 1},
-     {"m": 2, "n": 10**6, "p": 1}, {"m": 2, "n": 2}, [2, 2, 1], "l1"],
-    ids=["n", "p", "m", "huge n", "no p", "a list", "a string"],
+    [{"m": 2, "n": 2, "p": 1}, {"m": 2, "n": 3, "p": 2}, {"m": 2, "n": 2, "p": "inf"},
+     {"m": 3, "n": 2, "p": 1}, {"m": 2, "n": 10**6, "p": 1}, {"m": 2, "n": 2}, [2, 2, 1], "l1",
+     None],
+    ids=["its own", "n", "p", "m", "huge n", "no p", "a list", "a string", "null"],
 )
-def test_eval_rejects_a_provenance_contradicting_the_indices(tmp_path, capsys, provenance):
-    _xy_bundle(tmp_path / "b")  # the l_1 ball of degree 2
-    header_file = tmp_path / "b" / "header.json"
-    header = json.loads(header_file.read_text())
-    assert header["provenance"] == {"m": 2, "n": 2, "p": 1}
+def test_load_bundle_ignores_an_older_headers_provenance(tmp_path, capsys, provenance):
+    poly = _xy_bundle(tmp_path / "new")  # the l_1 ball of degree 2
+    header = json.loads((tmp_path / "new" / "header.json").read_text())
+    older = {"m": header["m"], "num_coeffs": header["num_coeffs"], "provenance": provenance,
+             "axes": header["axes"]}
+    _xy_bundle(tmp_path / "b")
+    (tmp_path / "b" / "header.json").write_text(json.dumps(older, indent=2) + "\n")
+    back = load_bundle(tmp_path / "b")
+    assert np.array_equal(back.grid.index_set.exponents, poly.grid.index_set.exponents)
+    assert np.array_equal(back.coeffs.view(np.int64), poly.coeffs.view(np.int64))
+    for ours, theirs in zip(back.grid.axes, poly.grid.axes):
+        assert np.array_equal(ours.points.view(np.int64), theirs.points.view(np.int64))
     pts = tmp_path / "pts.csv"
     pts.write_text("0.5,-0.25\n")
     out = tmp_path / "v.csv"
-    argv = ["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]
-    header_file.write_text(json.dumps({**header, "provenance": provenance}))
-    assert run(argv) == 2
-    assert not out.exists()
-    assert "provenance" in capsys.readouterr().err
-    header_file.write_text(json.dumps({**header, "provenance": None}))  # untagged is fine
-    assert run(argv) == 0
+    assert run(["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]) == 0
+    # saved again, the bundle is the one written today, with no provenance
+    save_bundle(back, tmp_path / "again")
+    for name in ("header.json", "coefficients.csv", "grid.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -338,6 +344,25 @@ def test_a_failed_output_removes_only_the_directories_made_for_it(tmp_path, caps
     # a run that succeeds keeps the directories it made
     assert run(["nodes", "-m", 1, "-n", 2, "--out", tmp_path / "kept" / "a" / "b" / "g.csv"]) == 0
     assert os.listdir(tmp_path / "kept" / "a" / "b") == ["g.csv"]
+
+
+@pytest.mark.parametrize("n, p", [(2**62, "2"), (2**63, "1")])
+def test_a_degree_whose_budget_overflows_is_a_usage_error(tmp_path, capsys, n, p):
+    assert run(["nodes", "-m", 1, "-n", n, "-p", p, "--out", tmp_path / "g.csv"]) == 2
+    assert capsys.readouterr().err == f"error: degree n={n} is too large for p={p}: n**p overflows\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["nodes", "-m", 1, "-n", 2],
+    ["interpolate", "-m", 1, "-n", 2, "--function", "runge"],  # a bundle directory
+])
+def test_a_failed_output_is_named_by_its_target(tmp_path, capsys, command):
+    out = tmp_path / "new" / ("x" * 300)  # a name too long to make
+    assert run(command + ["--out", out]) == 2
+    # the path asked for, not its stand-in in the temporary directory
+    assert capsys.readouterr().err.endswith(f": '{out}'\n")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command", [
@@ -559,7 +584,9 @@ def test_json_format_output(tmp_path):
 def _xy_bundle(path):
     a = make_lp_set(2, 2, 1)
     grid = build_grid(a, [Nodes1D(np.array([1.0, -1.0, 0.5]))] * 2)
-    save_bundle(interpolate(lambda p: p[:, 0] * p[:, 1], grid), path)
+    poly = interpolate(lambda p: p[:, 0] * p[:, 1], grid)
+    save_bundle(poly, path)
+    return poly
 
 
 def test_eval_rejects_header_that_is_not_an_object(tmp_path, capsys):

@@ -103,7 +103,7 @@ def test_benchmark_eval_is_pinned_bitwise(case):
     kind, dim, params = CASES[case]
     f = make_benchmark(kind, dim, **params)
     pts = np.array(POINTS)[:, :dim]
-    orders = [tuple(order) for order in _lp_table(dim, 2, 1)[0].tolist()]
+    orders = [tuple(order) for order in _lp_table(dim, 2, 1).tolist()]
     assert [order for order in orders if f.supports_order(order)] == list(VALUES[case])
     for order in orders:
         if order in VALUES[case]:

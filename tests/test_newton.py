@@ -288,7 +288,7 @@ def test_fold_split_rule():
         for n in range(1, 11):
             # the balls grow with n, so the first one past the size limit
             # ends the degrees of (m, p)
-            if len(multi_index._lp_table(m, n, p)[0]) > 20_000:
+            if len(multi_index._lp_table(m, n, p)) > 20_000:
                 break
             assert split(m, n, p) == -(-m // 2), (m, n, p)
 
@@ -805,19 +805,13 @@ def test_bundle_round_trip(seed):
 
 
 @pytest.mark.parametrize("m, n, p", [(2, 3, 1), (3, 5, 2), (2, 4, math.inf), (3, 6, 0.5)])
-def test_bundle_keeps_its_provenance_through_load_and_save(tmp_path, m, n, p):
+def test_bundle_saves_the_same_bytes_after_a_load(tmp_path, m, n, p):
     index_set = make_lp_set(m, n, p)
     grid = build_grid(index_set, axes_for(index_set, "leja"))
     save_bundle(NewtonPolynomial(grid, np.arange(len(grid), dtype=float)), tmp_path / "a")
-    back = load_bundle(tmp_path / "a")
-    assert back.grid.index_set.provenance == index_set.provenance
-    save_bundle(back, tmp_path / "b")
+    save_bundle(load_bundle(tmp_path / "a"), tmp_path / "b")
     for name in ("header.json", "coefficients.csv", "grid.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    # a set without a tag keeps none
-    untagged = MultiIndexSet(index_set.exponents)
-    save_bundle(NewtonPolynomial(build_grid(untagged, grid.axes), back.coeffs), tmp_path / "c")
-    assert load_bundle(tmp_path / "c").grid.index_set.provenance is None
 
 
 def test_bundle_files_pin_the_on_disk_format(tmp_path):
@@ -827,7 +821,6 @@ def test_bundle_files_pin_the_on_disk_format(tmp_path):
     save_bundle(poly, tmp_path)
     assert (tmp_path / "header.json").read_bytes() == (
         b'{\n  "m": 2,\n  "num_coeffs": 6,\n'
-        b'  "provenance": {\n    "m": 2,\n    "n": 2,\n    "p": 1\n  },\n'
         b'  "axes": [\n    [\n      1.0,\n      -1.0,\n      0.1\n    ],\n'
         b'    [\n      -0.3333333333333333,\n      1.0,\n      0.0\n    ]\n  ]\n}\n'
     )
@@ -870,11 +863,10 @@ def test_load_bundle_ignores_an_older_headers_node_family(tmp_path, family):
     save_bundle(poly, tmp_path)
     header = json.loads((tmp_path / "header.json").read_text())
     older = {"m": header["m"], "num_coeffs": header["num_coeffs"], "node_family": family,
-             "provenance": header["provenance"], "axes": header["axes"]}
+             "provenance": {"m": 3, "n": 3, "p": 1}, "axes": header["axes"]}
     (tmp_path / "header.json").write_text(json.dumps(older, indent=2) + "\n")
     back = load_bundle(tmp_path)
     assert back.grid.index_set == index_set
-    assert back.grid.index_set.provenance == index_set.provenance
     assert np.array_equal(back.coeffs.view(np.int64), poly.coeffs.view(np.int64))
     for ours, theirs in zip(back.grid.axes, poly.grid.axes):
         assert np.array_equal(ours.points.view(np.int64), theirs.points.view(np.int64))
