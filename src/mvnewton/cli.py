@@ -36,7 +36,6 @@ from .grid import GRID_FAMILIES, _Gathered, _read_table, _table_text, axes_for, 
 from .multi_index import MultiIndexSet, _lp_table, make_lp_set
 from .newton import (
     _BUNDLE_FILES,
-    DegenerateNodesError,
     LagrangeCoefficients,
     divided_differences,
     eval_derivative,
@@ -90,12 +89,15 @@ def parse_degrees(text: str) -> list[int]:
                 raise ValueError
             if step < 1 or hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1, step))
-        degrees = [int(v) for v in text.split(",") if v.strip()]
+            degrees = list(range(lo, hi + 1, step))
+        else:
+            degrees = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ArgumentTypeError(f"cannot parse degree range {text!r}") from None
     if not degrees:
         raise ArgumentTypeError("empty degree list")
+    if min(degrees) < 0:
+        raise ArgumentTypeError(f"degrees must be non-negative, got {min(degrees)}")
     return degrees
 
 
@@ -359,13 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_nodes = sub.add_parser("nodes", help="generate an interpolation grid")
     _add_space_args(p_nodes)
-    p_nodes.add_argument("-n", "--degree", type=int, required=True)
+    p_nodes.add_argument("-n", "--degree", type=_non_negative_int, required=True)
     _add_output_args(p_nodes, formats=True)
     p_nodes.set_defaults(func=cmd_nodes)
 
     p_int = sub.add_parser("interpolate", help="interpolate samples or a builtin")
     _add_space_args(p_int)
-    p_int.add_argument("-n", "--degree", type=int, required=True)
+    p_int.add_argument("-n", "--degree", type=_non_negative_int, required=True)
     _add_function_args(p_int)
     p_int.add_argument("--values", help="file with one sample per line, grid order")
     _add_output_args(p_int)
@@ -419,7 +421,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # LinAlgError subclasses ValueError, so this branch must come first
-    except (DegenerateNodesError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:

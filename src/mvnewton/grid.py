@@ -31,10 +31,15 @@ __all__ = [
 # What ``axes_for`` builds: Leja-ordered Chebyshev-Lobatto or Leja points.
 GRID_FAMILIES = ("lcl", "leja")
 
+# Divided differences divide by differences of axis points; two points
+# closer than this are a degenerate (effectively repeated) pair.
+MIN_NODE_SEPARATION = 1e-14
+
 
 @dataclass(frozen=True, eq=False)
 class Nodes1D:
-    """An ordered tuple of pairwise-distinct points in ``[-1, 1]``."""
+    """Ordered points in ``[-1, 1]``, pairwise at least ``MIN_NODE_SEPARATION``
+    apart, so no divided-difference divisor along the axis is smaller."""
 
     points: np.ndarray
 
@@ -44,8 +49,8 @@ class Nodes1D:
             raise ValueError("nodes must be a non-empty 1-d sequence")
         if not np.isfinite(pts).all() or np.abs(pts).max() > 1.0:
             raise ValueError("nodes must lie within [-1, 1]")
-        if len(np.unique(pts)) != pts.size:
-            raise ValueError("nodes must be pairwise distinct")
+        if (np.diff(np.sort(pts)) < MIN_NODE_SEPARATION).any():
+            raise ValueError(f"nodes must be pairwise at least {MIN_NODE_SEPARATION:g} apart")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -68,46 +73,27 @@ def chebyshev_lobatto(n: int) -> Nodes1D:
     return Nodes1D(pts)
 
 
-def _leja_greedy_order(pts: np.ndarray) -> np.ndarray:
-    """Greedy Leja permutation of ``pts``; ties go to the larger value."""
-    count = pts.size
-    chosen = np.empty(count, dtype=np.int64)
-    remaining = np.ones(count, dtype=bool)
-
-    absvals = np.abs(pts)
-    ties = absvals == absvals.max()
-    first = int(np.flatnonzero(ties)[np.argmax(pts[ties])])
-    chosen[0] = first
-    remaining[first] = False
-
-    # Running sum of log-distances to everything chosen so far; logs keep
-    # long products from overflowing and leave ties between symmetric
-    # candidates exact (identical summands in identical order).
-    logdist = np.full(count, -np.inf)
-    with np.errstate(divide="ignore"):
-        logdist[remaining] = np.log(np.abs(pts[remaining] - pts[first]))
-    for step in range(1, count):
-        best = logdist[remaining].max()
-        ties = remaining & (logdist == best)
-        pick = int(np.flatnonzero(ties)[np.argmax(pts[ties])])
-        chosen[step] = pick
-        remaining[pick] = False
-        logdist[pick] = -np.inf
-        if step < count - 1:
-            with np.errstate(divide="ignore"):
-                logdist[remaining] += np.log(np.abs(pts[remaining] - pts[pick]))
-    return chosen
-
-
 def leja_order(nodes) -> Nodes1D:
     """Reorder ``nodes`` greedily: ``|p_0|`` maximal, then each ``p_l``
     maximizing ``prod_{j<l} |p_l - p_j|`` over the remaining candidates.
 
-    The output is a permutation of the input; applying it twice is a no-op.
-    Raw input is checked as :class:`Nodes1D` checks it.
+    The products are compared as sums of ``log|p - p_j|``, each added in the
+    order the ``p_j`` were chosen, so symmetric candidates tie exactly; a tie
+    goes to the larger value.  A chosen point's sum holds ``log 0 = -inf``
+    from then on, so one score array covers every step.  The output is a
+    permutation of the input; applying it twice is a no-op.  Raw input is
+    checked as :class:`Nodes1D` checks it.
     """
     pts = (nodes if isinstance(nodes, Nodes1D) else Nodes1D(nodes)).points
-    return Nodes1D(pts[_leja_greedy_order(pts)])
+    order = np.empty(pts.size, dtype=np.int64)
+    score, logsum = np.abs(pts), np.zeros(pts.size)
+    with np.errstate(divide="ignore"):
+        for step in range(pts.size):
+            ties = np.flatnonzero(score == score.max())
+            order[step] = pick = ties[np.argmax(pts[ties])]
+            logsum += np.log(np.abs(pts - pts[pick]))
+            score = logsum
+    return Nodes1D(pts[order])
 
 
 def leja_points(n: int) -> Nodes1D:
@@ -153,24 +139,23 @@ def leja_points(n: int) -> Nodes1D:
 
 def _gap_roots(chosen: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The root of ``g(x) = sum_j 1/(x - chosen_j)`` in each open gap
-    ``(lo, hi)`` between neighbouring chosen points, written over the guess
-    ``x`` inside it.  ``g`` falls from ``+inf`` to ``-inf`` across a gap, so
-    each evaluation narrows the gap to the side of its sign; the next guess
-    is the Newton step if it lands inside, else the midpoint.  A gap is done
-    when its Newton step no longer moves ``x`` or no float lies inside it,
-    so every gap ends after finitely many steps."""
-    live = np.arange(x.size)  # the gaps not done; lo and hi hold only theirs
-    while live.size:
-        xs = x[live]
-        inv = 1.0 / (xs[:, None] - chosen)
+    ``(lo, hi)`` between neighbouring chosen points, as a new array, from
+    the guesses ``x`` inside the gaps.  ``g`` falls from ``+inf`` to ``-inf``
+    across a gap, so each evaluation narrows the gap to the side of its
+    sign; the next guess is the Newton step if it lands inside, else the
+    midpoint.  A gap is done when its Newton step no longer moves ``x`` or
+    no float lies inside it; a done gap's step leaves ``x`` as it is, so
+    all gaps step until none moves, which takes finitely many steps."""
+    while True:
+        inv = 1.0 / (x[:, None] - chosen)
         g = inv.sum(axis=1)
-        lo, hi = np.where(g > 0, xs, lo), np.where(g < 0, xs, hi)
-        newton = xs + g / (inv * inv).sum(axis=1)
+        lo, hi = np.where(g > 0, x, lo), np.where(g < 0, x, hi)
+        newton = x + g / (inv * inv).sum(axis=1)
         nxt = np.where((lo < newton) & (newton < hi), newton, lo + (hi - lo) / 2)
-        go_on = (newton != xs) & (lo < nxt) & (nxt < hi)
-        x[live[go_on]] = nxt[go_on]
-        live, lo, hi = live[go_on], lo[go_on], hi[go_on]
-    return x
+        go_on = (newton != x) & (lo < nxt) & (nxt < hi)
+        if not go_on.any():
+            return x
+        x = np.where(go_on, nxt, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,10 +280,10 @@ def _is_number(field: str) -> bool:
 def build_grid(index_set: MultiIndexSet, axes) -> UnisolventGrid:
     """Assemble the node set ``{(p[a_1,1], ..., p[a_m,m]) : alpha in A}``.
 
-    Requires, per dimension ``i``, at least ``index_set.tops[i] + 1``
-    pairwise-distinct axis points.  Distinct axis points make all ``|A|``
-    grid nodes distinct, and since every index set is downward closed, the
-    resulting grid is unisolvent for the polynomial space spanned by ``A``.
+    Requires, per dimension ``i``, at least ``index_set.tops[i] + 1`` axis
+    points, checked as :class:`Nodes1D` checks them.  Distinct points make
+    all ``|A|`` grid nodes distinct, and since every index set is downward
+    closed, the grid is unisolvent for the polynomial space spanned by ``A``.
     """
     axes = tuple(ax if isinstance(ax, Nodes1D) else Nodes1D(ax) for ax in axes)
     return UnisolventGrid(index_set=index_set, axes=axes)

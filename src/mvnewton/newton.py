@@ -50,7 +50,6 @@ from .multi_index import AxisLines, BasisPlan, MultiIndexSet, _integral
 __all__ = [
     "NewtonPolynomial",
     "LagrangeCoefficients",
-    "DegenerateNodesError",
     "NonFiniteSampleError",
     "divided_differences",
     "interpolate",
@@ -66,10 +65,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
-
-# Divided differences divide by axis-point differences; anything below this
-# is treated as a degenerate (effectively duplicated) node pair.
-MIN_NODE_SEPARATION = 1e-14
 
 # Soft bound on the floats of the fold's scratch: points go in chunks whose
 # basis block (|P_j| x chunk), GEMM output (G_j x chunk) and axis tables
@@ -99,10 +94,6 @@ _CHUNK_BUDGET = 2_000_000
 # runs each (0.61-0.76 s), and ``cli``, whose peak lies elsewhere, at 73 MB
 # (2-core x86 machine, OpenBLAS with 2 threads).
 _LEBESGUE_BUDGET = 500_000
-
-
-class DegenerateNodesError(RuntimeError):
-    """Axis points too close for a stable divided-difference divisor."""
 
 
 class NonFiniteSampleError(ValueError):
@@ -151,7 +142,7 @@ class LagrangeCoefficients:
         object.__setattr__(self, "values", values)
 
 
-def _axis_sweep(lines: AxisLines, axis: int, points: np.ndarray, values, inverse):
+def _axis_sweep(lines: AxisLines, points: np.ndarray, values, inverse):
     """Triangular divided-difference sweep along one coordinate, in place.
 
     ``values`` may be ``(|A|,)`` or ``(|A|, k)``; the same passes apply to
@@ -174,14 +165,6 @@ def _axis_sweep(lines: AxisLines, axis: int, points: np.ndarray, values, inverse
     top = len(lines.reach) - 1
     if top == 0:
         return
-    if not inverse:
-        # The divisors used across all passes are exactly the pairwise
-        # differences of the first top+1 axis points, so one sorted-gap
-        # scan covers the degenerate-node guard for the whole sweep.
-        if np.diff(np.sort(points[: top + 1])).min() < MIN_NODE_SEPARATION:
-            raise DegenerateNodesError(
-                f"axis {axis + 1} has node separation below {MIN_NODE_SEPARATION}"
-            )
     flat = values.reshape(values.shape[0], -1)
     table = np.zeros(((top + 1) * lines.reach[0], flat.shape[1]))
     table[lines.cell] = flat
@@ -229,7 +212,7 @@ def _transform(grid: UnisolventGrid, values: np.ndarray, inverse: bool, what: st
     axis_order = range(grid.dim) if inverse else range(grid.dim - 1, -1, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         for axis in axis_order:
-            _axis_sweep(lines[axis], axis, grid.axes[axis].points, values, inverse)
+            _axis_sweep(lines[axis], grid.axes[axis].points, values, inverse)
     if not np.isfinite(values).all():
         # on [-1, 1] a Newton coefficient of index alpha grows roughly like
         # 2**|alpha|_1, so past |alpha|_1 ~ 1000 generic data leaves the

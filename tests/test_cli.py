@@ -39,6 +39,30 @@ def test_parse_degrees():
     assert parse_degrees("4:8") == [4, 5, 6, 7, 8]
     assert parse_degrees("4:10:2") == [4, 6, 8, 10]
     assert parse_degrees("3,5,9") == [3, 5, 9]
+    assert parse_degrees("0:2") == [0, 1, 2]
+    for text in ("4,-1", "-2:3", "-3:-1"):
+        with pytest.raises(argparse.ArgumentTypeError, match="^degrees must be non-negative"):
+            parse_degrees(text)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["lebesgue", "-m", 2, "--degrees", "4,-1"], "--degrees"),
+        (["lebesgue", "-m", 2, "--degrees=-2:3"], "--degrees"),
+        (["convergence", "-m", 1, "--function", "runge", "--degrees", "4,5,6,-1"], "--degrees"),
+        (["nodes", "-m", 2, "-n", -1], "-n/--degree"),
+        (["interpolate", "-m", 2, "-n", -1, "--function", "runge"], "-n/--degree"),
+    ],
+)
+def test_negative_degrees_are_refused_before_any_computation(tmp_path, capsys, argv, flag):
+    # lebesgue printed the row of degree 4 and only then failed on -1
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: " in captured.err and "must be non-negative" in captured.err
+    assert not out.exists()
 
 
 def test_nodes_writes_grid_csv(tmp_path, capsys):
@@ -601,18 +625,22 @@ def test_eval_rejects_header_that_is_not_an_object(tmp_path, capsys):
 
 
 def test_eval_rejects_header_axis_repeating_a_point(tmp_path, capsys):
-    _xy_bundle(tmp_path / "b")
-    header_file = tmp_path / "b" / "header.json"
-    header = json.loads(header_file.read_text())
-    assert header["axes"][1] == [1.0, -1.0, 0.5]
-    header["axes"][1][1] = 0.5
-    header_file.write_text(json.dumps(header))
+    # eval never runs the sweep, so the axis check is the only guard against a near repeat
     pts = tmp_path / "pts.csv"
     pts.write_text("0.5,-0.25\n")
-    out = tmp_path / "v.csv"
-    assert run(["eval", "--bundle", tmp_path / "b", "--points", pts, "--out", out]) == 2
-    assert not out.exists()
-    assert "pairwise distinct" in capsys.readouterr().err
+    for i, repeat in enumerate([0.5, 0.5 + 5e-15]):
+        _xy_bundle(tmp_path / f"b{i}")
+        header_file = tmp_path / f"b{i}" / "header.json"
+        header = json.loads(header_file.read_text())
+        assert header["axes"][1] == [1.0, -1.0, 0.5]
+        header["axes"][1][1] = repeat
+        header_file.write_text(json.dumps(header))
+        out = tmp_path / f"v{i}.csv"
+        assert run(["eval", "--bundle", tmp_path / f"b{i}", "--points", pts, "--out", out]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: nodes must be pairwise at least 1e-14 apart\n"
 
 
 def test_eval_names_a_v1_bundle_and_how_to_rewrite_it(tmp_path, capsys):

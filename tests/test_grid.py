@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from mvnewton.grid import (
     _table_text,
 )
 from mvnewton.multi_index import MultiIndexSet, make_lp_set
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mvnewton"
 
 
 def test_chebyshev_lobatto_small():
@@ -64,6 +68,57 @@ def test_leja_order_cl4_starts_with_extremes():
     assert ordered.points[1] == -1.0
     # cos(pi/4) and -cos(3pi/4) differ in the last bit, which breaks their tie
     assert np.array_equal(ordered.points, chebyshev_lobatto(4).points[[0, 4, 2, 3, 1]])
+
+
+def _leja_order_reference(pts: np.ndarray) -> np.ndarray:
+    """The greedy Leja order of ``pts`` with a mask of the points not yet
+    chosen and a separate first step: the largest ``|p|``, then each step
+    the largest sum of ``log|p - p_j|`` over the remaining points, summed in
+    the order the ``p_j`` were chosen; ties go to the larger value."""
+    count = pts.size
+    chosen = np.empty(count, dtype=np.int64)
+    remaining = np.ones(count, dtype=bool)
+    absvals = np.abs(pts)
+    ties = absvals == absvals.max()
+    first = int(np.flatnonzero(ties)[np.argmax(pts[ties])])
+    chosen[0] = first
+    remaining[first] = False
+    logdist = np.full(count, -np.inf)
+    logdist[remaining] = np.log(np.abs(pts[remaining] - pts[first]))
+    for step in range(1, count):
+        best = logdist[remaining].max()
+        ties = remaining & (logdist == best)
+        pick = int(np.flatnonzero(ties)[np.argmax(pts[ties])])
+        chosen[step] = pick
+        remaining[pick] = False
+        logdist[pick] = -np.inf
+        logdist[remaining] += np.log(np.abs(pts[remaining] - pts[pick]))
+    return pts[chosen]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_leja_order_matches_the_masked_reference_on_chebyshev_lobatto():
+    for n in range(301):
+        pts = chebyshev_lobatto(n).points
+        assert _same_bits(leja_order(pts).points, _leja_order_reference(pts)), n
+
+
+@given(
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+)
+def test_leja_order_matches_the_masked_reference_on_random_sets(n, seed, symmetric):
+    pts = np.random.default_rng(seed).uniform(-1, 1, size=n)
+    if symmetric:  # +-p pairs tie exactly in |p| and often in their log sums
+        half = pts[: (n + 1) // 2]
+        pts = np.concatenate([half, -half])[:n]
+    if (np.diff(np.sort(pts)) < 1e-14).any():
+        return
+    assert _same_bits(leja_order(pts).points, _leja_order_reference(pts))
 
 
 @given(st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=10**6))
@@ -185,16 +240,34 @@ def test_leja_points_nested(n1, step):
 
 
 def test_nodes1d_validation():
-    # leja_order checks raw input as Nodes1D does
+    # leja_order and build_grid check raw axes as Nodes1D does; a degree-0 set
+    # uses one point of each axis, yet the whole axis is checked
     shape = "^nodes must be a non-empty 1-d sequence$"
-    cases = [([0.5, 0.5], "^nodes must be pairwise distinct$"),
+    near = "^nodes must be pairwise at least 1e-14 apart$"
+    cases = [([0.5, 0.5], near), ([0.5, 0.5 + 5e-15], near), ([0.5, -0.2, 0.5 - 5e-15], near),
+             ([0.0, 9e-15], near), ([1.0, -1.0, 0.3, 0.3 + 1e-15], near),
              ([1.5], "^nodes must lie within"), ([np.nan], "^nodes must lie within"),
              ([], shape), ([[0.5]], shape), ([[0.1, 0.2], [0.3, 0.4]], shape)]
+    index_set = make_lp_set(1, 0, 1)
     for raw, message in cases:
-        for make in (Nodes1D, leja_order):
+        for make in (Nodes1D, leja_order, lambda axis: build_grid(index_set, [axis])):
             with pytest.raises(ValueError, match=message):
                 make(raw)
     assert np.array_equal(leja_order([0.1, -0.5, 1.0]).points, [1.0, -0.5, 0.1])
+    assert np.array_equal(Nodes1D([0.0, 1e-14]).points, [0.0, 1e-14])  # exactly the separation
+
+
+def test_only_the_axis_layer_reads_the_node_separation():
+    # Nodes1D owns the rule; a second reader would bring a second rule back
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id == "MIN_NODE_SEPARATION")
+        or (isinstance(node, ast.Attribute) and node.attr == "MIN_NODE_SEPARATION")
+    ]
+    assert sites and all(site.startswith("grid.py:") for site in sites), sites
+    assert grid_module.MIN_NODE_SEPARATION == 1e-14
 
 
 def test_build_grid_two_nodes():
