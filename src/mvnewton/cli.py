@@ -52,10 +52,6 @@ _FUNCTION_PARAM_FLAGS = tuple(
 )
 
 
-class UsageError(ValueError):
-    """Invalid flags or files; maps to exit code 2."""
-
-
 def parse_p(text: str) -> float:
     """``1``, ``2``, ``inf``, or a positive decimal literal."""
     text = text.strip().lower()
@@ -151,7 +147,7 @@ def _publish(outputs: dict) -> None:
             old_dirs = [t for t in made if os.path.isdir(t) and not os.path.islink(t)]
             for target in old_dirs:
                 if not os.path.isdir(made[target]) or set(os.listdir(target)) - set(_BUNDLE_FILES):
-                    raise UsageError(f"{target} is a directory; only a bundle replaces one, and "
+                    raise ValueError(f"{target} is a directory; only a bundle replaces one, and "
                                      f"only one holding nothing but {', '.join(_BUNDLE_FILES)}")
             for target, new in made.items():
                 if target in old_dirs:
@@ -189,7 +185,7 @@ def _fmt(value: float) -> str:
 
 def _build_function(args) -> BenchmarkFunction:
     if args.function is None:
-        raise UsageError("a builtin function id is required (--function)")
+        raise ValueError("a builtin function id is required (--function)")
     params = {
         name: getattr(args, name)
         for name in _FUNCTION_PARAM_FLAGS
@@ -216,17 +212,17 @@ def cmd_nodes(args) -> int:
 
 def cmd_interpolate(args) -> int:
     if (args.values is None) == (args.function is None):
-        raise UsageError("provide exactly one of --function or --values")
+        raise ValueError("provide exactly one of --function or --values")
     the_grid = _grid_for(args, make_lp_set(args.dim, args.degree, args.p))
     if args.values is not None:
         values = _read_table(args.values)[2]
         if len(values) != len(the_grid):
-            raise UsageError(
+            raise ValueError(
                 f"sample file has {len(values)} rows but the grid expects "
                 f"{len(the_grid)} (one per index, canonical order)"
             )
         if values.shape[1] != 1:
-            raise UsageError(f"{args.values} has {values.shape[1]} numbers per line, expected 1")
+            raise ValueError(f"{args.values} has {values.shape[1]} numbers per line, expected 1")
         poly = divided_differences(LagrangeCoefficients(the_grid, values[:, 0]))
     else:
         poly = interpolate(_build_function(args), the_grid)
@@ -240,7 +236,7 @@ def cmd_eval(args) -> int:
     dim = poly.grid.dim
     points = _read_table(args.points)[2]
     if points.size and points.shape[1] != dim:
-        raise UsageError(f"{args.points} has {points.shape[1]} numbers per line, expected {dim}")
+        raise ValueError(f"{args.points} has {points.shape[1]} numbers per line, expected {dim}")
     points = points.reshape(-1, dim)
     order = args.deriv if args.deriv is not None else (0,) * dim
     values = eval_derivative(poly, order, points)  # a bad order fails before the warning
@@ -258,7 +254,7 @@ def cmd_eval(args) -> int:
 
 def cmd_convergence(args) -> int:
     if len(args.degrees) < 4:
-        raise UsageError("convergence needs at least 4 degrees to fit a rate")
+        raise ValueError("convergence needs at least 4 degrees to fit a rate")
     func = _build_function(args)
     record = convergence_run(
         func,

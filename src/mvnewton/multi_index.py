@@ -1,14 +1,15 @@
 """Downward-closed multi-index sets and the ``l_p``-degree families.
 
 Exponent vectors are kept in a canonical lexicographic order that compares
-the *last* entry first, e.g. ``(5, 3, 1) < (1, 0, 3) < (1, 1, 3)``; one int64
-key per row (``_canonical_key``) decides it for every sort.  Every coefficient
-vector is aligned positionally to that order: one storage layout to get wrong.
+the *last* entry first, e.g. ``(5, 3, 1) < (1, 0, 3) < (1, 1, 3)``; one
+mixed-radix key per row (``_radix_key``), exact in any key space, decides it
+for every sort.  Every coefficient vector is aligned positionally to that
+order: one storage layout to get wrong.
 
 A :class:`MultiIndexSet` is downward closed by construction: the
 constructor builds the set's :class:`Layout`, which is also the one
-closure check, so every set that exists has one.  Its byte key per row, which
-encodes any query, is the only lookup path of :meth:`MultiIndexSet.positions`.
+closure check, so every set that exists has one.  The set keeps its key,
+which every lookup of :meth:`MultiIndexSet.positions` searches.
 
 The layout is built from *roots*, which it does not keep: a row's root
 along an axis is the canonical position of the level-0 row of its line.
@@ -53,29 +54,17 @@ def _checked_int(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-def _sort_keys(rows: np.ndarray) -> np.ndarray:
-    """One key per row of a 2-d int64 array: the big-endian bytes of the
-    reversed row as a single ``V{8m}`` item.  For non-negative rows, byte
-    order is canonical order in any key space; a row with a negative entry
-    equals no such key."""
-    return np.ascontiguousarray(rows[:, ::-1], dtype=">i8").view(f"V{8 * rows.shape[1]}")[:, 0]
-
-
-def _canonical_key(rows: np.ndarray) -> np.ndarray:
-    """One int64 per row of a non-negative 2-d int64 array, ordered and equal
-    exactly as the rows are in canonical order: the columns folded last to
-    first in the mixed radix ``column.max() + 1``.  Where a fold could reach
-    ``2**63``, the key and the column first become their dense ranks, each
-    below ``len(rows)``, so the key stays exact in any key space."""
-    key = np.zeros(len(rows), dtype=np.int64)
-    for column in rows.T[::-1]:
-        radix = int(column.max()) + 1
-        if (int(key.max()) + 1) * radix >= 2**63:
-            key = np.unique(key, return_inverse=True)[1]
-            column = np.unique(column, return_inverse=True)[1]
-            radix = int(column.max()) + 1
-        key = key * radix + column
-    return key
+def _radix_key(rows: np.ndarray, tops) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical key of each non-negative row within ``tops`` and its
+    weights ``w_i = prod(top_j + 1 for j < i)``: ``sum(a_i * w_i)``, which
+    orders and ties the rows as canonical order does.  Key and weights are
+    int64 while the product of all spans is below ``2**63``, so that every
+    one fits, and Python ints (dtype ``object``) past it."""
+    weights = [1]
+    for top in tops:
+        weights.append(weights[-1] * (top + 1))
+    weights = np.array(weights[:-1], dtype=np.int64 if weights[-1] < 2**63 else object)
+    return rows.astype(weights.dtype, copy=False) @ weights, weights
 
 
 class MultiIndexSet:
@@ -94,12 +83,13 @@ class MultiIndexSet:
     members.  It builds everything the set holds: :attr:`layout`, the
     grid-line tables of every axis, the evaluation fold plan and the
     basis-value plan; :attr:`tops`, the largest exponent along each axis;
-    and the sort keys that :meth:`positions` searches.  Nothing is set
-    after construction, so the instance is immutable and safe for
-    concurrent reads.
+    and the canonical key of every row with its weights, which sorted the
+    rows, found every axis's lines and answer every :meth:`positions`
+    lookup.  Nothing is set after construction, so the instance is
+    immutable and safe for concurrent reads.
     """
 
-    __slots__ = ("dim", "exponents", "layout", "tops", "_keys")
+    __slots__ = ("dim", "exponents", "layout", "tops", "_key", "_weights")
 
     def __init__(self, exponents):
         arr = np.asarray(exponents)
@@ -113,19 +103,21 @@ class MultiIndexSet:
         arr = _integral(arr)  # a copy, which the set owns
         if (arr < 0).any():
             raise ValueError("exponents must be non-negative integers")
-        key = _canonical_key(arr)
+        tops = tuple(int(column.max()) for column in arr.T)  # arr.max(axis=0) is slower
+        key, weights = _radix_key(arr, tops)
         if not (key[1:] > key[:-1]).all():
             order = np.argsort(key, kind="stable")
             arr, key = arr[order], key[order]
             if (key[1:] == key[:-1]).any():
                 raise ValueError("duplicate multi-indices are not allowed")
         arr.setflags(write=False)
-        layout = _build_layout(arr)
+        key.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "exponents", arr)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "tops", tuple(len(lines.reach) - 1 for lines in layout.lines))
-        object.__setattr__(self, "_keys", _sort_keys(arr))
+        object.__setattr__(self, "layout", _build_layout(arr, key, weights))
+        object.__setattr__(self, "tops", tops)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_weights", weights)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiIndexSet is immutable")
@@ -172,9 +164,12 @@ class MultiIndexSet:
             shape = f"({self.dim},) or (k, {self.dim})"
             raise ValueError(f"queries must have {self.dim} columns: shape {shape}, got {q.shape}")
         q = q.reshape(-1, self.dim)
-        keys = _sort_keys(_integral(q))
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
-        found = self._keys[pos] == keys
+        rows = _integral(q)
+        keys = rows.astype(self._weights.dtype, copy=False) @ self._weights
+        pos = np.minimum(np.searchsorted(self._key, keys), len(self) - 1)
+        # an entry past its top can fold to a member's key (or wrap int64),
+        # so the row found, not its key, decides
+        found = (self.exponents[pos] == rows).all(axis=1)
         if not found.all():
             missing = q[~found][0]
             raise KeyError(f"multi-index {tuple(missing.tolist())} not in set")
@@ -321,18 +316,19 @@ class Layout(NamedTuple):
     basis: BasisPlan
 
 
-def _axis_lines(exponents: np.ndarray, axis: int) -> tuple[AxisLines, np.ndarray]:
+def _axis_lines(exponents: np.ndarray, key, weights, axis: int) -> tuple[AxisLines, np.ndarray]:
     """The line table along ``axis`` and the root of every row along it: the
     canonical position of the level-0 row of its line.  ``ValueError``
     unless every line holds exactly the levels ``0..len - 1``, i.e. unless
     the set is downward closed along ``axis``.
 
-    A stable argsort of the ``_canonical_key`` of the other coordinates lists
-    each line as one run, in level order.  Line starts are changes of that key,
-    never level 0, so a line lacking level 0 cannot merge into its predecessor."""
+    ``key - a_axis * w_axis``, the canonical key of the other coordinates,
+    lists each line as one run in level order under a stable argsort.  Line
+    starts are changes of that key, never level 0, so a line lacking level 0
+    cannot merge into its predecessor."""
     count = len(exponents)
     levels = exponents[:, axis]
-    key = _canonical_key(np.delete(exponents, axis, axis=1))
+    key = key - levels.astype(weights.dtype, copy=False) * weights[axis]
     order = np.argsort(key, kind="stable")
     new_line = np.diff(key[order], prepend=-1) != 0  # keys are non-negative
     starts = np.flatnonzero(new_line)
@@ -410,11 +406,14 @@ def _basis_plan(exponents: np.ndarray, roots) -> BasisPlan:
     return BasisPlan(tuple(stops), tuple(levels))
 
 
-def _build_layout(exponents: np.ndarray, split=None) -> Layout:
-    """The :class:`Layout` of a canonical exponent array, whose fold
-    contracts its first ``split`` axes (by default the rule of
-    :class:`FoldPlan`); ``ValueError`` if the set is not downward closed."""
+def _build_layout(exponents: np.ndarray, key, weights, split=None) -> Layout:
+    """The :class:`Layout` of a canonical exponent array with the canonical
+    key ``key`` under ``weights``, whose fold contracts its first ``split``
+    axes (by default the rule of :class:`FoldPlan`); ``ValueError`` if the
+    set is not downward closed."""
     exponents = np.asfortranarray(exponents)  # every step reads whole columns
-    lines, roots = zip(*(_axis_lines(exponents, axis) for axis in range(exponents.shape[1])))
+    lines, roots = zip(
+        *(_axis_lines(exponents, key, weights, axis) for axis in range(exponents.shape[1]))
+    )
     basis = _basis_plan(exponents, roots)
     return Layout(lines, _fold_plan(exponents, roots, basis.stops, split), basis)

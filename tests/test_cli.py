@@ -435,7 +435,9 @@ def test_lebesgue_cap_skips_rows(tmp_path, capsys, monkeypatch):
     builds = []
     build = multi_index._build_layout
     monkeypatch.setattr(
-        multi_index, "_build_layout", lambda exps: builds.append(len(exps)) or build(exps)
+        multi_index,
+        "_build_layout",
+        lambda exps, *key: builds.append(len(exps)) or build(exps, *key),
     )
     out = tmp_path / "leb.csv"
     code = run(

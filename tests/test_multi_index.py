@@ -170,7 +170,7 @@ def test_duplicates_and_negatives_rejected():
     for rows in ([[5], [5]], [[1, 2**62], [1, 2**62]]):
         with pytest.raises(ValueError, match="^duplicate multi-indices are not allowed$"):
             MultiIndexSet(rows)
-    for rows in ([[2**62, 0]], [[0, 2**63 - 1]]):
+    for rows in ([[2**62, 0]], [[0, 2**63 - 1]], [[2**63 - 1, 0]]):
         with pytest.raises(ValueError, match=NOT_CLOSED):
             MultiIndexSet(rows)
     # integral floats and other integer types are exponents
@@ -235,7 +235,8 @@ def test_closure_check_matches_brute_force(seed):
             MultiIndexSet(rows)
         return
     index_set = MultiIndexSet(rows)
-    assert_layouts_equal(index_set.layout, multi_index._build_layout(index_set.exponents))
+    rebuilt = multi_index._build_layout(index_set.exponents, index_set._key, index_set._weights)
+    assert_layouts_equal(index_set.layout, rebuilt)
     # the same transforms and evaluation from a cold copy of the set, twice
     axes = random_axes(rng, [top + 1 for top in index_set.tops])
     values = rng.standard_normal(len(index_set))
@@ -278,7 +279,7 @@ def test_fold_plan_cells_match_stepping_every_row(seed):
     index_set = random_downward_closed(rng, dim, int(rng.integers(1, 200)), max_degree=6)
     exponents, layout = index_set.exponents, index_set.layout
     for split in range(1, dim + 1):
-        plan = multi_index._build_layout(exponents, split).fold
+        plan = multi_index._build_layout(exponents, index_set._key, index_set._weights, split).fold
         row, column = np.divmod(plan.cell, layout.basis.stops[split - 1])
         assert np.array_equal(column, _stepped_projection(index_set, split))
         # one GEMM row per group of rows sharing the coordinates after split
@@ -321,7 +322,8 @@ def assert_lines_match_oracle(index_set: MultiIndexSet):
         cell, reach, root = lines_oracle(exponents, axis)
         assert lines.reach == reach
         assert lines.cell.dtype == cell.dtype and np.array_equal(lines.cell, cell)
-        assert np.array_equal(multi_index._axis_lines(exponents, axis)[1], root)
+        key, weights = index_set._key, index_set._weights
+        assert np.array_equal(multi_index._axis_lines(exponents, key, weights, axis)[1], root)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -335,9 +337,9 @@ def test_axis_lines_match_a_plain_python_oracle(seed):
 @pytest.mark.parametrize("m, n, p", [(70, 1, 1), (40, 2, 1)])
 def test_axis_lines_match_the_oracle_past_the_int64_key_space(m, n, p):
     index_set = make_lp_set(m, n, p)
-    # the mixed-radix key of the rows passes int64, so the order check takes
-    # the dense-rank step, and at (70, 1, 1) so does every line sort
-    assert (n + 1) ** m > 2**63
+    # the spans multiply past int64, so the key, and every line sort, runs
+    # in exact Python ints
+    assert (n + 1) ** m > 2**63 and index_set._key.dtype == object
     assert_lines_match_oracle(index_set)
 
 
@@ -348,8 +350,10 @@ def test_canonical_key_orders_and_ties_as_lexsort(seed):
     tops = rng.choice(np.array([0, 1, 3, 2**20, 2**62, 2**63 - 1], dtype=np.uint64), size=dim)
     rows = rng.integers(0, tops + 1, size=(int(rng.integers(1, 40)), dim), dtype=np.uint64)
     rows = rows.astype(np.int64)[rng.integers(0, len(rows), size=len(rows) + 10)]  # with repeats
-    key = multi_index._canonical_key(rows)
-    assert key.dtype == np.int64
+    tops = rows.max(axis=0).tolist()
+    key, _ = multi_index._radix_key(rows, tops)
+    # int64 exactly while every key and weight fits
+    assert key.dtype == (np.int64 if math.prod(top + 1 for top in tops) < 2**63 else object)
     assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort(rows.T))
     equal_rows = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
     assert np.array_equal(key[:, None] == key[None, :], equal_rows)

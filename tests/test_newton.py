@@ -218,7 +218,8 @@ def with_fold_split(index_set: MultiIndexSet, split: int) -> MultiIndexSet:
     axes in the GEMM, whatever the rule of the plan would choose."""
     fresh = MultiIndexSet(index_set.exponents)
     # the constructor sets its slots the same way, past the immutability guard
-    object.__setattr__(fresh, "layout", multi_index._build_layout(fresh.exponents, split))
+    layout = multi_index._build_layout(fresh.exponents, fresh._key, fresh._weights, split)
+    object.__setattr__(fresh, "layout", layout)
     return fresh
 
 
@@ -914,7 +915,7 @@ def test_layout_is_built_once_and_read_safely_from_threads(monkeypatch):
     builds = []
     build = multi_index._build_layout
     monkeypatch.setattr(
-        multi_index, "_build_layout", lambda exps: builds.append(1) or build(exps)
+        multi_index, "_build_layout", lambda exps, *key: builds.append(1) or build(exps, *key)
     )
     index_set = make_lp_set(3, 6, 2)
     grid = build_grid(index_set, axes_for(index_set, "lcl"))
