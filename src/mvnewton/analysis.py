@@ -162,12 +162,16 @@ def benchmark_eval(f: BenchmarkFunction, x, order=None):
     """Closed-form value of ``d^order f`` at ``x`` (scalar or batch).
 
     ``order`` is a multi-index with total order at most 2; orders above 0
-    are rejected for functions without analytic derivatives.
+    are rejected for functions without analytic derivatives.  The values are
+    bitwise the same for row-major and column-major points; column-major
+    points with ``m <= 7`` are read without a copy.
     """
     pts, single = _as_points(x, f.dim)
     order = _check_order((0,) * f.dim if order is None else order, f.dim)
     if not f.supports_order(order):
         raise ValueError(f"{f.kind} does not support derivative order {order}")
+    if f.dim >= 8:  # numpy sums a row of 8 or more pairwise, a column in order
+        pts = np.ascontiguousarray(pts)
     out = _benchmark_dispatch(f, pts, order)
     return float(out[0]) if single else out
 
@@ -198,7 +202,9 @@ def _benchmark_dispatch(f: BenchmarkFunction, pts: np.ndarray, order) -> np.ndar
     elif f.kind == "f4_shifted_runge_m":
         r, s, y = 1.0, 0.0, pts - p["a"]
     else:  # f3_perturbed_runge
-        r, s, y = 1.0, 1.0, (pts @ (5.0 / np.arange(1, f.dim + 1) ** 3))[:, None]
+        # row-major: BLAS rounds the product of column-major points differently
+        w = 5.0 / np.arange(1, f.dim + 1) ** 3
+        r, s, y = 1.0, 1.0, (np.ascontiguousarray(pts) @ w)[:, None]
     den = s * s + r * r * (y**2).sum(axis=1)
     if not active:
         return 1.0 / den
@@ -428,7 +434,9 @@ def convergence_run(
         grid = build_grid(index_set, axes)
         poly = interpolate(f, grid)
         rng = np.random.default_rng(seed ^ n)
-        points = rng.uniform(-1.0, 1.0, size=(num_samples, m))
+        # column-major, turned once: the fold reads the coordinates as
+        # rows and the closed forms sum |y|**2 down columns, both in place
+        points = np.asfortranarray(rng.uniform(-1.0, 1.0, size=(num_samples, m)))
         target = benchmark_eval(f, points, order)
         approx = eval_derivative(poly, order, points)
         sizes.append(len(index_set))

@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import json
 import os
-import shutil
 import sys
 import tempfile
 from argparse import ArgumentTypeError
@@ -124,7 +123,10 @@ def _publish(outputs: dict) -> None:
     path to a callable that writes the output at a path it is given.  The
     targets share one parent directory (``ValueError`` otherwise), made if
     missing and removed on failure, and are made in one temporary directory
-    there; only when all exist are they checked, and then each moves in."""
+    there; only when all exist are they checked.  Then every existing target
+    moves into the temporary directory and each output moves in; if a move
+    fails, the outputs already in place move back out and the saved targets
+    back in, so a failed command leaves every target as it found it."""
     # "." gets a name; links stay unresolved
     writers = {os.path.abspath(target): write for target, write in outputs.items()}
     parents = {os.path.dirname(target) for target in writers}
@@ -136,7 +138,11 @@ def _publish(outputs: dict) -> None:
     try:
         os.makedirs(parent, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=parent) as tmp:
-            made = {target: os.path.join(tmp, os.path.basename(target)) for target in writers}
+            # the targets' names are distinct, so each subdirectory holds one of each
+            new, old = os.path.join(tmp, "new"), os.path.join(tmp, "old")
+            os.mkdir(new)
+            os.mkdir(old)
+            made = {target: os.path.join(new, os.path.basename(target)) for target in writers}
             for target, write in writers.items():
                 try:
                     write(made[target])
@@ -149,12 +155,21 @@ def _publish(outputs: dict) -> None:
                 if not os.path.isdir(made[target]) or set(os.listdir(target)) - set(_BUNDLE_FILES):
                     raise ValueError(f"{target} is a directory; only a bundle replaces one, and "
                                      f"only one holding nothing but {', '.join(_BUNDLE_FILES)}")
-            for target, new in made.items():
-                if target in old_dirs:
-                    shutil.rmtree(target)
-                elif os.path.isdir(new) and os.path.lexists(target):
-                    os.remove(target)  # os.replace puts no directory over a file or link
-                os.replace(new, target)
+            moves = []  # (source, destination) of each move done, to undo in reverse
+            try:
+                for target in made:
+                    if os.path.lexists(target):
+                        saved = os.path.join(old, os.path.basename(target))
+                        os.replace(target, saved)
+                        moves.append((target, saved))
+                for target, output in made.items():
+                    os.replace(output, target)
+                    moves.append((output, target))
+            except BaseException:
+                for source, destination in reversed(moves):
+                    with contextlib.suppress(OSError):
+                        os.replace(destination, source)
+                raise
     except BaseException:
         for new_dir in missing:
             with contextlib.suppress(OSError):

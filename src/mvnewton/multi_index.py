@@ -275,13 +275,16 @@ class FoldPlan(NamedTuple):
     which the fold runs in reverse to sum the GEMM rows; ``None`` when
     ``split == m``.
 
-    ``split`` is the smallest ``j`` with ``|P_j|`` at least the number of
-    groups of axis ``j - 1``; one exists, as ``|P_m| = |A|`` and axis
-    ``m - 1`` has one group.  So the larger side of the GEMM is its basis
-    block, built with one multiply per row, and its output and the sums
-    that read it have the fewer rows.  For an ``l_p`` ball of degree
-    ``n >= 1`` that is ``j = ceil(m / 2)``: with ``m = 3``, 2, the GEMM of
-    one row per value of ``a_3`` and one column per index of ``P_2``.
+    ``split`` is the ``j`` whose fold holds the fewest scratch rows per
+    point, ``[j > 1] * |P_j| + G_j`` with ``G_j`` the number of groups of
+    axis ``j - 1``, the larger ``j`` on a tie.  The first term is the basis
+    block, which ``j = 1`` does not build, as its GEMM reads the axis table
+    itself; the second is the GEMM output.  So every ``l_p`` ball with
+    ``m <= 3`` takes ``j = 1``, the GEMM of one row per grid line of axis
+    1, and so does a tall 2D set, where ``j = 2`` would be a one-row GEMM
+    over the whole basis.  Past its lowest degrees an ``l_p`` ball with
+    ``m >= 4`` takes ``j = ceil(m / 2)``: the square split for even ``m``,
+    and the larger of two tied splits for odd ``m``.
     """
 
     split: int
@@ -361,9 +364,11 @@ def _fold_plan(exponents: np.ndarray, roots, stops: tuple[int, ...], split=None)
     # whose coordinates up to i are all 0
     heads = np.logical_and.accumulate(exponents == 0, axis=1)
     if split is None:
-        # |P_j| grows and G_j falls with j, and |P_m| >= G_m = 1
-        groups = np.count_nonzero(heads, axis=0)
-        split = min(j + 1 for j in range(dim) if stops[j] >= groups[j])
+        # scratch rows per point at split j + 1: the basis block (none at
+        # split 1) and the GEMM output; the last minimum is the larger split
+        groups = np.count_nonzero(heads, axis=0).tolist()
+        scratch = [(j > 0) * stops[j] + groups[j] for j in range(dim)]
+        split = dim - scratch[::-1].index(min(scratch))
     projection = np.arange(count)
     for i in range(split, dim):
         projection = roots[i][projection]

@@ -24,10 +24,12 @@ projection of the set onto those axes and ``G_j`` counts the groups of
 indices sharing ``a_{j+1}..a_m``, then sums the GEMM rows against the
 Newton basis of those tails by running its build in reverse.  Per point
 that is ``G_j * |P_j|`` multiply-adds in the GEMM plus one per group in the
-sums.  Each set takes the smallest ``j`` with ``|P_j| >= G_j``, so the
-basis block, one multiply per row, is the larger operand and the GEMM
-output the smaller.  Points go in chunks whose basis block, GEMM output
-and axis tables hold at most ``_CHUNK_BUDGET`` floats together.
+sums.  Each set takes the ``j`` whose fold holds the fewest scratch rows
+per point: the basis block of ``|P_j|`` rows, which ``j = 1`` does not
+build (its GEMM reads the axis table), plus the ``G_j`` rows of the GEMM
+output, the larger ``j`` on a tie.  Points go in chunks whose basis block,
+GEMM output and axis tables hold at most ``_CHUNK_BUDGET`` floats
+together; the chunk counts ``|P_j|`` rows of basis block even at ``j = 1``.
 
 Where each index lands in those tables, the walk of the evaluation fold
 and the build order of the basis values are the index set's layout
@@ -355,19 +357,26 @@ def _axis_table(points: np.ndarray, top: int, x: np.ndarray, order: int) -> np.n
     axis.  Derivatives are built up one order at a time by the product
     rule: appending the factor ``(x - p_l)`` maps
     ``d_o <- d_o * (x - p_l) + o * d_{o-1}``.  An order above ``top``
-    differentiates every prefix product to exactly zero.
+    differentiates every prefix product to exactly zero.  Every row is
+    written in place, with no temporary per level; a product's operands
+    may swap, as IEEE multiplication commutes.
     """
     if order > top:
         return np.zeros((top + 1, x.size))
     table = np.empty((top + 1, x.size))
     table[0] = 1.0
     for level in range(1, top + 1):
-        np.multiply(table[level - 1], x - points[level - 1], out=table[level])
+        np.subtract(x, points[level - 1], out=table[level])
+        table[level] *= table[level - 1]
+    if order:
+        scratch = np.empty(x.size)
     for o in range(1, order + 1):
         lower, table = table, np.empty_like(table)
         table[0] = 0.0
         for level in range(1, top + 1):
-            table[level] = table[level - 1] * (x - points[level - 1]) + o * lower[level - 1]
+            np.subtract(x, points[level - 1], out=table[level])
+            table[level] *= table[level - 1]
+            table[level] += np.multiply(lower[level - 1], o, out=scratch)
     return table
 
 
@@ -458,14 +467,18 @@ def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
     group at every point.  The GEMM rows, one per tail ``(a_{j+1}..a_m)``
     in canonical order, are then summed against the Newton basis of those
     tails over the later axes (see :func:`_collapse_rows`).  Points stay on
-    the last, contiguous axis.  With ``j = 1`` the GEMM rows are the grid
-    lines of axis 1 and its columns their levels.
+    the last, contiguous axis, so points stored column-major (Fortran
+    order) are read in place.  With ``j = 1`` the GEMM rows are the grid
+    lines of axis 1, its columns their levels, and its right operand the
+    axis table itself.  ``j`` is the set's (see
+    :class:`~mvnewton.multi_index.FoldPlan`): the fewest rows of basis
+    block and GEMM output per point.
 
     Points go in chunks of ``_CHUNK_BUDGET`` floats over the rows one point
-    needs: ``|P_j|`` in the basis block, ``G_j`` in the GEMM output and
-    ``n_i + 1`` in each axis table.  The basis block (when ``j > 1``) and the
-    GEMM output are written into the C-contiguous prefixes of two flat
-    buffers sized for the first chunk.
+    needs: ``|P_j|`` in the basis block (counted at ``j = 1`` too),
+    ``G_j`` in the GEMM output and ``n_i + 1`` in each axis table.  The
+    basis block (when ``j > 1``) and the GEMM output are written into the
+    C-contiguous prefixes of two flat buffers sized for the first chunk.
     """
     pts, single = _as_points(x, poly.grid.dim)
     index_set = poly.grid.index_set

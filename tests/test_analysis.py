@@ -183,6 +183,27 @@ def test_the_class_rejects_a_non_integer_dimension(kind, dim):
     assert f.dim == 2 and type(f.dim) is int and f == make_benchmark(kind, 2)
 
 
+@pytest.mark.parametrize("m", range(2, 10))
+def test_column_major_points_give_the_same_bits(m):
+    # convergence_run draws its points column-major.  numpy adds a row of
+    # fewer than 8 entries in order, as it adds columns, but a longer row
+    # pairwise, so from m = 8 on benchmark_eval reads a row-major copy
+    pts = np.random.default_rng(m).uniform(-1, 1, (300, m))
+    columns = np.asfortranarray(pts)
+    grid = lcl_grid(m, 3, 1)
+    orders = [(0,) * m, (1,) + (0,) * (m - 1), (1,) + (0,) * (m - 2) + (1,), (0,) * (m - 1) + (2,)]
+    for kind in analysis.BENCHMARK_IDS:
+        if kind == "f1_shifted_pole" and m != 2:
+            continue
+        f = make_benchmark(kind, m)
+        poly = interpolate(f, grid)
+        for order in filter(f.supports_order, orders):
+            row_major = benchmark_eval(f, pts, order), eval_derivative(poly, order, pts)
+            column_major = benchmark_eval(f, columns, order), eval_derivative(poly, order, columns)
+            for a, b in zip(row_major, column_major):
+                assert np.array_equal(a, b), (kind, order)
+
+
 # -- reference rates -----------------------------------------------------------
 
 

@@ -359,6 +359,47 @@ def test_a_failing_writer_publishes_nothing_and_leaves_nothing_behind(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["b.txt"]
 
 
+def _fail_first_move_to(monkeypatch, target) -> list:
+    """Make the first ``os.replace`` onto ``target`` fail; the list it
+    returns gets that move's source."""
+    real, failed = os.replace, []
+
+    def replace(source, destination):
+        if os.fspath(destination) == str(target) and not failed:
+            failed.append(source)
+            raise OSError("no space left on device")
+        return real(source, destination)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return failed
+
+
+def test_a_failed_move_puts_back_what_it_replaced(tmp_path, monkeypatch, capsys):
+    # the record moved in before the fit's move failed, and stayed
+    out, fit = tmp_path / "conv.csv", tmp_path / "conv.fit.json"
+    argv = ["convergence", "-m", 1, "--function", "runge", "--degrees", "2:8:2",
+            "--samples", 50, "--out", out, "--seed"]
+    assert run([*argv, 3]) == 0
+    before = {path: path.read_bytes() for path in (out, fit)}
+    failed = _fail_first_move_to(monkeypatch, fit)
+    assert run([*argv, 4]) == 2  # another seed, so another record
+    assert "no space left on device" in capsys.readouterr().err
+    assert failed and {path: path.read_bytes() for path in (out, fit)} == before
+    assert sorted(os.listdir(tmp_path)) == ["conv.csv", "conv.fit.json"]
+
+
+def test_a_failed_move_keeps_the_bundle_it_would_replace(tmp_path, monkeypatch):
+    # the old bundle directory was deleted before the new one moved in
+    bundle = tmp_path / "b"
+    argv = ["interpolate", "-m", 2, "-p", 1, "--function", "runge", "--out", bundle, "-n"]
+    assert run([*argv, 3]) == 0
+    before = {path.name: path.read_bytes() for path in bundle.iterdir()}
+    failed = _fail_first_move_to(monkeypatch, bundle)
+    assert run([*argv, 5]) == 2
+    assert failed and {path.name: path.read_bytes() for path in bundle.iterdir()} == before
+    assert os.listdir(tmp_path) == ["b"]
+
+
 def test_a_failed_output_removes_only_the_directories_made_for_it(tmp_path, capsys):
     (tmp_path / "kept").mkdir()  # empty, and there before the run
     out = tmp_path / "kept" / "new" / "sub" / ("x" * 300)  # a name too long to make

@@ -213,6 +213,23 @@ def test_newton_basis_values_edge_shapes():
             assert same_bits(basis, newton_basis_oracle(grid, pts, order))
 
 
+def rule_split(index_set: MultiIndexSet) -> tuple[int, list[int]]:
+    """The fold's split by its rule, counted from the exponents, and ``G_j``,
+    the groups of indices sharing ``a_{j+1}..a_m``, for ``j = 1..m``.  The
+    rule takes the fewest scratch rows per point, ``[j > 1] |P_j| + G_j``
+    (basis block and GEMM output), and the larger ``j`` on a tie."""
+    exps, dim = index_set.exponents, index_set.dim
+    sizes = [int((exps[:, j:] == 0).all(axis=1).sum()) for j in range(1, dim + 1)]
+    groups = [np.unique(exps[:, j:], axis=0).shape[0] for j in range(1, dim + 1)]
+    scratch = [(j > 1) * sizes[j - 1] + groups[j - 1] for j in range(1, dim + 1)]
+    return max(j for j in range(1, dim + 1) if scratch[j - 1] == min(scratch)), groups
+
+
+def tensor_set(tops) -> MultiIndexSet:
+    """The box ``0 <= a_i <= tops[i]``."""
+    return MultiIndexSet(list(itertools.product(*(range(top + 1) for top in tops))))
+
+
 def with_fold_split(index_set: MultiIndexSet, split: int) -> MultiIndexSet:
     """A fresh copy of ``index_set`` whose fold contracts its first ``split``
     axes in the GEMM, whatever the rule of the plan would choose."""
@@ -229,13 +246,9 @@ def test_fold_matches_basis_matrix_oracle_at_every_split(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 7))
     index_set = random_downward_closed(rng, dim, int(rng.integers(1, 120)), 6)
-    exps, tops = index_set.exponents, index_set.tops
-    # the rule: the fewest axes j whose projection P_j has at least as many
-    # indices as there are groups sharing a_{j+1}..a_m
-    sizes = [int((exps[:, j:] == 0).all(axis=1).sum()) for j in range(1, dim + 1)]
-    groups = [np.unique(exps[:, j:], axis=0).shape[0] for j in range(1, dim + 1)]
-    fits = [j for j in range(1, dim + 1) if sizes[j - 1] >= groups[j - 1]]
-    assert index_set.layout.fold.split == min(fits)
+    tops = index_set.tops
+    split, groups = rule_split(index_set)
+    assert index_set.layout.fold.split == split
     axes = random_axes(rng, [top + 1 for top in tops])
     grid = build_grid(index_set, axes)
     coeffs = rng.standard_normal(len(grid))
@@ -279,24 +292,34 @@ def test_fold_split_rule():
     def split(m, n, p):
         return make_lp_set(m, n, p).layout.fold.split
 
-    assert {split(3, n, 2) for n in range(6, 41)} == {2}
+    # m = 3 balls fold at 1: at (3, 28, 2) the 642 GEMM rows of split 1
+    # against 642 + 29 rows of basis block and GEMM output at split 2
+    assert {split(3, n, p) for n in range(6, 41) for p in (1, 2)} == {1}
+    assert split(3, 20, INF) == 1 and split(3, 60, 0.5) == 1
+    assert split(2, 100, 2) == 1
+    # even m takes the square split, odd m >= 5 the larger of two tied splits
     assert {split(6, n, 1) for n in range(2, 11)} == {3}
     assert split(4, 28, 2) == 2 and split(8, 6, 2) == 4
-    assert split(2, 100, 2) == 1 and split(3, 60, 0.5) == 2
-    # every l_p ball of degree n >= 1 splits after ceil(m / 2) axes
-    for m, p in itertools.product(range(1, 9), (1, 2, INF)):
-        for n in range(1, 11):
+    assert split(5, 10, 2) == 3 and split(7, 8, 1) == 4
+    # tall sets: split 2 of a 2D box is a one-row GEMM over the whole basis
+    for tops, expected in (((10, 40), 1), ((40, 10), 1), ((5, 200), 1), ((6, 6, 40), 2)):
+        assert tensor_set(tops).layout.fold.split == expected, tops
+    # every l_p ball, counted from its exponents
+    for m, p in itertools.product(range(1, 9), (0.5, 1, 2, INF)):
+        for n in range(11):
             # the balls grow with n, so the first one past the size limit
             # ends the degrees of (m, p)
             if len(multi_index._lp_table(m, n, p)) > 20_000:
                 break
-            assert split(m, n, p) == -(-m // 2), (m, n, p)
+            assert split(m, n, p) == rule_split(make_lp_set(m, n, p))[0], (m, n, p)
 
 
 def test_fold_chunks_agree_with_one_chunk(monkeypatch):
-    # (3, 8, 2) contracts two axes in its GEMM, (6, 4, 1) three
-    for (m, n, p), split in (((3, 8, 2), 2), ((6, 4, 1), 3)):
+    # (3, 8, 2) contracts one axis in its GEMM by the rule, and two through
+    # a basis block; (6, 4, 1) three by the rule
+    for (m, n, p), split in (((3, 8, 2), 1), ((3, 8, 2), 2), ((6, 4, 1), 3)):
         grid = lcl_grid(m, n, p)
+        grid = build_grid(with_fold_split(grid.index_set, split), grid.axes)
         plan = grid.index_set.layout.fold
         assert plan.split == split
         rng = np.random.default_rng(3)
@@ -320,7 +343,7 @@ def test_fold_chunks_agree_with_one_chunk(monkeypatch):
             patch.setattr(newton, "_axis_table", spy)
             chunked = [eval_iterative(poly, pts), eval_derivative(poly, order, pts)]
         # ten full chunks and one ragged, with one table per axis each
-        assert widths == 2 * ([10] * m * 10 + [3] * m)
+        assert widths == 2 * ([10] * m * 10 + [3] * m), split
         # not bitwise: BLAS may split a narrower GEMM differently
         for a, b in zip(whole, chunked):
             assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
@@ -376,19 +399,21 @@ def test_fold_edge_cases():
     assert (plan.split, plan.groups) == (1, 3)
     assert plan.cell.tolist() == [0, 1, 2, 3, 4, 6]
     assert plan.tail == ((3,), ())
-    # l_1 (1, 1, 1) contracts two axes by the rule; at one, its runs are
-    # (a_2, a_3) = (0, 0), (1, 0), (0, 1) in canonical order, and the tail
-    # (0, 1) is built from (0, 0), row 0, as level 1 of axis 2
-    assert make_lp_set(3, 1, 1).layout.fold.split == 2
-    plan = with_fold_split(make_lp_set(3, 1, 1), 1).layout.fold
+    # l_1 (1, 1, 1) contracts one axis by the rule: its 3 GEMM rows against
+    # 3 + 2 rows at two axes.  Its runs are (a_2, a_3) = (0, 0), (1, 0),
+    # (0, 1) in canonical order, and the tail (0, 1) is built from (0, 0),
+    # row 0, as level 1 of axis 2
+    plan = make_lp_set(3, 1, 1).layout.fold
     assert (plan.split, plan.groups) == (1, 3)
     assert plan.cell.tolist() == [0, 1, 2, 4]
     assert plan.tail == ((2, 3), ([(slice(2, 3), slice(0, 1))],))
-    # l_1 (6, 1): P_3 = {0, e_1, e_2, e_3} and the 4 groups, one per value
-    # of (a_4, a_5, a_6), make the GEMM square; P_2 = {0, e_1, e_2} would be
-    # outnumbered by the 5 groups of (a_3..a_6).  The tails 0, e_4, e_5, e_6
-    # are the GEMM rows in that order, and each of e_5, e_6 is built from 0
-    plan = make_lp_set(6, 1, 1).layout.fold
+    # l_1 (6, 1) contracts one axis by the rule: its 6 GEMM rows against
+    # |P_j| + G_j = 8 rows at every later split.  At three, P_3 = {0, e_1,
+    # e_2, e_3} and the 4 groups, one per value of (a_4, a_5, a_6), make the
+    # GEMM square.  The tails 0, e_4, e_5, e_6 are the GEMM rows in that
+    # order, and each of e_5, e_6 is built from 0
+    assert make_lp_set(6, 1, 1).layout.fold.split == 1
+    plan = with_fold_split(make_lp_set(6, 1, 1), 3).layout.fold
     assert (plan.split, plan.groups) == (3, 4)
     assert plan.cell.tolist() == [0, 1, 2, 3, 4, 8, 12]
     level_1 = [(slice(2, 3), slice(0, 1))], [(slice(3, 4), slice(0, 1))]
