@@ -68,6 +68,7 @@ _ALIASES = {
 # Errors below this are machine-precision saturation and excluded from fits.
 SATURATION_FLOOR = 1e-13
 
+DEFAULT_SAMPLES = 10_000  # points per Lebesgue estimate or convergence degree
 LEBESGUE_SIZE_CAP = 5000
 LEBESGUE_MAX_ORDER = 2
 
@@ -148,9 +149,15 @@ class BenchmarkFunction:
         except ValueError:
             return False
         total = sum(order)
-        if total == 0:
-            return True
-        return total <= 2 and self.kind in ("runge", "f1_shifted_pole", "f5_trig")
+        return total == 0 or total <= 2 and self.kind in ("runge", "f1_shifted_pole", "f5_trig")
+
+    def _derivative_order(self, order) -> tuple[int, ...]:
+        """``order`` as a checked tuple, ``None`` meaning the function itself;
+        ``ValueError`` unless :meth:`supports_order` holds."""
+        order = _check_order((0,) * self.dim if order is None else order, self.dim)
+        if not self.supports_order(order):
+            raise ValueError(f"{self.kind} does not support derivative order {order}")
+        return order
 
 
 def make_benchmark(kind: str, dim: int, **params) -> BenchmarkFunction:
@@ -162,27 +169,24 @@ def benchmark_eval(f: BenchmarkFunction, x, order=None):
     """Closed-form value of ``d^order f`` at ``x`` (scalar or batch).
 
     ``order`` is a multi-index with total order at most 2; orders above 0
-    are rejected for functions without analytic derivatives.  The values are
-    bitwise the same for row-major and column-major points; column-major
-    points with ``m <= 7`` are read without a copy.
+    are rejected for functions without analytic derivatives.  The values
+    are computed on the coordinate rows of ``x`` (see
+    :func:`~mvnewton.newton._as_points`), so they are bitwise the same for
+    row-major and column-major points.
     """
-    pts, single = _as_points(x, f.dim)
-    order = _check_order((0,) * f.dim if order is None else order, f.dim)
-    if not f.supports_order(order):
-        raise ValueError(f"{f.kind} does not support derivative order {order}")
-    if f.dim >= 8:  # numpy sums a row of 8 or more pairwise, a column in order
-        pts = np.ascontiguousarray(pts)
-    out = _benchmark_dispatch(f, pts, order)
+    columns, single = _as_points(x, f.dim)
+    out = _benchmark_dispatch(f, columns, f._derivative_order(order))
     return float(out[0]) if single else out
 
 
-def _benchmark_dispatch(f: BenchmarkFunction, pts: np.ndarray, order) -> np.ndarray:
+def _benchmark_dispatch(f: BenchmarkFunction, x: np.ndarray, order) -> np.ndarray:
+    """``d^order f`` at the ``(m, k)`` coordinate rows ``x``."""
     p = f.params_dict
     active = [i for i, v in enumerate(order) if v > 0]
 
     if f.kind == "f5_trig":
         k1, k2 = p["k1"], p["k2"]
-        t = pts.sum(axis=1)
+        t = x.sum(axis=0)
         if not active:
             return np.cos(np.pi * k1 * t) + np.sin(np.pi * k2 * t)
         if sum(order) == 1:
@@ -194,26 +198,23 @@ def _benchmark_dispatch(f: BenchmarkFunction, pts: np.ndarray, order) -> np.ndar
     # The rest are 1 / (s**2 + r**2 |y|**2).  Where derivatives are offered,
     # y is x shifted, so d/dy is d/dx.
     if f.kind == "runge":
-        r, s, y = p["r"], p["s"], pts
+        r, s, y = p["r"], p["s"], x
     elif f.kind == "f1_shifted_pole":
-        # column-major: numpy sums |y|**2 over columns, not one short row at
-        # a time (f1 at 10k points: 34 against 208 us, 2-core x86)
-        r, s, y = 1.0, 0.0, np.subtract(pts, (p["r"], 0.0), order="F")
+        r, s, y = 1.0, 0.0, x - [[p["r"]], [0.0]]
     elif f.kind == "f4_shifted_runge_m":
-        r, s, y = 1.0, 0.0, pts - p["a"]
+        r, s, y = 1.0, 0.0, x - p["a"]
     else:  # f3_perturbed_runge
-        # row-major: BLAS rounds the product of column-major points differently
         w = 5.0 / np.arange(1, f.dim + 1) ** 3
-        r, s, y = 1.0, 1.0, (np.ascontiguousarray(pts) @ w)[:, None]
-    den = s * s + r * r * (y**2).sum(axis=1)
+        r, s, y = 1.0, 1.0, (w @ x)[None, :]
+    den = s * s + r * r * (y**2).sum(axis=0)
     if not active:
         return 1.0 / den
     j, k = active[0], active[-1]
     if sum(order) == 1:
-        return -2.0 * r * r * y[:, j] / den**2
+        return -2.0 * r * r * y[j] / den**2
     if j == k:  # d^2/dy_j^2
-        return -2.0 * r * r / den**2 + 8.0 * r**4 * y[:, j] ** 2 / den**3
-    return 8.0 * r**4 * y[:, j] * y[:, k] / den**3
+        return -2.0 * r * r / den**2 + 8.0 * r**4 * y[j] ** 2 / den**3
+    return 8.0 * r**4 * y[j] * y[k] / den**3
 
 
 def optimal_rho(f: BenchmarkFunction, p) -> float | None:
@@ -265,7 +266,7 @@ def chebyshev_lobatto_lebesgue_reference(n: int) -> float:
 
 def lebesgue_estimate(
     grid: UnisolventGrid,
-    num_samples: int = 10_000,
+    num_samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     k: int = 0,
     *,
@@ -397,7 +398,7 @@ def convergence_run(
     p,
     family: str,
     degrees,
-    num_samples: int = 10_000,
+    num_samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     deriv_order=None,
 ) -> ConvergenceRecord:
@@ -417,9 +418,7 @@ def convergence_run(
         raise ValueError("degrees must be a non-empty strictly increasing sequence")
     _check_grid_family(family)
     m = f.dim
-    order = _check_order((0,) * m if deriv_order is None else deriv_order, m)
-    if not f.supports_order(order):
-        raise ValueError(f"{f.kind} does not support derivative order {order}")
+    order = f._derivative_order(deriv_order)
 
     # Leja points are nested, so the axes of the top degree serve every
     # degree (an l_p ball of radius n reaches n on every axis); LCL points
@@ -434,8 +433,7 @@ def convergence_run(
         grid = build_grid(index_set, axes)
         poly = interpolate(f, grid)
         rng = np.random.default_rng(seed ^ n)
-        # column-major, turned once: the fold reads the coordinates as
-        # rows and the closed forms sum |y|**2 down columns, both in place
+        # column-major, so both evaluators read its coordinate rows in place
         points = np.asfortranarray(rng.uniform(-1.0, 1.0, size=(num_samples, m)))
         target = benchmark_eval(f, points, order)
         approx = eval_derivative(poly, order, points)

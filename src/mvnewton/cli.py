@@ -43,8 +43,6 @@ from .newton import (
     save_bundle,
 )
 
-DEFAULT_SAMPLES = 10_000
-
 # one flag per parameter name of the built-in functions: r, s, a, k1, k2
 _FUNCTION_PARAM_FLAGS = tuple(
     dict.fromkeys(name for params in analysis._DEFAULTS.values() for name in params)
@@ -334,7 +332,7 @@ def _add_sampling_args(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--samples",
         type=_positive_int,
-        default=DEFAULT_SAMPLES,
+        default=analysis.DEFAULT_SAMPLES,
         help="number of sample points",
     )
 

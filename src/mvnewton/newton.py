@@ -332,13 +332,16 @@ def lagrange_newton_matrix(grid: UnisolventGrid) -> np.ndarray:
 
 
 def _as_points(x, dim):
+    """``(columns, single)`` for a point ``(m,)`` or a batch ``(k, m)``, with
+    ``columns`` the C-contiguous ``(m, k)`` coordinates, one row per axis:
+    points stored column-major (Fortran order) are read in place, as a view."""
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"points must have shape (m,) or (k, m) with m={dim}")
-    return arr, single
+    return np.ascontiguousarray(arr.T), single
 
 
 def _check_order(order, dim: int) -> tuple[int, ...]:
@@ -392,10 +395,10 @@ def newton_basis_values(grid: UnisolventGrid, x, order=None) -> np.ndarray:
     Every value is multiplied in axis order, as in the product formula
     ``prod_i N_i(x_i)``, so it is bitwise equal to that formula.
     """
-    pts, single = _as_points(x, grid.dim)
+    columns, single = _as_points(x, grid.dim)
     order = _check_order((0,) * grid.dim if order is None else order, grid.dim)
     plan, tops = grid.index_set.layout.basis, grid.index_set.tops
-    out = _basis_rows(plan, tops, grid.axes, np.ascontiguousarray(pts.T), order, grid.dim)
+    out = _basis_rows(plan, tops, grid.axes, columns, order, grid.dim)
     return out[:, 0] if single else out.T
 
 
@@ -467,12 +470,11 @@ def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
     group at every point.  The GEMM rows, one per tail ``(a_{j+1}..a_m)``
     in canonical order, are then summed against the Newton basis of those
     tails over the later axes (see :func:`_collapse_rows`).  Points stay on
-    the last, contiguous axis, so points stored column-major (Fortran
-    order) are read in place.  With ``j = 1`` the GEMM rows are the grid
-    lines of axis 1, its columns their levels, and its right operand the
-    axis table itself.  ``j`` is the set's (see
-    :class:`~mvnewton.multi_index.FoldPlan`): the fewest rows of basis
-    block and GEMM output per point.
+    the last, contiguous axis of the coordinate rows of :func:`_as_points`.
+    With ``j = 1`` the GEMM rows are the grid lines of axis 1, its columns
+    their levels, and its right operand the axis table itself.  ``j`` is
+    the set's (see :class:`~mvnewton.multi_index.FoldPlan`): the fewest
+    rows of basis block and GEMM output per point.
 
     Points go in chunks of ``_CHUNK_BUDGET`` floats over the rows one point
     needs: ``|P_j|`` in the basis block (counted at ``j = 1`` too),
@@ -480,7 +482,7 @@ def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
     basis block (when ``j > 1``) and the GEMM output are written into the
     C-contiguous prefixes of two flat buffers sized for the first chunk.
     """
-    pts, single = _as_points(x, poly.grid.dim)
+    columns, single = _as_points(x, poly.grid.dim)
     index_set = poly.grid.index_set
     plan = index_set.layout.fold
     split = plan.split
@@ -490,15 +492,14 @@ def _fold(poly: NewtonPolynomial, x, order: tuple[int, ...]):
     scattered = scattered.reshape(plan.groups, width)
     axes = poly.grid.axes
     tops = index_set.tops
-    columns = np.ascontiguousarray(pts.T)
-    out = np.empty(pts.shape[0])
+    out = np.empty(columns.shape[1])
     step = max(1, _CHUNK_BUDGET // (width + plan.groups + sum(top + 1 for top in tops)))
     # made once: fresh arrays per chunk leave freed chunk-sized blocks on the
     # C heap beside the next chunk's (see _CHUNK_BUDGET)
-    first = min(step, pts.shape[0])
+    first = min(step, out.size)
     basis_buffer = np.empty(width * first) if split > 1 else None
     gemm_buffer = np.empty(plan.groups * first)
-    for start in range(0, pts.shape[0], step):
+    for start in range(0, out.size, step):
         chunk = columns[:, start : start + step]
         size = chunk.shape[1]
         basis = None if basis_buffer is None else basis_buffer[: width * size].reshape(width, size)
@@ -544,10 +545,10 @@ def eval_recursive(poly: NewtonPolynomial, x) -> float:
     below a block's top being present because the set is downward closed.
     O(|A|) arithmetic operations.
     """
-    pts, single = _as_points(x, poly.grid.dim)
+    columns, single = _as_points(x, poly.grid.dim)
     if not single:
         raise ValueError("eval_recursive evaluates a single point")
-    point = pts[0]
+    point = columns[:, 0]
     exps = poly.grid.index_set.exponents
     coeffs = poly.coeffs
     axes = poly.grid.axes

@@ -4,8 +4,9 @@ import hypothesis
 import numpy as np
 import pytest
 
-from mvnewton.grid import Nodes1D, UnisolventGrid
-from mvnewton.multi_index import MultiIndexSet
+from mvnewton.cli import main
+from mvnewton.grid import Nodes1D, UnisolventGrid, axes_for, build_grid
+from mvnewton.multi_index import MultiIndexSet, make_lp_set
 
 hypothesis.settings.register_profile(
     "ci", deadline=None, max_examples=40, derandomize=True
@@ -16,6 +17,23 @@ hypothesis.settings.load_profile("ci")
 # "merely ill-conditioned" at desk scale.
 UNISOLVENCE_RTOL = 1e-10
 UNISOLVENCE_SIZE_CAP = 600
+
+
+def run(argv):
+    """The CLI's exit code for ``argv``, each argument passed as a string."""
+    return main([str(a) for a in argv])
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal bit patterns, so -0.0 differs from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def lcl_grid(m, n, p):
+    """The LCL grid (Leja-ordered Chebyshev-Lobatto axes) of the ``l_p``
+    ball of radius ``n`` in ``m`` dimensions."""
+    index_set = make_lp_set(m, n, p)
+    return build_grid(index_set, axes_for(index_set, "lcl"))
 
 
 def random_downward_closed(

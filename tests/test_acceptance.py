@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from conftest import (
+    lcl_grid,
     newton_collocation_matrix,
     random_axes,
     random_downward_closed,
@@ -22,7 +23,7 @@ from mvnewton.analysis import (
     lebesgue_estimate,
     make_benchmark,
 )
-from mvnewton.grid import build_grid, chebyshev_lobatto, leja_order
+from mvnewton.grid import build_grid, chebyshev_lobatto
 from mvnewton.multi_index import make_lp_set
 from mvnewton.newton import (
     LagrangeCoefficients,
@@ -39,11 +40,6 @@ INF = math.inf
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"\n[acceptance] {criterion}: {'PASS' if ok else 'FAIL'}  {detail}")
-
-
-def lcl_grid(m, n, p):
-    index_set = make_lp_set(m, n, p)
-    return build_grid(index_set, [leja_order(chebyshev_lobatto(n))] * m)
 
 
 def eval_canonical(coeffs, exponents, pts):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     hyperbolic_cross,
+    lcl_grid,
     newton_basis_oracle,
     newton_collocation_matrix,
     random_axes,
@@ -33,11 +34,6 @@ from mvnewton.multi_index import make_lp_set
 from mvnewton.newton import eval_derivative, interpolate, lagrange_newton_matrix
 
 INF = math.inf
-
-
-def lcl_grid(m, n, p):
-    a = make_lp_set(m, n, p)
-    return build_grid(a, axes_for(a, "lcl"))
 
 
 # -- benchmark functions -------------------------------------------------------
@@ -185,9 +181,9 @@ def test_the_class_rejects_a_non_integer_dimension(kind, dim):
 
 @pytest.mark.parametrize("m", range(2, 10))
 def test_column_major_points_give_the_same_bits(m):
-    # convergence_run draws its points column-major.  numpy adds a row of
-    # fewer than 8 entries in order, as it adds columns, but a longer row
-    # pairwise, so from m = 8 on benchmark_eval reads a row-major copy
+    # convergence_run draws its points column-major.  Both evaluators
+    # compute on the coordinate rows of _as_points, a view of such points
+    # and a copy of row-major ones, so the layout cannot change a bit
     pts = np.random.default_rng(m).uniform(-1, 1, (300, m))
     columns = np.asfortranarray(pts)
     grid = lcl_grid(m, 3, 1)
@@ -579,6 +575,28 @@ def test_convergence_names_a_bad_integer_argument(kwargs, message):
     # numpy integers are integers
     record = convergence_run(f, 2, "lcl", np.arange(1, 3), np.int64(10), np.int32(0))
     assert record.degrees == (1, 2) and type(record.degrees[0]) is int
+
+
+@pytest.mark.parametrize(
+    "degrees, num_coeffs, errors, message",
+    [
+        ((2, 4), (6,), (0.1, 0.01), "^degrees, num_coeffs and errors must align$"),
+        ((2, 4), (6, 15), (0.1,), "^degrees, num_coeffs and errors must align$"),
+        ((4, 4), (15, 15), (0.1, 0.01), "^degrees must be strictly increasing$"),
+        ((4, 2), (15, 6), (0.1, 0.01), "^degrees must be strictly increasing$"),
+        ((2, 4), (6, 15), (0.1, -0.01), "^errors must be finite and non-negative$"),
+    ],
+)
+def test_a_record_refuses_inconsistent_columns(degrees, num_coeffs, errors, message):
+    with pytest.raises(ValueError, match=message):
+        ConvergenceRecord(degrees, num_coeffs, errors)
+
+
+def test_a_record_refuses_a_table_with_a_foreign_header(tmp_path):
+    path = tmp_path / "record.csv"
+    path.write_text("n,size,error\n2,6,0.1\n")
+    with pytest.raises(ValueError, match=r"is not a table of n,num_coeffs,error \(header"):
+        ConvergenceRecord.from_csv(path)
 
 
 def test_record_csv_round_trip(tmp_path):

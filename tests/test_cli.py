@@ -13,15 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run
 from mvnewton import cli, multi_index
-from mvnewton.cli import main, parse_degrees, parse_p
+from mvnewton.cli import parse_degrees, parse_p
 from mvnewton.grid import Nodes1D, build_grid, chebyshev_lobatto, leja_order
 from mvnewton.multi_index import make_lp_set
 from mvnewton.newton import NewtonPolynomial, interpolate, load_bundle, save_bundle
-
-
-def run(argv):
-    return main([str(a) for a in argv])
 
 
 def test_parse_p():
@@ -219,7 +216,8 @@ def test_load_bundle_ignores_an_older_headers_provenance(tmp_path, capsys, prove
 
 @pytest.mark.parametrize(
     "command, deriv",
-    [("eval", "1"), ("eval", "0,-1,0"), ("convergence", "-1,0"), ("convergence", "2,1")],
+    [("eval", "1"), ("eval", "0,-1,0"), ("eval", "a,b"), ("convergence", "-1,0"),
+     ("convergence", "2,1")],
 )
 def test_bad_derivative_orders_exit_2_and_write_nothing(tmp_path, capsys, command, deriv):
     if command == "eval":  # a 3D bundle and no points: the order is still checked
@@ -914,3 +912,45 @@ def test_flags_no_command_reads_are_rejected(tmp_path, capsys, command, flag):
     assert f"unrecognized arguments: {' '.join(map(str, flag))}" in err
     assert not out.exists()
     assert not out.with_suffix(".fit.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(
+            (["lebesgue", "-m", 2, f"--degrees={text}"], "cannot parse degree range")
+            for text in ("1:2:3:4", "5:2", "1:9:0", "a:b")
+        ),
+        (["lebesgue", "-m", 2, "--degrees", ","], "empty degree list"),
+        (["lebesgue", "-m", 2, "-p", ",", "--degrees", "2"], "empty p list"),
+        (["convergence", "-m", 2, "--degrees", "2:5"], "a builtin function id is required"),
+        (
+            ["convergence", "-m", 2, "--function", "f5", "--k1=-1", "--degrees", "2:5"],
+            "requires non-negative k1, k2",
+        ),
+    ],
+)
+def test_a_bad_argument_exits_2_with_its_message(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_refuses_points_with_the_wrong_column_count(tmp_path, capsys):
+    bundle, points, out = tmp_path / "b", tmp_path / "pts.csv", tmp_path / "v.csv"
+    assert run(["interpolate", "-m", 2, "-n", 2, "--function", "runge", "--out", bundle]) == 0
+    points.write_text("0.5,0.5,0.5\n")
+    capsys.readouterr()
+    assert run(["eval", "--bundle", bundle, "--points", points, "--out", out]) == 2
+    assert "pts.csv has 3 numbers per line, expected 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_interpolate_refuses_a_values_file_with_two_numbers_per_line(tmp_path, capsys):
+    values, out = tmp_path / "v.csv", tmp_path / "b"
+    values.write_text("1.0,2.0\n" * 3)  # one row per node of the 1D degree-2 grid
+    argv = ["interpolate", "-m", 1, "-n", 2, "--values", values, "--out", out]
+    assert run(argv) == 2
+    assert "v.csv has 2 numbers per line, expected 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -51,3 +51,46 @@ def test_a_module_exports_only_what_it_defines(module):
     namespace = importlib.import_module(module)
     tree = ast.parse(Path(namespace.__file__).read_text())
     assert sorted(set(namespace.__all__) - top_level_names(tree)) == []
+
+
+def defined_units(tree: ast.Module):
+    """``(qualified name, name)`` of every function and class a module defines
+    at its top level, and of every method of those classes; functions
+    nested in a function are left out."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, kinds):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def referenced_names(root: Path) -> set[str]:
+    """Every ``Name``, ``Attribute`` and imported name in the Python files under ``root``."""
+    names = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def test_every_unit_is_exported_or_has_a_caller_outside_the_tests():
+    # a function whose only caller is its own unit test is dead code
+    package = Path(mvnewton.__file__).parent
+    used = referenced_names(package.parent) | referenced_names(package.parents[1] / "scripts")
+    dead = []
+    for module in MODULES:  # ``__init__`` and ``__main__`` define no unit
+        namespace = importlib.import_module(module)
+        exported = set(getattr(namespace, "__all__", ()))
+        for qualified, name in defined_units(ast.parse(Path(namespace.__file__).read_text())):
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and name not in exported and name not in used:
+                dead.append(f"{module}.{qualified}")
+    assert dead == []

@@ -12,6 +12,7 @@ from conftest import (
     monomial_vandermonde,
     random_axes,
     random_downward_closed,
+    same_bits,
     vandermonde_unisolvence_check,
 )
 from mvnewton import grid as grid_module
@@ -96,14 +97,10 @@ def _leja_order_reference(pts: np.ndarray) -> np.ndarray:
     return pts[chosen]
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 def test_leja_order_matches_the_masked_reference_on_chebyshev_lobatto():
     for n in range(301):
         pts = chebyshev_lobatto(n).points
-        assert _same_bits(leja_order(pts).points, _leja_order_reference(pts)), n
+        assert same_bits(leja_order(pts).points, _leja_order_reference(pts)), n
 
 
 @given(
@@ -118,7 +115,7 @@ def test_leja_order_matches_the_masked_reference_on_random_sets(n, seed, symmetr
         pts = np.concatenate([half, -half])[:n]
     if (np.diff(np.sort(pts)) < 1e-14).any():
         return
-    assert _same_bits(leja_order(pts).points, _leja_order_reference(pts))
+    assert same_bits(leja_order(pts).points, _leja_order_reference(pts))
 
 
 @given(st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=10**6))

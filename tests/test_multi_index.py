@@ -179,6 +179,25 @@ def test_duplicates_and_negatives_rejected():
     assert MultiIndexSet(exact.exponents.astype(np.uint8)) == exact
 
 
+@pytest.mark.parametrize(
+    "exponents, message",
+    [
+        ([0, 1, 2], "^expected a 2-d array of exponents, got ndim=1$"),
+        (np.zeros((3, 0)), "^ambient dimension must be at least 1$"),
+    ],
+)
+def test_exponents_must_be_a_table_with_a_column(exponents, message):
+    with pytest.raises(ValueError, match=message):
+        MultiIndexSet(exponents)
+
+
+def test_a_set_cannot_be_changed():
+    index_set = make_lp_set(2, 2, 1)
+    with pytest.raises(AttributeError, match="^MultiIndexSet is immutable$"):
+        index_set.dim = 3
+    assert index_set.dim == 2
+
+
 def test_is_downward_closed():
     # only a downward-closed set can be constructed
     assert make_lp_set(3, 4, 2).tops == (4, 4, 4)

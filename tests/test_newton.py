@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     hyperbolic_cross,
+    lcl_grid,
     newton_basis_oracle,
     newton_collocation_matrix,
     random_axes,
     random_downward_closed,
+    same_bits,
 )
 from mvnewton import multi_index, newton
 from mvnewton.grid import (
@@ -27,8 +29,6 @@ from mvnewton.grid import (
     UnisolventGrid,
     axes_for,
     build_grid,
-    chebyshev_lobatto,
-    leja_order,
 )
 from mvnewton.multi_index import MultiIndexSet, make_lp_set
 from mvnewton.newton import (
@@ -53,11 +53,6 @@ INF = math.inf
 
 def two_point_axis():
     return Nodes1D(np.array([1.0, -1.0]))
-
-
-def lcl_grid(m, n, p):
-    a = make_lp_set(m, n, p)
-    return build_grid(a, [leja_order(chebyshev_lobatto(n))] * m)
 
 
 def xy_grid():
@@ -103,6 +98,21 @@ def test_eval_matches_bilinear_product():
     poly = interpolate(lambda p: p[:, 0] * p[:, 1], xy_grid())
     assert eval_iterative(poly, [0.5, -0.25]) == pytest.approx(-0.125, abs=1e-14)
     assert eval_recursive(poly, [0.5, -0.25]) == pytest.approx(-0.125, abs=1e-14)
+
+
+def test_calling_a_polynomial_evaluates_it(rng):
+    poly = interpolate(lambda p: np.exp(p[:, 0] - p[:, 1] ** 2), lcl_grid(2, 5, 2))
+    pts = rng.uniform(-1, 1, (40, 2))
+    assert same_bits(poly(pts), eval_iterative(poly, pts))
+    assert poly(pts[0]) == eval_iterative(poly, pts[0])
+
+
+def test_evaluators_refuse_points_of_the_wrong_shape():
+    poly = interpolate(lambda p: p[:, 0] * p[:, 1], xy_grid())
+    with pytest.raises(ValueError, match=r"^points must have shape \(m,\) or \(k, m\) with m=2$"):
+        eval_iterative(poly, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="^eval_recursive evaluates a single point$"):
+        eval_recursive(poly, np.zeros((4, 2)))
 
 
 def test_eval_reproduces_samples_at_nodes(rng):
@@ -177,10 +187,6 @@ def test_fold_matches_basis_matrix_oracle(seed):
     for x in pts[:3]:
         a = eval_recursive(poly, x)
         assert abs(eval_iterative(poly, x) - a) <= 1e-13 * (1.0 + abs(a))
-
-
-def same_bits(a, b) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @given(st.integers(min_value=0, max_value=10**6))

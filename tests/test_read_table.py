@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import run
 from mvnewton.analysis import ConvergenceRecord
-from mvnewton.cli import main
 from mvnewton.grid import _read_table, axes_for, build_grid
 from mvnewton.multi_index import make_lp_set
 from mvnewton.newton import interpolate, load_bundle, save_bundle
@@ -19,10 +19,6 @@ from mvnewton.newton import interpolate, load_bundle, save_bundle
 SRC = Path(__file__).resolve().parents[1] / "src" / "mvnewton"
 
 INDEX_SET = make_lp_set(2, 3, 2)
-
-
-def run(argv):
-    return main([str(a) for a in argv])
 
 
 def _save_bundle(directory):
