@@ -97,6 +97,7 @@ class BenchmarkFunction:
     The fifth is entire:
       * ``f5_trig``: ``cos(pi*k1*sum(x)) + sin(pi*k2*sum(x))`` [``k1 = k2 = 1``]
 
+    ``kind`` may be a short alias, f1..f5, which is stored as the long name.
     ``params`` are ``(name, value)`` pairs; the constructor fills in the
     defaults and stores every parameter as a float, sorted by name, and
     rejects a NaN or infinite one.
@@ -109,6 +110,7 @@ class BenchmarkFunction:
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", _ALIASES.get(self.kind, self.kind))
         if self.kind not in _DEFAULTS:
             raise ValueError(f"unknown benchmark function {self.kind!r}")
         object.__setattr__(self, "dim", _checked_int(self.dim, "dimension", 1))
@@ -162,7 +164,7 @@ class BenchmarkFunction:
 
 def make_benchmark(kind: str, dim: int, **params) -> BenchmarkFunction:
     """Build a benchmark function; short aliases f1..f5 are accepted."""
-    return BenchmarkFunction(_ALIASES.get(kind, kind), dim, tuple(params.items()))
+    return BenchmarkFunction(kind, dim, tuple(params.items()))
 
 
 def benchmark_eval(f: BenchmarkFunction, x, order=None):
@@ -349,7 +351,9 @@ def lebesgue_estimate(
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    """Max-error estimates of interpolants over a sweep of degrees."""
+    """Max-error estimates of interpolants over a sweep of degrees.  Degrees
+    and sizes may be given as floats; each must be a non-negative integer,
+    and is stored as an ``int``."""
 
     degrees: tuple[int, ...]
     num_coeffs: tuple[int, ...]
@@ -361,13 +365,18 @@ class ConvergenceRecord:
             self.num_coeffs
         ):
             raise ValueError("degrees, num_coeffs and errors must align")
+        counts = _integral(np.array([self.degrees, self.num_coeffs]))
+        if (counts < 0).any():
+            raise ValueError("n and num_coeffs must be non-negative integers")
+        object.__setattr__(self, "degrees", tuple(counts[0].tolist()))
+        object.__setattr__(self, "num_coeffs", tuple(counts[1].tolist()))
         if any(b <= a for a, b in zip(self.degrees, self.degrees[1:])):
             raise ValueError("degrees must be strictly increasing")
         if any(e < 0 or not math.isfinite(e) for e in self.errors):
             raise ValueError("errors must be finite and non-negative")
 
     def to_csv_text(self) -> str:
-        meta = "".join(f"# {key}: {self.meta[key]}\n" for key in sorted(self.meta))
+        meta = "".join(f"# {key}: {self.meta[key]}\r\n" for key in sorted(self.meta))
         columns = [self.degrees, self.num_coeffs, self.errors]
         return meta + _table_text(["n", "num_coeffs", "error"], columns)
 
@@ -377,12 +386,11 @@ class ConvergenceRecord:
         comments, header, rows = _read_table(path)
         if header not in (None, ["n", "num_coeffs", "error"]) or rows.size and rows.shape[1] != 3:
             raise ValueError(f"{path} is not a table of n,num_coeffs,error (header {header})")
-        rows = rows.reshape(-1, 3)
-        counts = _integral(rows[:, :2])
-        if (counts < 0).any():
-            raise ValueError(f"{path}: n and num_coeffs must be non-negative integers")
         meta = {k.strip(): v.strip() for k, _, v in (c.partition(":") for c in comments)}
-        return cls(*map(tuple, counts.T.tolist()), tuple(rows[:, 2].tolist()), meta)
+        try:
+            return cls(*map(tuple, rows.reshape(-1, 3).T.tolist()), meta)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _p_label(p) -> str:

@@ -176,8 +176,8 @@ def _publish(outputs: dict) -> None:
 
 
 def _text(text: str):
-    """A writer of ``text`` for :func:`_publish`."""
-    return lambda path: Path(path).write_text(text)
+    """A writer of ``text`` for :func:`_publish`, its line endings as given."""
+    return lambda path: Path(path).write_text(text, newline="")
 
 
 def _rows_text(header: list[str], columns, fmt: str) -> str:
@@ -320,42 +320,55 @@ def cmd_lebesgue(args) -> int:
 
 # -- argument parsing ----------------------------------------------------------
 
+# Each flag once: its option strings and its ``add_argument`` keywords.
+# ``lebesgue`` reads a list of selectors, its own ``-p``.
+_FLAGS = {
+    "dim": (("-m", "--dim"), dict(type=_positive_int, required=True, help="dimension m >= 1")),
+    "p": (("-p",), dict(type=parse_p, default="2",
+                        help="degree selector: 1, 2, inf, or a decimal")),
+    "p_list": (("-p",), dict(type=_parse_p_list, default="2",
+                             help="comma list of selectors, e.g. 1,2,inf")),
+    "family": (("--family",), dict(choices=GRID_FAMILIES, default="lcl", help="node family")),
+    "degree": (("-n", "--degree"), dict(type=_non_negative_int, required=True)),
+    "degrees": (("--degrees",), dict(type=parse_degrees, required=True,
+                                     help="lo:hi[:step] or comma list")),
+    "function": (("--function",),
+                 dict(help="builtin function id: runge, f1, f3, f4, f5 (or long names)")),
+    **{name: ((f"--{name}",), dict(type=float, default=None)) for name in _FUNCTION_PARAM_FLAGS},
+    "values": (("--values",), dict(help="file with one sample per line, grid order")),
+    "bundle": (("--bundle",), dict(required=True, help="bundle directory")),
+    "points": (("--points",), dict(required=True, help="CSV of query points")),
+    "deriv": (("--deriv",), dict(
+        type=parse_deriv,
+        help="derivative multi-index, e.g. 1,0; write a value starting with - as --deriv=-1,0",
+    )),
+    "order": (("-k", "--order"), dict(type=int, choices=range(analysis.LEBESGUE_MAX_ORDER + 1),
+                                      default=0, help="Lebesgue order k")),
+    "cap": (("--cap",), dict(type=_positive_int, default=analysis.LEBESGUE_SIZE_CAP)),
+    "seed": (("--seed",), dict(type=_non_negative_int, default=0, help="random seed")),
+    "samples": (("--samples",), dict(type=_positive_int, default=analysis.DEFAULT_SAMPLES,
+                                     help="number of sample points")),
+    "out": (("--out",), dict(required=True, help="output path")),
+    "format": (("--format",), dict(choices=("csv", "json"), default="csv")),
+}
 
-def _add_output_args(parser: argparse.ArgumentParser, formats: bool = False):
-    parser.add_argument("--out", required=True, help="output path")
-    if formats:
-        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+_FUNCTION_FLAGS = ("function", *_FUNCTION_PARAM_FLAGS)
 
-
-def _add_sampling_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=_non_negative_int, default=0, help="random seed")
-    parser.add_argument(
-        "--samples",
-        type=_positive_int,
-        default=analysis.DEFAULT_SAMPLES,
-        help="number of sample points",
-    )
-
-
-def _add_space_args(
-    parser: argparse.ArgumentParser,
-    p_type=parse_p,
-    p_help="degree selector: 1, 2, inf, or a decimal",
-):
-    parser.add_argument(
-        "-m", "--dim", type=_positive_int, required=True, help="dimension m >= 1"
-    )
-    parser.add_argument("-p", type=p_type, default="2", help=p_help)
-    parser.add_argument("--family", choices=GRID_FAMILIES, default="lcl", help="node family")
-
-
-def _add_function_args(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--function",
-        help="builtin function id: runge, f1, f3, f4, f5 (or long names)",
-    )
-    for name in _FUNCTION_PARAM_FLAGS:
-        parser.add_argument(f"--{name}", type=float, default=None)
+# Each subcommand: its function, its help and the flags it reads, in help order.
+_COMMANDS = {
+    "nodes": (cmd_nodes, "generate an interpolation grid",
+              ("dim", "p", "family", "degree", "out", "format")),
+    "interpolate": (cmd_interpolate, "interpolate samples or a builtin",
+                    ("dim", "p", "family", "degree", *_FUNCTION_FLAGS, "values", "out")),
+    "eval": (cmd_eval, "evaluate a polynomial bundle at points",
+             ("bundle", "points", "deriv", "out", "format")),
+    "convergence": (cmd_convergence, "run a degree sweep and fit the rate",
+                    ("dim", "p", "family", "degrees", *_FUNCTION_FLAGS, "deriv", "seed", "samples",
+                     "out")),
+    "lebesgue": (cmd_lebesgue, "sweep Lebesgue-constant estimates",
+                 ("dim", "p_list", "family", "degrees", "order", "cap", "seed", "samples",
+                  "out", "format")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,58 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_nodes = sub.add_parser("nodes", help="generate an interpolation grid")
-    _add_space_args(p_nodes)
-    p_nodes.add_argument("-n", "--degree", type=_non_negative_int, required=True)
-    _add_output_args(p_nodes, formats=True)
-    p_nodes.set_defaults(func=cmd_nodes)
-
-    p_int = sub.add_parser("interpolate", help="interpolate samples or a builtin")
-    _add_space_args(p_int)
-    p_int.add_argument("-n", "--degree", type=_non_negative_int, required=True)
-    _add_function_args(p_int)
-    p_int.add_argument("--values", help="file with one sample per line, grid order")
-    _add_output_args(p_int)
-    p_int.set_defaults(func=cmd_interpolate)
-
-    deriv_help = "derivative multi-index, e.g. 1,0; write a value starting with - as --deriv=-1,0"
-    p_eval = sub.add_parser("eval", help="evaluate a polynomial bundle at points")
-    p_eval.add_argument("--bundle", required=True, help="bundle directory")
-    p_eval.add_argument("--points", required=True, help="CSV of query points")
-    p_eval.add_argument("--deriv", type=parse_deriv, help=deriv_help)
-    _add_output_args(p_eval, formats=True)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_conv = sub.add_parser("convergence", help="run a degree sweep and fit the rate")
-    _add_space_args(p_conv)
-    p_conv.add_argument(
-        "--degrees", type=parse_degrees, required=True, help="lo:hi[:step] or comma list"
-    )
-    _add_function_args(p_conv)
-    p_conv.add_argument("--deriv", type=parse_deriv, help=deriv_help)
-    _add_sampling_args(p_conv)
-    _add_output_args(p_conv)
-    p_conv.set_defaults(func=cmd_convergence)
-
-    p_leb = sub.add_parser("lebesgue", help="sweep Lebesgue-constant estimates")
-    _add_space_args(p_leb, _parse_p_list, "comma list of selectors, e.g. 1,2,inf")
-    p_leb.add_argument(
-        "--degrees", type=parse_degrees, required=True, help="lo:hi[:step] or comma list"
-    )
-    p_leb.add_argument(
-        "-k",
-        "--order",
-        type=int,
-        choices=range(analysis.LEBESGUE_MAX_ORDER + 1),
-        default=0,
-        help="Lebesgue order k",
-    )
-    p_leb.add_argument("--cap", type=_positive_int, default=analysis.LEBESGUE_SIZE_CAP)
-    _add_sampling_args(p_leb)
-    _add_output_args(p_leb, formats=True)
-    p_leb.set_defaults(func=cmd_lebesgue)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            options, keywords = _FLAGS[flag]
+            command.add_argument(*options, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 

@@ -629,7 +629,4 @@ def load_bundle(directory) -> NewtonPolynomial:
     index_set = MultiIndexSet(exponents)
     if not np.array_equal(index_set.exponents, exponents):
         raise ValueError(f"{table} does not list its indices in canonical order")
-    try:
-        return NewtonPolynomial(build_grid(index_set, axes), rows[:, m])
-    except OverflowError:  # an integer axis point beyond the float range
-        raise ValueError(f"{path}: an axis point is out of range") from None
+    return NewtonPolynomial(build_grid(index_set, axes), rows[:, m])

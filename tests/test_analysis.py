@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -145,9 +146,10 @@ def test_make_benchmark_params(kind, given, params):
     assert all(type(value) is float for _, value in f.params)
 
 
-@pytest.mark.parametrize("kind", analysis.BENCHMARK_IDS)
+@pytest.mark.parametrize("kind", [*analysis.BENCHMARK_IDS, *analysis._ALIASES])
 def test_the_class_fills_in_the_defaults(kind):
-    f = BenchmarkFunction(kind, 2)
+    f = BenchmarkFunction(kind, 2)  # a short alias is stored as the long name
+    assert f.kind == analysis._ALIASES.get(kind, kind)
     assert f == make_benchmark(kind, 2)
     assert np.isfinite(f([0.1, -0.2]))
 
@@ -585,11 +587,34 @@ def test_convergence_names_a_bad_integer_argument(kwargs, message):
         ((4, 4), (15, 15), (0.1, 0.01), "^degrees must be strictly increasing$"),
         ((4, 2), (15, 6), (0.1, 0.01), "^degrees must be strictly increasing$"),
         ((2, 4), (6, 15), (0.1, -0.01), "^errors must be finite and non-negative$"),
+        # to_csv_text writes only what from_csv reads back
+        ((1.5, 2), (6, 15), (0.1, 0.01), "^n and num_coeffs must be non-negative integers$"),
+        ((2, 4), (-1, 15), (0.1, 0.01), "^n and num_coeffs must be non-negative integers$"),
+        ((2, math.inf), (6, 15), (0.1, 0.01), "^n and num_coeffs must be non-negative integers$"),
     ],
 )
 def test_a_record_refuses_inconsistent_columns(degrees, num_coeffs, errors, message):
     with pytest.raises(ValueError, match=message):
         ConvergenceRecord(degrees, num_coeffs, errors)
+
+
+def test_a_record_file_ends_every_line_in_crlf_and_reads_back(tmp_path):
+    meta = {"function": "runge", "m": "2"}
+    record = ConvergenceRecord((2.0, np.int64(4)), (6.0, 15), (0.1, 2.5e-3), meta)
+    assert all(type(v) is int for v in record.degrees + record.num_coeffs)
+    text = record.to_csv_text()
+    assert text.endswith("\r\n") and text.count("\n") == text.count("\r\n") == 5
+    path = tmp_path / "record.csv"
+    path.write_text(text, newline="")
+    assert ConvergenceRecord.from_csv(path) == record
+
+
+def test_a_record_file_names_itself_in_every_record_error(tmp_path):
+    path = tmp_path / "record.csv"
+    path.write_text("n,num_coeffs,error\n4,15,0.01\n2,6,0.1\n")
+    message = f"{path}: degrees must be strictly increasing"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ConvergenceRecord.from_csv(path)
 
 
 def test_a_record_refuses_a_table_with_a_foreign_header(tmp_path):

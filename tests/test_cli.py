@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 from pathlib import Path
@@ -19,6 +20,8 @@ from mvnewton.cli import parse_degrees, parse_p
 from mvnewton.grid import Nodes1D, build_grid, chebyshev_lobatto, leja_order
 from mvnewton.multi_index import make_lp_set
 from mvnewton.newton import NewtonPolynomial, interpolate, load_bundle, save_bundle
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_parse_p():
@@ -883,6 +886,27 @@ def test_every_command_reads_every_flag(tmp_path):
         if missing:
             unread[command] = sorted(missing)
     assert unread == {}
+
+
+def test_the_readme_flag_table_is_the_command_table():
+    # each row of README's table names each flag of its subcommand once, and no other
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n\n")
+    table = next(block for block in section if block.startswith("| subcommand |"))
+    rows = {}
+    for line in table.split("\n")[2:]:
+        name, flags = line.split("|")[1:3]
+        rows[name.strip().strip("`")] = re.findall(r"`(-[^`]*)`", flags)
+    assert list(rows) == list(cli._COMMANDS)
+    for name, tokens in rows.items():
+        options = [cli._FLAGS[flag][0] for flag in cli._COMMANDS[name][2]]
+        assert {t for t in tokens if not any(t in o for o in options)} == set(), name
+        assert [sum(map(tokens.count, o)) for o in options] == [1] * len(options), name
+
+
+def test_text_outputs_keep_their_line_endings(tmp_path):
+    # tables end their lines in \r\n; a platform newline must not be added to either
+    cli._text("a,b\r\n1,2\r\n# c\n")(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n1,2\r\n# c\n"
 
 
 @pytest.mark.parametrize(

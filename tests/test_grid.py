@@ -237,17 +237,20 @@ def test_leja_points_nested(n1, step):
 
 
 def test_nodes1d_validation():
-    # leja_order and build_grid check raw axes as Nodes1D does; a degree-0 set
-    # uses one point of each axis, yet the whole axis is checked
+    # leja_order, build_grid and the grid class check raw axes as Nodes1D
+    # does; a degree-0 set uses one point of each axis, yet the whole axis is
+    # checked, and an integer beyond the float range lies outside
     shape = "^nodes must be a non-empty 1-d sequence$"
     near = "^nodes must be pairwise at least 1e-14 apart$"
     cases = [([0.5, 0.5], near), ([0.5, 0.5 + 5e-15], near), ([0.5, -0.2, 0.5 - 5e-15], near),
              ([0.0, 9e-15], near), ([1.0, -1.0, 0.3, 0.3 + 1e-15], near),
              ([1.5], "^nodes must lie within"), ([np.nan], "^nodes must lie within"),
+             ([10**400, 0.0], "^nodes must lie within"),
              ([], shape), ([[0.5]], shape), ([[0.1, 0.2], [0.3, 0.4]], shape)]
     index_set = make_lp_set(1, 0, 1)
     for raw, message in cases:
-        for make in (Nodes1D, leja_order, lambda axis: build_grid(index_set, [axis])):
+        for make in (Nodes1D, leja_order, lambda axis: build_grid(index_set, [axis]),
+                     lambda axis: UnisolventGrid(index_set, (axis,))):
             with pytest.raises(ValueError, match=message):
                 make(raw)
     assert np.array_equal(leja_order([0.1, -0.5, 1.0]).points, [1.0, -0.5, 0.1])
@@ -303,6 +306,10 @@ def test_the_grid_class_checks_its_axes():
     with pytest.raises(ValueError, match="^need 2 axes for dimension 2, got 1$"):
         UnisolventGrid(a, (leja_points(4),))
     assert len(UnisolventGrid(a, (leja_points(4),) * 2)) == len(a)
+    raw = UnisolventGrid(a, [[1.0, -1.0, 0.0, 0.5, -0.5]] * 2)  # raw axes become Nodes1D
+    assert type(raw.axes) is tuple and all(isinstance(ax, Nodes1D) for ax in raw.axes)
+    assert np.array_equal(raw.node_coordinates, build_grid(a, raw.axes).node_coordinates)
+    assert build_grid is not UnisolventGrid  # a function of its own, which perfbench traces
 
 
 def test_build_grid_rejects_duplicate_axis_points():
